@@ -58,10 +58,10 @@ from .solver import (
     SupportPool,
     TwoParamRelaxation,
     cyclic_rule,
+    iterate,
     omega_optimal,
     run,
     select_greedy,
-    select_random,
     two_param_update,
 )
 

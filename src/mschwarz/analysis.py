@@ -195,15 +195,6 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed, chunk=409
     c = model.coefficients
     d = c.size
     top = int(model.support_indices.max()) if d else 1
-    lookup_cache = {}
-
-    def lookup(dist):
-        key = id(dist)
-        if key not in lookup_cache:
-            table = np.full(top + 2, -1, dtype=np.int64)
-            table[model.support_indices] = np.arange(d)
-            lookup_cache[key] = table
-        return lookup_cache[key]
 
     fixed = not callable(selection.schedule)
     dists = None if fixed else [selection.distribution(m) for m in range(M)]

@@ -5,7 +5,7 @@ exact/brute-force oracle columns when applicable), ``bounds`` (bound curves
 standalone), ``rate`` (log-log slope fit), ``check`` (invariant suite).
 Outputs are CSV traces with a JSON metadata sidecar; identical configs
 produce byte-identical files.  Exit codes: 0 success, 1 invariant or
-assertion failure, 2 configuration error.
+assertion failure, 2 configuration error or input the library rejects.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .analysis import (
     mc_expected_error,
     random_bound,
 )
-from .config import ConfigError, parse_config, serialize
+from .config import MAX_SEED, ConfigError, parse_config, serialize
 from .diagonal import DiagonalModel, a1_norm, ainfty_pi_norm
 from .problems import (
     MatrixSchwarzModel,
@@ -36,13 +36,7 @@ from .problems import (
     stability_constants,
     uniform_bound_lambda,
 )
-from .solver import (
-    GreedyRule,
-    PureRelaxation,
-    RandomRule,
-    run,
-    select_greedy,
-)
+from .solver import GreedyRule, PureRelaxation, RandomRule, iterate, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -79,7 +73,9 @@ def _model_metadata(config, model):
 
     For matrix splittings the class norms come from one explicit (minimum
     energy) representation of u*, so they are upper estimates and flagged as
-    such; the diagonal model's norms are exact.
+    such; the diagonal model's norms are exact.  Returns the sidecar dict and
+    the per-component norms of that representation (None for the diagonal
+    model).
     """
     meta = {
         "tool": "mschwarz",
@@ -88,6 +84,7 @@ def _model_metadata(config, model):
         "config_hash": _config_hash(config),
         "seed": config.data["seed"],
     }
+    block = None
     if isinstance(model, DiagonalModel):
         meta["lambda"] = 1.0
         meta["stability"] = {"lam_min": 1.0, "lam_max": 1.0, "kappa": 1.0}
@@ -113,13 +110,14 @@ def _model_metadata(config, model):
             "a1": float(block.sum()),
             "estimate": "upper-estimate",
         }
-    return meta
+    return meta, block
 
 
-def _bound_evaluator(config, model, meta):
+def _bound_evaluator(config, model, meta, block):
     """(column name, callable m -> bound) for the configured selection rule.
 
-    Returns None when no a-priori bound applies (deterministic sequences).
+    ``meta`` and ``block`` are what :func:`_model_metadata` returned.  Returns
+    None when no a-priori bound applies (deterministic sequences).
     """
     sel = config.data["selection"]
     norm_a = meta["a_norms"]["norm_a"]
@@ -128,15 +126,12 @@ def _bound_evaluator(config, model, meta):
         spec = GreedyBoundSpec(
             norm_a=norm_a, lam=lam, beta=float(sel["beta"]), a1=meta["a_norms"]["a1"]
         )
-        return "greedy_bound", (lambda m: greedy_bound(m, spec)), spec
+        return "greedy_bound", (lambda m: greedy_bound(m, spec))
     if sel["kind"] == "random":
         _, base = config.build_distribution(model)
         if isinstance(model, DiagonalModel):
             ainf = ainfty_pi_norm(model, base)
         else:
-            block = representation_block_norms(
-                model.problem, model.splitting, model.problem.exact_solution
-            )
             ainf = 0.0
             for c, nrm in zip(model.splitting, block):
                 if nrm == 0.0:
@@ -145,7 +140,7 @@ def _bound_evaluator(config, model, meta):
                 ainf = float("inf") if p == 0.0 else max(ainf, nrm / p)
         meta["a_norms"]["ainf_pi"] = ainf
         spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
-        return "random_bound", (lambda m: random_bound(m, spec)), spec
+        return "random_bound", (lambda m: random_bound(m, spec))
     return None
 
 
@@ -178,11 +173,11 @@ def _write_summary(path, meta, extra=None):
 def _cmd_run(config, args):
     model, selection, relaxation = _build(config)
     trace = run(model, selection, relaxation, config.data["steps"], config.data["seed"])
-    meta = _model_metadata(config, model)
+    meta, block = _model_metadata(config, model)
     header = ["m", "index", "alpha", "omega", "local_norm", "error_a", "error_a_sq"]
-    M = trace.steps
+    ms = np.arange(trace.steps + 1)
     columns = [
-        np.arange(M + 1),
+        ms,
         trace.index,
         trace.alpha,
         trace.omega,
@@ -190,11 +185,12 @@ def _cmd_run(config, args):
         trace.error,
         trace.error_sq,
     ]
-    bound = _bound_evaluator(config, model, meta) if config.data["bounds"] else None
+    bound = _bound_evaluator(config, model, meta, block) if config.data["bounds"] else None
     if bound is not None:
-        name, fn, _ = bound
+        name, fn = bound
+        vals = fn(ms)
         header.append(name)
-        columns.append(fn(np.arange(M + 1)))
+        columns.append(vals)
     trace_path, summary_path = _out_paths(config, args, "trace.csv")
     _write_csv(trace_path, header, columns)
     _write_summary(summary_path, meta)
@@ -204,8 +200,6 @@ def _cmd_run(config, args):
         if bound is None:
             print("run: --assert-bounds set but no bound applies", file=sys.stderr)
             return EXIT_CONFIG
-        _, fn, _ = bound
-        vals = fn(np.arange(M + 1))
         bad = np.nonzero(trace.error_sq > vals + BOUND_SLACK)[0]
         if bad.size:
             m = int(bad[0])
@@ -227,15 +221,16 @@ def _cmd_expect(config, args):
     est = mc_expected_error(
         model, selection, relaxation, M, config.data["trials"], config.data["seed"]
     )
-    meta = _model_metadata(config, model)
+    meta, block = _model_metadata(config, model)
     ms = np.arange(M + 1)
     header = ["m", "mean_err_sq", "stderr", "K"]
     columns = [ms, est.mean, est.stderr, [str(est.trials)] * (M + 1)]
-    bound = _bound_evaluator(config, model, meta) if config.data["bounds"] else None
+    bound = _bound_evaluator(config, model, meta, block) if config.data["bounds"] else None
     if bound is not None:
-        name, fn, _ = bound
+        name, fn = bound
+        vals = fn(ms)
         header.append(name)
-        columns.append(fn(ms))
+        columns.append(vals)
     # oracle columns for the orthonormal model under a fixed distribution
     exact_vals = None
     if (
@@ -266,8 +261,6 @@ def _cmd_expect(config, args):
         if bound is None:
             print("expect: --assert-bounds set but no bound applies", file=sys.stderr)
             return EXIT_CONFIG
-        _, fn, _ = bound
-        vals = fn(ms)
         bad = np.nonzero(est.mean > vals + 3.0 * est.stderr + BOUND_SLACK)[0]
         if bad.size:
             m = int(bad[0])
@@ -282,12 +275,12 @@ def _cmd_expect(config, args):
 
 def _cmd_bounds(config, args):
     model = config.build_model()
-    meta = _model_metadata(config, model)
-    bound = _bound_evaluator(config, model, meta)
+    meta, block = _model_metadata(config, model)
+    bound = _bound_evaluator(config, model, meta, block)
     if bound is None:
         print("bounds: no a-priori bound for deterministic selection", file=sys.stderr)
         return EXIT_CONFIG
-    name, fn, _ = bound
+    name, fn = bound
     ms = np.arange(config.data["steps"] + 1)
     trace_path, summary_path = _out_paths(config, args, "bounds.csv")
     _write_csv(trace_path, ["m", name], [ms, fn(ms)])
@@ -303,7 +296,7 @@ def _cmd_rate(config, args):
     window = config.data.get("rate_fit")
     m_range = (window["lo"], window["hi"]) if window else None
     fit = fit_rate(trace.error, m_range)
-    meta = _model_metadata(config, model)
+    meta, _ = _model_metadata(config, model)
     _, summary_path = _out_paths(config, args, "rate.csv")
     _write_summary(
         summary_path,
@@ -345,39 +338,21 @@ def _error_after(model, state, i, r, alpha, omega):
 
 def _check_omega_optimality(model, selection, relaxation, steps, seed):
     """Three-point test: perturbing omega can only increase the step error."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    state = model.new_state()
-    from .solver import DeterministicRule, select_random
-
-    for m in range(steps):
-        if isinstance(selection, GreedyRule):
-            i, res = select_greedy(model, state, selection, m)
-        elif isinstance(selection, RandomRule):
-            i = select_random(selection, m, rng)
-            res = model.local_residual(state, i)
-        else:
-            i = selection.index(m)
-            res = model.local_residual(state, i)
-        a, w = relaxation.parameters(model, state, i, res.r, m)
+    for _, state, i, res, a, w in iterate(model, selection, relaxation, steps, seed):
         base = _error_after(model, state, i, res.r, a, w)
         delta = max(abs(w), 1.0) * 1e-3
         for wp in (w - delta, w + delta):
             if _error_after(model, state, i, res.r, a, wp) < base - 1e-10 * (1 + base):
                 return False
-        model.apply_update(state, i, res.r, a, w)
     return True
 
 
 def _check_greedy_compliance(model, rule, relaxation, steps, seed):
-    state = model.new_state()
-    for m in range(steps):
+    for m, state, _, res, _, _ in iterate(model, rule, relaxation, steps, seed):
         indices = np.asarray(rule.pool.indices(model, state, m))
         norms = model.pool_local_norms(state, indices)
-        i, res = select_greedy(model, state, rule, m)
         if res.local_norm < rule.beta * norms.max() - 1e-12 * (1 + norms.max()):
             return False
-        a, w = relaxation.parameters(model, state, i, res.r, m)
-        model.apply_update(state, i, res.r, a, w)
     return True
 
 
@@ -406,25 +381,12 @@ def _cmd_check(config, args):
         mono = bool(np.all(np.diff(t1.error) <= 1e-10 * (t1.error[0] + 1.0)))
         results.append(("pure-step monotonicity", mono))
 
-    results.append(
-        (
-            "omega optimality",
-            _check_omega_optimality(
-                config.build_model(), config.build_selection(model), relaxation,
-                min(short, 25), seed,
-            ),
-        )
-    )
+    omega_ok = _check_omega_optimality(model, selection, relaxation, min(short, 25), seed)
+    results.append(("omega optimality", omega_ok))
 
     if isinstance(selection, GreedyRule):
-        results.append(
-            (
-                "greedy compliance",
-                _check_greedy_compliance(
-                    config.build_model(), selection, relaxation, min(short, 50), seed
-                ),
-            )
-        )
+        greedy_ok = _check_greedy_compliance(model, selection, relaxation, min(short, 50), seed)
+        results.append(("greedy compliance", greedy_ok))
 
     if isinstance(model, MatrixSchwarzModel):
         sc = stability_constants(model.problem, model.splitting)
@@ -441,10 +403,10 @@ def _cmd_check(config, args):
         results.append(("uniform bound certificate", ok))
 
     if config.data["bounds"]:
-        meta = _model_metadata(config, model)
-        bound = _bound_evaluator(config, model, meta)
+        meta, block = _model_metadata(config, model)
+        bound = _bound_evaluator(config, model, meta, block)
         if bound is not None:
-            _, fn, _ = bound
+            _, fn = bound
             vals = fn(np.arange(short + 1))
             results.append(
                 ("bound compliance", bool(np.all(t1.error_sq <= vals + BOUND_SLACK)))
@@ -504,13 +466,16 @@ def main(argv=None):
     try:
         config = parse_config(text)
         if args.seed is not None:
-            if not 0 <= args.seed <= 2 ** 64 - 1:
+            if not 0 <= args.seed <= MAX_SEED:
                 raise ConfigError(["--seed: must be a 64-bit unsigned integer"])
             config.data["seed"] = args.seed
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

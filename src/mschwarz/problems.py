@@ -7,7 +7,7 @@ A_i; the local solve computes the subproblem operator applied to the current
 error, r_i = T_i e, from the global residual alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
@@ -61,12 +61,6 @@ class Problem:
     def solve(self, rhs):
         return cho_solve(self._chol, rhs)
 
-    def functional(self, v):
-        return float(self.b @ v)
-
-    def inner(self, v, w):
-        return float(v @ (self.A @ w))
-
 
 def energy_norm(problem, v):
     """Energy norm sqrt(v^T A v) of a vector."""
@@ -118,21 +112,11 @@ class SplittingComponent:
 
 
 class FiniteSplitting:
-    """A finite family of components whose stacked ranges span the full space.
+    """A finite family of components whose stacked ranges span the full space."""
 
-    With ``normalize=True`` each local form is rescaled so that its uniform
-    bound becomes 1 (the minimization over omega makes the scaling irrelevant
-    for the iteration itself, but normalized constants are easier to compare).
-    """
-
-    def __init__(self, problem, components, normalize=False):
+    def __init__(self, problem, components):
         if not components:
             raise ValueError("splitting needs at least one component")
-        if normalize:
-            components = [
-                SplittingComponent(c.index, c.R, _component_lambda(problem, c) ** 2 * c.A_local)
-                for c in components
-            ]
         self.components = list(components)
         self.N = len(components)
         self._by_index = {}
@@ -312,7 +296,6 @@ class MatrixSchwarzModel:
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
-        self._F_exact = problem.functional(problem.exact_solution)
 
     def component_count(self):
         return self.splitting.N

@@ -9,8 +9,7 @@ with alpha_m from the relaxation rule and omega_m minimizing the energy
 error along the chosen direction.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +29,14 @@ class GrowingPool:
 
     def __init__(self, size_fn=None):
         self.size_fn = size_fn or (lambda m: m + 1)
-        self._last = 0
 
     def indices(self, model, state, m):
         n = model.component_count()
         if n is None:
             raise ValueError("growing pools need a finite splitting")
         size = min(int(self.size_fn(m)), n)
-        if size < min(self._last, n):
+        if m > 0 and size < min(int(self.size_fn(m - 1)), n):
             raise ValueError("growing pool schedule must be nondecreasing")
-        self._last = size
         return model.default_pool_indices()[: max(size, 1)]
 
 
@@ -58,7 +55,7 @@ class SupportPool:
 
 
 # ---------------------------------------------------------------------------
-# selection rules
+# selection rules: select(model, state, m, rng) -> (index, BlockResidual)
 
 class DeterministicRule:
     """A fixed index sequence: a callable m -> index or a list cycled over."""
@@ -72,8 +69,9 @@ class DeterministicRule:
                 raise ValueError("empty index sequence")
             self._fn = lambda m: seq[m % len(seq)]
 
-    def index(self, m):
-        return self._fn(m)
+    def select(self, model, state, m, rng):
+        i = self._fn(m)
+        return i, model.local_residual(state, i)
 
 
 def cyclic_rule(n_components):
@@ -90,6 +88,9 @@ class GreedyRule:
         self.beta = beta
         self.pool = pool if pool is not None else FixedPool()
 
+    def select(self, model, state, m, rng):
+        return select_greedy(model, state, self, m)
+
 
 class RandomRule:
     """Random pick from a distribution schedule (fixed or step-dependent)."""
@@ -101,6 +102,10 @@ class RandomRule:
         if callable(self.schedule):
             return self.schedule(m)
         return self.schedule
+
+    def select(self, model, state, m, rng):
+        i = self.distribution(m).sample(rng)
+        return i, model.local_residual(state, i)
 
 
 def select_greedy(model, state, rule, m):
@@ -118,11 +123,6 @@ def select_greedy(model, state, rule, m):
     hit = np.nonzero(norms_sq >= threshold)[0]
     k = hit[np.argmin(indices[hit])]
     return int(indices[k]), model.local_residual(state, int(indices[k]))
-
-
-def select_random(rule, m, rng):
-    """Draw the next index from the step-m distribution."""
-    return rule.distribution(m).sample(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +220,6 @@ class IterationTrace:
 
     ``index``, ``alpha``, ``omega`` and ``local_norm`` at the final row are
     sentinels (-1 / NaN): no step leaves the last recorded state.
-    ``wall_time`` holds per-row monotonic-clock stamps; it is diagnostic only
-    and never serialized (output files are deterministic).
     """
 
     index: np.ndarray
@@ -231,8 +229,6 @@ class IterationTrace:
     error: np.ndarray
     seed: object = None
     rule: str = ""
-    problem: str = ""
-    wall_time: np.ndarray = field(default=None, repr=False)
 
     @property
     def steps(self):
@@ -243,44 +239,47 @@ class IterationTrace:
         return self.error ** 2
 
 
-def run(model, selection, relaxation, steps, seed=None):
-    """Run the multiplicative Schwarz iteration from u^{(0)} = 0.
+def iterate(model, selection, relaxation, steps, seed=None):
+    """The multiplicative Schwarz iteration from u^{(0)} = 0, one step at a time.
 
-    Identical (model, rules, steps, seed) inputs produce bitwise-identical
-    traces; the RNG stream is derived from ``seed`` alone.
+    Yields ``(m, state, i, res, alpha, omega)`` for m = 0 .. steps-1 before
+    step m is applied.  ``state`` is a single object updated in place, so once
+    the generator is exhausted it holds u^{(steps)}.  The RNG stream is
+    derived from ``seed`` alone.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = model.new_state()
+    for m in range(int(steps)):
+        i, res = selection.select(model, state, m, rng)
+        a, w = relaxation.parameters(model, state, i, res.r, m)
+        yield m, state, i, res, a, w
+        model.apply_update(state, i, res.r, a, w)
+
+
+def run(model, selection, relaxation, steps, seed=None):
+    """Run :func:`iterate` to the end and record its trace.
+
+    Identical (model, rules, steps, seed) inputs produce bitwise-identical
+    traces.
+    """
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
     M = int(steps)
     index = np.full(M + 1, -1, dtype=np.int64)
     alpha = np.full(M + 1, np.nan)
     omega = np.full(M + 1, np.nan)
     local_norm = np.full(M + 1, np.nan)
     error = np.empty(M + 1)
-    wall_time = np.empty(M + 1)
-    error[0] = model.error(state)
-    wall_time[0] = time.perf_counter()
-    for m in range(M):
-        if isinstance(selection, GreedyRule):
-            i, res = select_greedy(model, state, selection, m)
-        elif isinstance(selection, RandomRule):
-            i = select_random(selection, m, rng)
-            res = model.local_residual(state, i)
-        elif isinstance(selection, DeterministicRule):
-            i = selection.index(m)
-            res = model.local_residual(state, i)
-        else:
-            raise TypeError(f"unknown selection rule {selection!r}")
-        a, w = relaxation.parameters(model, state, i, res.r, m)
-        model.apply_update(state, i, res.r, a, w)
+    state = model.new_state()  # u^{(0)}; replaced by iterate()'s state when M > 0
+    for m, state, i, res, a, w in iterate(model, selection, relaxation, M, seed):
         index[m] = i
         alpha[m] = a
         omega[m] = w
         local_norm[m] = res.local_norm
-        error[m + 1] = model.error(state)
-        wall_time[m + 1] = time.perf_counter()
+        error[m] = model.error(state)
+    error[M] = model.error(state)
     return IterationTrace(
         index=index,
         alpha=alpha,
@@ -289,12 +288,4 @@ def run(model, selection, relaxation, steps, seed=None):
         error=error,
         seed=seed,
         rule=type(selection).__name__ + "/" + relaxation.name,
-        wall_time=wall_time,
     )
-
-
-RELAXATIONS = {
-    "gawr": GAWRRelaxation,
-    "pure": PureRelaxation,
-    "two_param": TwoParamRelaxation,
-}

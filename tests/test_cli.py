@@ -214,3 +214,41 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, DIAG_GREEDY)
         assert main(["run", "--config", cfg, "--out", str(tmp_path),
                      "--seed", "-1"]) == 2
+
+
+POISSON_SMALL = """
+problem:
+  kind: poisson_1d
+  n: 31
+  splitting:
+    kind: overlapping_blocks
+    block_size: 8
+    overlap: 2
+selection:
+  kind: greedy
+  beta: 1.0
+  pool: growing
+relaxation: gawr
+steps: 60
+seed: 3
+"""
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("block_size: 8", "block_size: 64", "block size 64"),
+         ("overlap: 2", "overlap: 8", "overlap 8")],
+    )
+    def test_bad_splitting_exits_two_with_message(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, POISSON_SMALL.replace(old, new))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run: {message}")
+        assert "Traceback" not in err
+
+    def test_check_with_growing_pool_passes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, POISSON_SMALL)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)

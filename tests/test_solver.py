@@ -9,14 +9,17 @@ from mschwarz import (
     GreedyRule,
     GrowingPool,
     MatrixSchwarzModel,
+    PowerLawDistribution,
     Problem,
     PureRelaxation,
     RandomRule,
     SplittingComponent,
     SupportPool,
+    TruncatedSchedule,
     TwoParamRelaxation,
     cyclic_rule,
     energy_norm,
+    iterate,
     omega_optimal,
     run,
     select_greedy,
@@ -232,3 +235,44 @@ class TestRun:
         dense = run(dense_model, GreedyRule(1.0, FixedPool()), GAWRRelaxation(), 40)
         assert np.array_equal(lazy.index, dense.index)
         assert np.abs(lazy.error - dense.error).max() < 1e-10
+
+
+def _reuse_cases():
+    rng = np.random.default_rng(11)
+    matrix = identity_model(rng, 5)
+    diagonal = DiagonalModel([(i + 1) ** -1.5 for i in range(20)])
+    return {
+        "cyclic": (matrix, cyclic_rule(5)),
+        "sequence": (matrix, DeterministicRule([2, 5, 1])),
+        "greedy-fixed": (matrix, GreedyRule(1.0, FixedPool())),
+        "greedy-growing": (matrix, GreedyRule(1.0, GrowingPool())),
+        "random-fixed": (diagonal, RandomRule(uniform_distribution(20))),
+        "random-truncated": (
+            diagonal, RandomRule(TruncatedSchedule(PowerLawDistribution(1.0), 1.0))
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_reuse_cases()))
+def test_rule_objects_are_reusable_across_runs(case):
+    model, rule = _reuse_cases()[case]
+    t1 = run(model, rule, GAWRRelaxation(), 30, seed=5)
+    t2 = run(model, rule, GAWRRelaxation(), 30, seed=5)
+    assert np.array_equal(t1.index, t2.index)
+    assert np.array_equal(t1.error, t2.error)
+
+
+def test_iterate_yields_the_steps_run_records():
+    rng = np.random.default_rng(12)
+    model = identity_model(rng, 5)
+    rule = RandomRule(uniform_distribution(5))
+    trace = run(model, rule, GAWRRelaxation(), 25, seed=9)
+    seen = 0
+    for m, state, i, res, a, w in iterate(model, rule, GAWRRelaxation(), 25, seed=9):
+        assert (i, a, w, res.local_norm) == (
+            trace.index[m], trace.alpha[m], trace.omega[m], trace.local_norm[m]
+        )
+        assert model.error(state) == trace.error[m]
+        seen += 1
+    assert seen == 25
+    assert model.error(state) == trace.error[25]
