@@ -34,6 +34,7 @@ from .distributions import (
 from .poisson import make_poisson_1d
 from .problems import (
     BlockResidual,
+    CoordinateBlock,
     FiniteSplitting,
     MatrixSchwarzModel,
     Problem,

@@ -396,7 +396,7 @@ def _cmd_check(config, args):
         ok = True
         for c in model.splitting:
             v = rng.standard_normal(c.dim)
-            lhs = energy_norm(model.problem, c.R @ v)
+            lhs = energy_norm(model.problem, c.prolong(v))
             rhs = lam * np.sqrt(max(c.local_inner(v, v), 0.0))
             if lhs > rhs * (1.0 + 1e-10):
                 ok = False

@@ -20,7 +20,7 @@ from .distributions import (
     TruncatedSchedule,
     uniform_distribution,
 )
-from .poisson import make_poisson_1d
+from .poisson import MAX_GRID, make_poisson_1d
 from .problems import MatrixSchwarzModel
 from .solver import (
     DeterministicRule,
@@ -209,7 +209,7 @@ def _validate_problem(ck, node):
     elif kind == "poisson_1d":
         if "coefficients" in node:
             ck.fail("problem.coefficients", "not valid for poisson_1d problems")
-        ck.number(node, "problem", "n", lo=1, hi=4096, integer=True)
+        ck.number(node, "problem", "n", lo=1, hi=MAX_GRID, integer=True)
         split = node.get("splitting")
         if split is None:
             ck.fail("problem.splitting", "missing required key")

@@ -2,13 +2,16 @@
 
 A = (n+1)^2 tridiag(-1, 2, -1) on the interior grid points of (0, 1), right
 hand side from f = 1 sampled on the grid.  Splittings are overlapping
-coordinate blocks (exact local forms A_i = R_i^T A R_i), optionally augmented
-with a coarse linear-interpolation component.
+coordinate blocks (exact local forms A_i = R_i^T A R_i, stored by their index
+range), optionally augmented with a coarse linear-interpolation component.
 """
 
 import numpy as np
 
-from .problems import FiniteSplitting, Problem, SplittingComponent
+from .problems import CoordinateBlock, FiniteSplitting, Problem, SplittingComponent
+
+# largest grid: A is stored dense, so n = 4096 already takes 128 MB
+MAX_GRID = 4096
 
 
 def poisson_matrix(n):
@@ -62,8 +65,8 @@ def make_poisson_1d(n, splitting_spec):
     "overlap": o} (the two-level variant adds one coarse interpolation
     component to the blocks).
     """
-    if n < 1 or n > 4096:
-        raise ValueError(f"grid size n={n} outside 1..4096")
+    if n < 1 or n > MAX_GRID:
+        raise ValueError(f"grid size n={n} outside 1..{MAX_GRID}")
     A = poisson_matrix(n)
     b = np.ones(n)
     problem = Problem(A, b)
@@ -73,10 +76,11 @@ def make_poisson_1d(n, splitting_spec):
     block_size = int(splitting_spec.get("block_size", n))
     overlap = int(splitting_spec.get("overlap", 0))
     components = []
-    eye = np.eye(n)
     for start, extent in overlapping_blocks(n, block_size, overlap):
-        R = eye[:, start : start + extent]
-        components.append(SplittingComponent(len(components) + 1, R, R.T @ A @ R))
+        stop = start + extent
+        components.append(
+            CoordinateBlock(len(components) + 1, n, start, stop, A[start:stop, start:stop])
+        )
     if kind == "two_level":
         R = coarse_interpolation(n, int(splitting_spec["coarse_stride"]))
         components.append(SplittingComponent(len(components) + 1, R, R.T @ A @ R))

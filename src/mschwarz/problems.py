@@ -10,7 +10,7 @@ error, r_i = T_i e, from the global residual alone.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, get_lapack_funcs
 
 
 class UnstableSplittingError(ValueError):
@@ -82,6 +82,9 @@ class BlockResidual:
 class SplittingComponent:
     """One component of a splitting: restriction R_i and local SPD form A_i."""
 
+    # coordinates a CoordinateBlock covers; None when R is a dense matrix
+    span = None
+
     def __init__(self, index, R, A_local):
         R = np.asarray(R, dtype=float)
         if R.ndim == 1:
@@ -94,25 +97,91 @@ class SplittingComponent:
             )
         if not np.any(np.abs(R).max(axis=0) > 0.0):
             raise ValueError(f"component {index}: R has trivial range")
+        self.R = R
+        self.n = R.shape[0]
+        self._set_local_form(index, A_local)
+
+    def _set_local_form(self, index, A_local):
         A_local = 0.5 * (A_local + A_local.T)
         try:
             self._chol = cho_factor(A_local, lower=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"component {index}: A_i is not positive definite") from exc
+        # the LAPACK routine cho_solve calls, looked up once: a local solve is
+        # then one direct call instead of cho_solve's checks and batch wrapper
+        (self._potrs,) = get_lapack_funcs(("potrs",), (self._chol[0],))
         self.index = index
-        self.R = R
         self.A_local = A_local
-        self.dim = d
+        self.dim = A_local.shape[0]
+
+    def restrict(self, g):
+        """R_i^T g."""
+        return self.R.T @ g
+
+    def prolong(self, r):
+        """R_i r."""
+        return self.R @ r
+
+    def galerkin(self, A):
+        """R_i^T A R_i."""
+        return self.R.T @ (A @ self.R)
 
     def solve_local(self, rhs):
-        return cho_solve(self._chol, rhs)
+        x, info = self._potrs(self._chol[0], rhs, lower=self._chol[1])
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
 
     def local_inner(self, v, w):
         return float(v @ (self.A_local @ w))
 
 
+class CoordinateBlock(SplittingComponent):
+    """The component R = I[:, start:stop] of R^n, stored as its coordinate range.
+
+    Restriction is the slice g[start:stop] and prolongation a scatter into a
+    zero vector.  Both give exactly the values of the dense products R^T g
+    and R r (each entry is one term times 1 plus exact zeros), so a run on
+    blocks is bit-identical to one on the dense R, which is built only on
+    request.
+    """
+
+    def __init__(self, index, n, start, stop, A_local):
+        if not 0 <= start < stop <= n:
+            raise ValueError(f"component {index}: coordinates {start}..{stop - 1} outside 0..{n - 1}")
+        A_local = _as_matrix(A_local)
+        if A_local.shape[0] != stop - start:
+            raise ValueError(
+                f"component {index}: {stop - start} coordinates, A_i is "
+                f"{A_local.shape[0]}x{A_local.shape[1]}"
+            )
+        self.n = n
+        self.span = slice(start, stop)
+        self._set_local_form(index, A_local)
+
+    @property
+    def R(self):
+        return np.eye(self.n, self.dim, -self.span.start)
+
+    def restrict(self, g):
+        return g[self.span]
+
+    def prolong(self, r):
+        d = np.zeros(self.n)
+        d[self.span] = r
+        return d
+
+    def galerkin(self, A):
+        return A[self.span, self.span]
+
+
 class FiniteSplitting:
-    """A finite family of components whose stacked ranges span the full space."""
+    """A finite family of components whose stacked ranges span the full space.
+
+    A splitting belongs to the problem it was built for: the set-up
+    quantities computed from the pair (Lambda, the additive Schwarz sum and
+    its spectrum) are cached on it.
+    """
 
     def __init__(self, problem, components):
         if not components:
@@ -126,12 +195,23 @@ class FiniteSplitting:
                 # them addressable positionally through iteration only
                 continue
             self._by_index[c.index] = c
-        stacked = np.hstack([c.R for c in components])
-        if np.linalg.matrix_rank(stacked) < problem.n:
+        covered = np.zeros(problem.n, dtype=bool)
+        for c in self.components:
+            if c.n != problem.n:
+                raise ValueError(f"component {c.index} acts on R^{c.n}, the problem on R^{problem.n}")
+            if c.span is not None:
+                covered[c.span] = True
+        # coordinate blocks covering every coordinate span the space by
+        # themselves; otherwise the stacked ranges need a rank check
+        if not covered.all() and np.linalg.matrix_rank(
+            np.hstack([c.R for c in self.components])
+        ) < problem.n:
             raise UnstableSplittingError(
                 "component ranges do not span the space (rank-deficient splitting)"
             )
         self._lambda = None
+        self._schwarz_sum = None
+        self._spectrum = None
 
     def __iter__(self):
         return iter(self.components)
@@ -152,8 +232,8 @@ def local_solve(problem, component, g):
     g = np.asarray(g, dtype=float)
     if g.shape != (problem.n,):
         raise ValueError(f"residual has shape {g.shape}, expected ({problem.n},)")
-    rhs = component.R.T @ g
-    if not np.any(rhs):
+    rhs = component.restrict(g)
+    if not rhs.any():
         r = np.zeros(component.dim)
         return BlockResidual(component.index, r, 0.0)
     r = component.solve_local(rhs)
@@ -163,7 +243,7 @@ def local_solve(problem, component, g):
 
 
 def _component_lambda(problem, component):
-    G = component.R.T @ (problem.A @ component.R)
+    G = component.galerkin(problem.A)
     w = eigh(0.5 * (G + G.T), component.A_local, eigvals_only=True)
     return float(np.sqrt(max(w[-1], 0.0)))
 
@@ -190,12 +270,20 @@ class StabilityConstants:
 
 
 def additive_schwarz_sum(problem, splitting):
-    """The symmetric part sum_i R_i A_i^{-1} R_i^T of the additive operator."""
-    n = problem.n
-    S = np.zeros((n, n))
-    for c in splitting:
-        S += c.R @ c.solve_local(c.R.T)
-    return S
+    """The symmetric part S = sum_i R_i A_i^{-1} R_i^T of the additive operator.
+
+    Computed once per splitting and cached on it.
+    """
+    if splitting._schwarz_sum is None:
+        n = problem.n
+        S = np.zeros((n, n))
+        for c in splitting:
+            if c.span is not None:
+                S[c.span, c.span] += c.solve_local(np.eye(c.dim))
+            else:
+                S += c.R @ c.solve_local(c.R.T)
+        splitting._schwarz_sum = S
+    return splitting._schwarz_sum
 
 
 def stability_constants(problem, splitting, rank_tol=1e-10):
@@ -203,23 +291,28 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T.  A rank-deficient splitting is reported with kappa = inf
-    rather than raised.
+    with A = L L^T, once per splitting.  A rank-deficient splitting is
+    reported with kappa = inf rather than raised.
     """
-    L = cholesky(problem.A, lower=True)
-    S = additive_schwarz_sum(problem, splitting)
-    M = L.T @ S @ L
-    w = eigh(0.5 * (M + M.T), eigvals_only=True)
-    lam_min = float(w[0])
-    lam_max = float(w[-1])
+    if splitting._spectrum is None:
+        L = cholesky(problem.A, lower=True)
+        M = L.T @ additive_schwarz_sum(problem, splitting) @ L
+        w = eigh(0.5 * (M + M.T), eigvals_only=True)
+        splitting._spectrum = (float(w[0]), float(w[-1]))
+    lam_min, lam_max = splitting._spectrum
     if lam_min <= rank_tol * max(lam_max, 1.0):
         return StabilityConstants(lam_min, lam_max, float("inf"))
     return StabilityConstants(lam_min, lam_max, lam_max / lam_min)
 
 
-def _min_energy_representation(problem, splitting, u):
-    """The representation u = sum_i R_i v_i minimizing sum_i a_i(v_i, v_i),
-    via the KKT system of the equality-constrained quadratic program."""
+def representation_norm_sq(problem, splitting, u):
+    """|||u|||^2 = min sum_i a_i(v_i, v_i) over representations u = sum_i R_i v_i.
+
+    Solved through the KKT system of the equality-constrained quadratic
+    program, without the additive Schwarz sum that
+    :func:`stability_constants` and :func:`representation_block_norms` use,
+    so it serves as an independent cross-check of both.
+    """
     u = np.asarray(u, dtype=float)
     dims = [c.dim for c in splitting]
     total = sum(dims)
@@ -235,23 +328,7 @@ def _min_energy_representation(problem, splitting, u):
         [[2.0 * B, C.T], [C, np.zeros((problem.n, problem.n))]]
     )
     rhs = np.concatenate([np.zeros(total), u])
-    sol = np.linalg.solve(kkt, rhs)
-    v = sol[:total]
-    blocks = []
-    off = 0
-    for d in dims:
-        blocks.append(v[off : off + d])
-        off += d
-    return v, B, blocks
-
-
-def representation_norm_sq(problem, splitting, u):
-    """|||u|||^2 = min sum_i a_i(v_i, v_i) over representations u = sum_i R_i v_i.
-
-    Serves as an independent cross-check of the spectral route used by
-    :func:`stability_constants`.
-    """
-    v, B, _ = _min_energy_representation(problem, splitting, u)
+    v = np.linalg.solve(kkt, rhs)[:total]
     return float(v @ (B @ v))
 
 
@@ -260,15 +337,18 @@ def representation_block_norms(problem, splitting, u):
     representation of ``u`` (the minimum-energy one).
 
     Their sum is an upper estimate of the ell^1-type class norm of ``u``,
-    since that norm is an infimum over all representations.
+    since that norm is an infimum over all representations.  The minimizer
+    is v_i = A_i^{-1} R_i^T S^{-1} u with the additive Schwarz sum S (the
+    stationarity condition of the quadratic program), so one n x n solve
+    replaces the KKT system of size sum_i d_i + n.
     """
-    _, _, blocks = _min_energy_representation(problem, splitting, u)
-    return np.array(
-        [
-            np.sqrt(max(c.local_inner(v, v), 0.0))
-            for c, v in zip(splitting, blocks)
-        ]
-    )
+    S = additive_schwarz_sum(problem, splitting)
+    y = cho_solve(cho_factor(S, lower=True), np.asarray(u, dtype=float))
+    norms = []
+    for c in splitting:
+        v = c.solve_local(c.restrict(y))
+        norms.append(np.sqrt(max(c.local_inner(v, v), 0.0)))
+    return np.array(norms)
 
 
 class MatrixSchwarzState:
@@ -287,15 +367,27 @@ class MatrixSchwarzModel:
 
     The cached product w = A u is updated incrementally and recomputed from
     scratch every ``refresh_every`` steps to cap floating-point drift.
+
+    Every product that feeds omega, alpha, u or w (A d, b.d, w.d, d.Ad) is
+    the dense one, so a run's picks do not depend on how A is stored: on
+    splittings with exactly tied local norms rounding decides the pick.
+    Only the reported error uses a CSR copy of A.
     """
 
     refresh_every = 1000
 
     def __init__(self, problem, splitting):
+        # imported here so that the diagonal model never loads scipy.sparse
+        from scipy.sparse import csr_array
+
         self.problem = problem
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
+        self._A_csr = csr_array(problem.A)
+        # (i, r, d, A d) of the last direction: one step needs A d for its
+        # relaxation parameters and again for the update of w
+        self._last_direction = None
 
     def component_count(self):
         return self.splitting.N
@@ -318,20 +410,32 @@ class MatrixSchwarzModel:
         return out
 
     def direction(self, i, r):
-        return self.splitting[i].R @ r
+        return self.splitting[i].prolong(r)
+
+    def _direction_and_image(self, i, r):
+        """(d, A d) for d = R_i r, computed once per (i, r).
+
+        ``r`` is compared by identity; the memo holds a reference to it, so
+        no other array can take its place while it is stored.
+        """
+        last = self._last_direction
+        if last is None or last[1] is not r or last[0] != i:
+            d = self.direction(i, r)
+            last = self._last_direction = (i, r, d, self.problem.A @ d)
+        return last[2], last[3]
 
     def dir_energy_sq(self, i, r):
-        d = self.direction(i, r)
-        return float(max(d @ (self.problem.A @ d), 0.0))
+        d, Ad = self._direction_and_image(i, r)
+        return float(max(d @ Ad, 0.0))
 
     def local_inner_sq(self, i, r):
         return float(max(self.splitting[i].local_inner(r, r), 0.0))
 
     def dir_functional(self, i, r):
-        return float(self.problem.b @ self.direction(i, r))
+        return float(self.problem.b @ self._direction_and_image(i, r)[0])
 
     def dir_inner_current(self, state, i, r):
-        return float(state.w @ self.direction(i, r))
+        return float(state.w @ self._direction_and_image(i, r)[0])
 
     def current_energy_sq(self, state):
         return float(max(state.u @ state.w, 0.0))
@@ -340,17 +444,17 @@ class MatrixSchwarzModel:
         return float(self.problem.b @ state.u)
 
     def apply_update(self, state, i, r, alpha, omega):
-        d = self.direction(i, r)
+        d, Ad = self._direction_and_image(i, r)
         state.u = alpha * state.u + omega * d
         state.steps += 1
         if state.steps % self.refresh_every == 0:
             state.w = self.problem.A @ state.u
         else:
-            state.w = alpha * state.w + omega * (self.problem.A @ d)
+            state.w = alpha * state.w + omega * Ad
 
     def error(self, state):
         e = self.problem.exact_solution - state.u
-        return float(np.sqrt(max(e @ (self.problem.A @ e), 0.0)))
+        return float(np.sqrt(max(e @ (self._A_csr @ e), 0.0)))
 
     def solution_norm(self):
         return self._solution_norm

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mschwarz.problems as problems_module
 from mschwarz.cli import main
 
 DIAG_GREEDY = """
@@ -252,3 +257,31 @@ class TestLibraryErrors:
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS ") for line in lines)
+
+
+class TestCheckSetupWork:
+    def test_check_solves_the_stability_eigenproblem_once(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, POISSON_SMALL + "bounds: true\n")
+        calls = []
+        eigh = problems_module.eigh
+        # the stability spectrum is the one eigh call with a single matrix;
+        # Lambda's per-component calls pass a second (local) matrix
+        monkeypatch.setattr(problems_module, "eigh",
+                            lambda *a, **k: calls.append(len(a)) or eigh(*a, **k))
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls.count(1) == 1
+
+
+def test_diagonal_expect_does_not_import_scipy_sparse(tmp_path):
+    cfg = write_config(tmp_path, ORACLE_EXPECT)
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from mschwarz.cli import main\n"
+        f"assert main(['expect', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "False"

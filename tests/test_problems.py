@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
 
+import mschwarz.problems as problems_module
 from mschwarz import (
+    CoordinateBlock,
     DiagonalModel,
     FiniteSplitting,
+    GAWRRelaxation,
+    GreedyRule,
     MatrixSchwarzModel,
     Problem,
+    PureRelaxation,
+    RandomRule,
     SplittingComponent,
+    TwoParamRelaxation,
+    cyclic_rule,
     energy_norm,
+    iterate,
     local_solve,
+    make_poisson_1d,
+    representation_block_norms,
     representation_norm_sq,
+    run,
     stability_constants,
     uniform_bound_lambda,
+    uniform_distribution,
 )
 from mschwarz.problems import UnstableSplittingError
 
@@ -195,3 +208,130 @@ class TestStability:
         assert representation_norm_sq(problem, splitting, u) == pytest.approx(
             float(u @ u), abs=1e-10
         )
+
+
+TWO_LEVEL = {"kind": "two_level", "coarse_stride": 8, "block_size": 16, "overlap": 4}
+
+
+def dense_copy(problem, splitting):
+    """The same splitting with every component given by its dense R."""
+    comps = [SplittingComponent(c.index, c.R, c.A_local) for c in splitting]
+    return FiniteSplitting(problem, comps)
+
+
+class TestCoordinateBlocks:
+    def test_restriction_and_prolongation_match_dense_bits(self):
+        rng = np.random.default_rng(21)
+        A = random_spd(rng, 9)
+        block = CoordinateBlock(1, 9, 3, 7, A[3:7, 3:7])
+        dense = SplittingComponent(1, np.eye(9)[:, 3:7], A[3:7, 3:7])
+        assert np.array_equal(block.R, dense.R)
+        assert np.array_equal(block.galerkin(A), dense.galerkin(A))
+        g = rng.standard_normal(9)
+        r = rng.standard_normal(4)
+        assert block.restrict(g).tobytes() == dense.restrict(g).tobytes()
+        assert np.array_equal(block.prolong(r), dense.prolong(r))
+        p = Problem(A, g)
+        assert local_solve(p, block, g).r.tobytes() == local_solve(p, dense, g).r.tobytes()
+
+    def test_poisson_blocks_keep_the_dense_local_forms(self):
+        problem, splitting = make_poisson_1d(64, TWO_LEVEL)
+        for c in splitting:
+            if c.span is not None:
+                assert c.A_local.tobytes() == (c.R.T @ problem.A @ c.R).tobytes()
+
+    def test_rejects_bad_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            CoordinateBlock(1, 4, 2, 6, np.eye(4))
+        with pytest.raises(ValueError, match="coordinates"):
+            CoordinateBlock(1, 4, 1, 3, np.eye(3))
+
+    def test_uncovered_coordinates_fall_back_to_rank_check(self):
+        p = Problem(np.eye(4), np.ones(4))
+        blocks = [CoordinateBlock(1, 4, 0, 2, np.eye(2))]
+        with pytest.raises(UnstableSplittingError):
+            FiniteSplitting(p, blocks)
+        coarse = SplittingComponent(2, np.ones((4, 1)), np.eye(1))
+        with pytest.raises(UnstableSplittingError):
+            FiniteSplitting(p, blocks + [coarse])
+        rest = SplittingComponent(3, np.eye(4)[:, 2:], np.eye(2))
+        assert FiniteSplitting(p, blocks + [rest]).N == 2
+
+    def test_rejects_component_of_other_dimension(self):
+        p = Problem(np.eye(4), np.ones(4))
+        with pytest.raises(ValueError, match="acts on"):
+            FiniteSplitting(p, [CoordinateBlock(1, 5, 0, 5, np.eye(5))])
+
+
+class TestFastPathPinnedToDenseLoop:
+    """A run on index-set blocks is bit-identical to one on their dense R."""
+
+    RULES = {
+        "greedy": lambda n: GreedyRule(1.0),
+        "random": lambda n: RandomRule(uniform_distribution(n)),
+        "cyclic": cyclic_rule,
+    }
+    RELAXATIONS = {
+        "gawr": GAWRRelaxation,
+        "pure": PureRelaxation,
+        "two_param": TwoParamRelaxation,
+    }
+
+    @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_same_trace(self, rule, relaxation):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        assert any(c.span is not None for c in splitting)
+        fast = MatrixSchwarzModel(problem, splitting)
+        dense = MatrixSchwarzModel(problem, dense_copy(problem, splitting))
+        traces = [
+            run(model, self.RULES[rule](splitting.N), self.RELAXATIONS[relaxation](), 60, seed=4)
+            for model in (fast, dense)
+        ]
+        for field in ("index", "alpha", "omega", "local_norm"):
+            assert np.array_equal(getattr(traces[0], field), getattr(traces[1], field),
+                                  equal_nan=field != "index"), field
+        np.testing.assert_allclose(traces[0].error, traces[1].error, rtol=1e-12, atol=0.0)
+
+
+class TestStepStateAgainstRecompute:
+    def test_error_and_cached_product_track_dense_recompute(self):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        model = MatrixSchwarzModel(problem, splitting)
+        steps = model.refresh_every + 100
+        A, b = problem.A, problem.b
+        w_tol = 1e-10 * (1.0 + np.linalg.norm(b))
+
+        def check(state):
+            e = problem.exact_solution - state.u
+            dense = np.sqrt(max(e @ (A @ e), 0.0))
+            assert model.error(state) == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert np.abs(state.w - A @ state.u).max() <= w_tol
+
+        rule = RandomRule(uniform_distribution(splitting.N))
+        for _, state, *_ in iterate(model, rule, GAWRRelaxation(), steps, seed=8):
+            check(state)
+        assert state.steps == steps
+        check(state)
+
+
+class TestSetupCaching:
+    def test_second_stability_call_does_no_eigensolve(self, monkeypatch):
+        problem, splitting = make_poisson_1d(64, TWO_LEVEL)
+        calls = []
+        eigh = problems_module.eigh
+        monkeypatch.setattr(problems_module, "eigh",
+                            lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        first = stability_constants(problem, splitting)
+        assert len(calls) == 1
+        assert stability_constants(problem, splitting) == first
+        assert len(calls) == 1
+
+    def test_block_norms_match_kkt_reference(self):
+        rng = np.random.default_rng(9)
+        problem, splitting = make_poisson_1d(48, TWO_LEVEL)
+        for u in (problem.exact_solution, rng.standard_normal(48)):
+            norms = representation_block_norms(problem, splitting, u)
+            assert float(norms @ norms) == pytest.approx(
+                representation_norm_sq(problem, splitting, u), rel=1e-10
+            )
