@@ -61,12 +61,13 @@ class DiagonalModel:
         return BlockResidual(int(i), float(r), abs(float(r)))
 
     def pool_local_norms(self, state, indices):
-        res = np.abs(self.coefficients - state.u)
-        out = np.zeros(len(indices))
-        for k, i in enumerate(indices):
-            pos = self._pos.get(int(i))
-            if pos is not None:
-                out[k] = res[pos]
+        indices = np.asarray(indices, dtype=np.int64)
+        # positions in the sorted support; an index off it keeps a zero norm
+        pos = np.searchsorted(self.support_indices, indices)
+        hit = pos < self.support_indices.size
+        hit[hit] = self.support_indices[pos[hit]] == indices[hit]
+        out = np.zeros(indices.size)
+        out[hit] = np.abs(self.coefficients[pos[hit]] - state.u[pos[hit]])
         return out
 
     def dir_energy_sq(self, i, r):

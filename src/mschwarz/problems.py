@@ -371,7 +371,18 @@ class MatrixSchwarzModel:
     Every product that feeds omega, alpha, u or w (A d, b.d, w.d, d.Ad) is
     the dense one, so a run's picks do not depend on how A is stored: on
     splittings with exactly tied local norms rounding decides the pick.
-    Only the reported error uses a CSR copy of A.
+    A d for d = R_i r is the dense product restricted to the rows [lo, hi)
+    of A that R_i reaches, found once per component from the CSR pattern:
+    each of those rows is the same dense dot product as in A @ d, and every
+    other row is the +0.0 the full product gives (pinned by test).  For the
+    two-level coarse component the rows are all of A, and the refresh of w
+    is the full product.  Only the reported error uses a CSR copy of A.
+
+    The greedy pool scan keeps its local solutions: asked for a component
+    the last scan solved at the same cached w, ``local_residual`` returns
+    that solution instead of solving again.  ``apply_update`` replaces
+    ``state.w`` with a new array at every step, so that w is compared by
+    identity.
     """
 
     refresh_every = 1000
@@ -385,9 +396,25 @@ class MatrixSchwarzModel:
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
         self._A_csr = csr_array(problem.A)
+        self._windows = {int(i): self._reached_rows(splitting[i]) for i in splitting.indices()}
         # (i, r, d, A d) of the last direction: one step needs A d for its
         # relaxation parameters and again for the update of w
         self._last_direction = None
+        # (w, {i: BlockResidual}) of the last pool scan
+        self._last_scan = (None, {})
+
+    def _reached_rows(self, component):
+        """The rows [lo, hi) of A on which A R_i r can be nonzero.
+
+        R_i r vanishes off the nonzero rows of R_i and A is symmetric, so
+        the stored columns of those rows of A are the rows reached: O(nnz).
+        """
+        indptr, indices = self._A_csr.indptr, self._A_csr.indices
+        if component.span is not None:
+            cols = indices[indptr[component.span.start]:indptr[component.span.stop]]
+        else:
+            cols = indices[np.repeat(component.R.any(axis=1), np.diff(indptr))]
+        return slice(int(cols.min()), int(cols.max()) + 1)
 
     def component_count(self):
         return self.splitting.N
@@ -399,14 +426,20 @@ class MatrixSchwarzModel:
         return MatrixSchwarzState(self.problem.n)
 
     def local_residual(self, state, i):
+        w, solved = self._last_scan
+        if w is state.w and i in solved:
+            return solved[i]
         g = self.problem.b - state.w
         return local_solve(self.problem, self.splitting[i], g)
 
     def pool_local_norms(self, state, indices):
         g = self.problem.b - state.w
+        solved = {}
         out = np.empty(len(indices))
         for k, i in enumerate(indices):
-            out[k] = local_solve(self.problem, self.splitting[i], g).local_norm
+            res = solved[int(i)] = local_solve(self.problem, self.splitting[i], g)
+            out[k] = res.local_norm
+        self._last_scan = (state.w, solved)
         return out
 
     def direction(self, i, r):
@@ -421,7 +454,10 @@ class MatrixSchwarzModel:
         last = self._last_direction
         if last is None or last[1] is not r or last[0] != i:
             d = self.direction(i, r)
-            last = self._last_direction = (i, r, d, self.problem.A @ d)
+            rows = self._windows[i]
+            Ad = np.zeros(self.problem.n)
+            Ad[rows] = self.problem.A[rows] @ d
+            last = self._last_direction = (i, r, d, Ad)
         return last[2], last[3]
 
     def dir_energy_sq(self, i, r):

@@ -83,6 +83,36 @@ class TestDenseLazyEquivalence:
             assert np.abs(lazy.error - ref.error).max() < 1e-10
 
 
+def loop_pool_local_norms(model, state, indices):
+    """The per-index dictionary loop the vectorized scan replaced."""
+    res = np.abs(model.coefficients - state.u)
+    out = np.zeros(len(indices))
+    for k, i in enumerate(indices):
+        pos = model._pos.get(int(i))
+        if pos is not None:
+            out[k] = res[pos]
+    return out
+
+
+class TestPoolScan:
+    def test_vectorized_scan_equals_loop(self):
+        rng = np.random.default_rng(23)
+        support = np.sort(rng.choice(np.arange(2, 400), size=60, replace=False))
+        model = DiagonalModel(dict(zip(support.tolist(), rng.standard_normal(60))))
+        state = model.new_state()
+        state.u = rng.standard_normal(60)
+        state.u[::7] = model.coefficients[::7]  # exact zeros on the support
+        off = np.array([1, 400, 401, 10**9])
+        pools = [support[:size] for size in (1, 2, 5, 30, 60)]  # a growing pool
+        pools += [np.arange(1, 405), off, rng.permutation(np.concatenate([support, off])),
+                  np.array([], dtype=np.int64)]
+        for indices in pools:
+            got = model.pool_local_norms(state, indices)
+            assert got.tobytes() == loop_pool_local_norms(model, state, indices).tobytes()
+        empty = DiagonalModel({})
+        assert np.array_equal(empty.pool_local_norms(empty.new_state(), np.array([1, 5])), [0.0, 0.0])
+
+
 class TestPureRandomHitSets:
     def test_iterate_equals_partial_sum_over_hit_set(self):
         # pure relaxation writes the exact coefficient of every visited index

@@ -294,6 +294,80 @@ class TestFastPathPinnedToDenseLoop:
         np.testing.assert_allclose(traces[0].error, traces[1].error, rtol=1e-12, atol=0.0)
 
 
+POISSON_SPLITTINGS = {
+    "blocks-128": (128, {"kind": "overlapping_blocks", "block_size": 16, "overlap": 4}),
+    "blocks-1024": (1024, {"kind": "overlapping_blocks", "block_size": 64, "overlap": 16}),
+    "two-level-128": (128, TWO_LEVEL),
+    "two-level-1024": (1024, {"kind": "two_level", "coarse_stride": 32, "block_size": 64,
+                              "overlap": 16}),
+}
+
+
+def full_rows(model):
+    """Force every component's A d onto all rows of A: the full dense product."""
+    model._windows = {i: slice(0, model.problem.n) for i in model._windows}
+    return model
+
+
+class TestImageWindowPinnedToDenseProduct:
+    """A d on the rows a component reaches is the full dense A @ d, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(POISSON_SPLITTINGS) + ["dense-R-128"])
+    def test_every_component_image_equals_full_product(self, name):
+        if name == "dense-R-128":
+            problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+            splitting = dense_copy(problem, splitting)
+        else:
+            problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS[name])
+        model = MatrixSchwarzModel(problem, splitting)
+        rng = np.random.default_rng(31)
+        for c in splitting:
+            # A is tridiagonal: the nonzero rows of R and one neighbour each side
+            nonzero = np.flatnonzero(c.R.any(axis=1))
+            assert model._windows[c.index] == slice(
+                max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, problem.n))
+            for _ in range(4):
+                r = rng.standard_normal(c.dim)
+                d, Ad = model._direction_and_image(c.index, r)
+                full = problem.A @ d
+                assert np.array_equal(Ad, full)
+                assert np.array_equal(np.signbit(Ad), np.signbit(full))
+
+    @pytest.mark.parametrize("rule", ["greedy", "random"])
+    def test_two_level_run_equals_run_on_full_rows(self, rule):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
+        select = GreedyRule(1.0) if rule == "greedy" else RandomRule(uniform_distribution(splitting.N))
+        traces = [
+            run(model, select, GAWRRelaxation(), 400, seed=3)
+            for model in (MatrixSchwarzModel(problem, splitting),
+                          full_rows(MatrixSchwarzModel(problem, splitting)))
+        ]
+        for field in ("index", "alpha", "omega", "local_norm"):
+            assert np.array_equal(getattr(traces[0], field), getattr(traces[1], field),
+                                  equal_nan=field != "index"), field
+        np.testing.assert_allclose(traces[0].error, traces[1].error, rtol=1e-12, atol=0.0)
+
+
+class TestGreedyScanReuse:
+    def test_winner_is_not_solved_again(self, monkeypatch):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        model = MatrixSchwarzModel(problem, splitting)
+        calls = []
+        solve = problems_module.local_solve
+        monkeypatch.setattr(problems_module, "local_solve",
+                            lambda *a: calls.append(a[1].index) or solve(*a))
+        steps = 0
+        for m, state, i, res, _, _ in iterate(model, GreedyRule(1.0), GAWRRelaxation(), 30):
+            assert len(calls) == (m + 1) * splitting.N
+            fresh = solve(problem, splitting[i], problem.b - state.w)
+            assert res.r.tobytes() == fresh.r.tobytes() and res.local_norm == fresh.local_norm
+            steps += 1
+        assert steps == 30
+        # a residual of the last scan is not reused once the update replaced w
+        model.local_residual(state, i)
+        assert len(calls) == 30 * splitting.N + 1
+
+
 class TestStepStateAgainstRecompute:
     def test_error_and_cached_product_track_dense_recompute(self):
         problem, splitting = make_poisson_1d(128, TWO_LEVEL)
