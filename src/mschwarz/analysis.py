@@ -191,55 +191,115 @@ def _finalize_estimate(sums, sumsq, K):
     return ExpectationEstimate(mean=mean, stderr=np.sqrt(var / K), trials=K)
 
 
-def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed, chunk=4096):
+# Trials are summed in groups of this many rows, in row order; chunks and row
+# blocks only tile a group, so the sums do not depend on the budgets below.
+_MC_GROUP = 4096
+# Bytes for one chunk of trials: its uniforms (overwritten by the support
+# positions they map to) and its per-step errors.
+MC_CHUNK_BYTES = 64 << 20
+# Bytes for one row block of the recursion: its state, the error scratch and
+# the tiled coefficients, sized to stay in a core's L2 cache.
+MC_CACHE_BYTES = 1 << 20
+
+
+def _chunk_rows(M):
+    """Trials per chunk: the largest power of two <= _MC_GROUP within
+    MC_CHUNK_BYTES, so that chunks tile the accumulation groups."""
+    if M == 0:
+        # a single error column is summed pairwise by numpy, so its group is
+        # never split; it costs 8 bytes a trial
+        return _MC_GROUP
+    rows = _MC_GROUP
+    while rows > 1 and rows * 8 * (2 * M + 1) > MC_CHUNK_BYTES:
+        rows //= 2
+    return rows
+
+
+def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
+    """The diagonal-model Monte Carlo kernel: all trials step by step at once.
+
+    Trial t replays ``run`` on its own stream from (master_seed, t), so the
+    result is stream-identical to the generic loop. Trials are processed in
+    chunks of ``_chunk_rows(M)`` and the recursion in row blocks of about
+    MC_CACHE_BYTES; the bits of ``mean`` and ``stderr`` do not depend on
+    either budget, because every per-trial operation is elementwise or a
+    reduction along one row, and the per-step sums over trials are taken in
+    row order within groups of _MC_GROUP trials.
+    """
     c = model.coefficients
     d = c.size
     top = int(model.support_indices.max()) if d else 1
-
-    fixed = not callable(selection.schedule)
-    dists = None if fixed else [selection.distribution(m) for m in range(M)]
-    fixed_dist = selection.distribution(0) if fixed else None
-    pure = isinstance(relaxation, PureRelaxation)
-    alphas = np.array([relaxation.alpha(m) for m in range(M)])
+    alphas = None if isinstance(relaxation, PureRelaxation) else np.array(
+        [relaxation.alpha(m) for m in range(M)])
+    support_table = np.full(top + 2, -1, dtype=np.int64)
+    support_table[model.support_indices] = np.arange(d)
+    block = max(1, MC_CACHE_BYTES // (24 * max(d, 1)))
+    chunk = _chunk_rows(M)
 
     sums = np.zeros(M + 1)
     sumsq = np.zeros(M + 1)
-    support_table = np.full(top + 2, -1, dtype=np.int64)
-    support_table[model.support_indices] = np.arange(d)
-
-    for start in range(0, K, chunk):
-        B = min(chunk, K - start)
-        U = np.empty((B, M))
-        for t in range(B):
-            rng = np.random.default_rng(_trial_seed(master_seed, start + t))
-            U[t] = rng.random(M)
-        # map uniforms to support positions per step (-1: no support coefficient)
-        pos = np.empty((B, M), dtype=np.int64)
-        if fixed:
-            idx = fixed_dist.sample_from_uniform(U)
-            pos[:] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
-        else:
+    for group in range(0, K, _MC_GROUP):
+        group_end = min(group + _MC_GROUP, K)
+        gsum = gsumsq = None
+        for start in range(group, group_end, chunk):
+            B = min(chunk, group_end - start)
+            # one row per step, one column per trial; each step's uniforms
+            # are overwritten in place by the support positions they map to
+            # (-1: no support coefficient)
+            U = np.empty((M, B))
+            for t in range(B):
+                U[:, t] = np.random.default_rng(_trial_seed(master_seed, start + t)).random(M)
+            pos = U.view(np.int64)
             for m in range(M):
-                idx = dists[m].sample_from_uniform(U[:, m])
-                pos[:, m] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
-        state = np.zeros((B, d))
-        errs = np.empty((B, M + 1))
-        rows = np.arange(B)
-        for m in range(M):
-            errs[:, m] = ((c - state) ** 2).sum(axis=1)
-            hit = pos[:, m] >= 0
-            rows_h = rows[hit]
-            cols_h = pos[hit, m]
+                idx = selection.distribution(m).sample_from_uniform(U[m])
+                pos[m] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
+            # after the first chunk of a group, row 0 carries the group's
+            # partial sum, so the sum over rows continues it in row order
+            lead = 0 if gsum is None else 1
+            errs = np.empty((lead + B, M + 1))
+            _diagonal_recursion(c, pos, alphas, model.zero_tol, errs[lead:], block)
+            if lead:
+                errs[0] = gsum
+            gsum = errs.sum(axis=0)
+            np.square(errs[lead:], out=errs[lead:])
+            if lead:
+                errs[0] = gsumsq
+            gsumsq = errs.sum(axis=0)
+            del U, pos, errs  # freed before the next chunk allocates its own
+        sums += gsum
+        sumsq += gsumsq
+    return _finalize_estimate(sums, sumsq, K)
+
+
+def _diagonal_recursion(c, pos, alphas, zero_tol, errs, block):
+    """Run the M-step recursion of every trial (column of ``pos``) on row
+    blocks of ``block`` trials, writing trial t's squared error before step m
+    to ``errs[t, m]`` and after the last step to ``errs[t, M]``."""
+    M, B = pos.shape
+    rows = min(block, B)
+    tiled = np.tile(c, (rows, 1))
+    state_buf = np.empty((rows, c.size))
+    tmp_buf = np.empty((rows, c.size))
+    for r0 in range(0, B, rows):
+        R = min(rows, B - r0)
+        state, tmp, C = state_buf[:R], tmp_buf[:R], tiled[:R]
+        state[:] = 0.0
+        e = errs[r0:r0 + R]
+        for m in range(M + 1):
+            np.subtract(C, state, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add.reduce(tmp, axis=1, out=e[:, m])
+            if m == M:
+                break
+            p = pos[m, r0:r0 + R]
+            rows_h = np.flatnonzero(p >= 0)
+            cols_h = p[rows_h]
             # residual at u^{(m)}: below the zero threshold the direction is
             # dropped (omega = 0) and the coordinate only scales with alpha
-            live = np.abs(c[cols_h] - state[rows_h, cols_h]) > model.zero_tol
-            if not pure:
+            live = np.abs(c[cols_h] - state[rows_h, cols_h]) > zero_tol
+            if alphas is not None:
                 state *= alphas[m]
             state[rows_h[live], cols_h[live]] = c[cols_h[live]]
-        errs[:, M] = ((c - state) ** 2).sum(axis=1)
-        sums += errs.sum(axis=0)
-        sumsq += (errs ** 2).sum(axis=0)
-    return _finalize_estimate(sums, sumsq, K)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ class ExplicitDistribution:
     def prob(self, i):
         return float(self.probs[i - 1]) if 1 <= i <= self.n else 0.0
 
+    def head_probs(self, N):
+        """The vector (pi_1, ..., pi_N) for N <= n."""
+        return self.probs[:N]
+
     def sample(self, rng, size=None):
         idx = self.sample_from_uniform(np.atleast_1d(rng.random(size)))
         return int(idx[0]) if size is None else idx
@@ -86,6 +90,10 @@ class _SeriesDistribution:
         if i < 1:
             return 0.0
         return float(self._terms(np.array([i], dtype=float))[0] / self.Z)
+
+    def head_probs(self, N):
+        """The vector (pi_1, ..., pi_N), equal bit for bit to ``prob`` index by index."""
+        return self._terms(np.arange(1, N + 1, dtype=float)) / self.Z
 
     def head_mass(self, N):
         if N <= 0:
@@ -192,12 +200,12 @@ class LogFamilyDistribution(_SeriesDistribution):
         return out
 
 
-def truncate_distribution(base, m, D):
-    """Truncate-and-renormalize ``base`` to the smallest head {1..N_m} with
-    ||pi^{(m)} - pi||_1 <= D (m+2)^{-1/2}.
+def truncation_cutoff(base, m, D):
+    """The smallest head size N_m with ||pi^{(m)} - pi||_1 <= D (m+2)^{-1/2},
+    capped at the support of a finite base.
 
-    The ell^1 distance of the construction equals exactly twice the tail mass
-    of the base distribution beyond the cutoff.
+    The ell^1 distance of truncate-and-renormalize equals exactly twice the
+    tail mass of the base distribution beyond the cutoff.
     """
     if D <= 0:
         raise ValueError("truncation budget D must be positive")
@@ -216,29 +224,36 @@ def truncate_distribution(base, m, D):
             hi = mid
         else:
             lo = mid
-    N = hi if bound is None else min(hi, bound)
-    probs = np.array([base.prob(i) for i in range(1, N + 1)])
-    head = probs.sum()
-    return ExplicitDistribution(probs / head)
+    return hi if bound is None else min(hi, bound)
+
+
+def truncate_distribution(base, m, D):
+    """Truncate-and-renormalize ``base`` to the head {1..N_m} of
+    ``truncation_cutoff``."""
+    probs = base.head_probs(truncation_cutoff(base, m, D))
+    return ExplicitDistribution(probs / probs.sum())
 
 
 class TruncatedSchedule:
     """Step-dependent schedule m -> truncated version of a base distribution.
 
-    Caches the per-step truncations and exposes the exact ell^1 deviation for
+    Keeps only the latest truncation, keyed by its cutoff, so memory does not
+    grow with the number of steps; exposes the exact ell^1 deviation for
     verification against the D (m+2)^{-1/2} budget.
     """
 
     def __init__(self, base, D):
         self.base = base
         self.D = float(D)
-        self._cache = {}
+        self._latest = None
+
+    def cutoff(self, m):
+        return truncation_cutoff(self.base, m, self.D)
 
     def __call__(self, m):
-        if m not in self._cache:
-            self._cache[m] = truncate_distribution(self.base, m, self.D)
-        return self._cache[m]
+        if self._latest is None or self._latest.n != self.cutoff(m):
+            self._latest = truncate_distribution(self.base, m, self.D)
+        return self._latest
 
     def l1_error(self, m):
-        dist = self(m)
-        return 2.0 * self.base.tail_mass(dist.n)
+        return 2.0 * self.base.tail_mass(self.cutoff(m))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from mschwarz import (
     ExplicitDistribution,
     GAWRRelaxation,
     GreedyBoundSpec,
+    PowerLawDistribution,
     PureRelaxation,
     RandomBoundSpec,
     GreedyDensityBoundSpec,
@@ -25,9 +27,12 @@ from mschwarz import (
     pcons_envelope_constant,
     pcons_sum,
     random_bound,
+    TruncatedSchedule,
     run,
     uniform_distribution,
 )
+from mschwarz import analysis
+from mschwarz.analysis import _finalize_estimate, _trial_seed
 from mschwarz.solver import DeterministicRule
 
 
@@ -131,8 +136,9 @@ class TestMonteCarlo:
 
     def test_fast_path_matches_generic_loop(self):
         model = make_diagonal([0.5, -0.3, 0.2])
-        rule = RandomRule(uniform_distribution(3))
-        for relax in (PureRelaxation(), GAWRRelaxation()):
+        rules = (RandomRule(uniform_distribution(3)),
+                 RandomRule(TruncatedSchedule(PowerLawDistribution(0.5), 1.0)))
+        for rule, relax in itertools.product(rules, (PureRelaxation(), GAWRRelaxation())):
             fast = mc_expected_error(model, rule, relax, 24, 40, 99)
             sums = np.zeros(25)
             sumsq = np.zeros(25)
@@ -164,6 +170,99 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_expected_error(model, RandomRule(uniform_distribution(1)),
                               PureRelaxation(), 2, 1, 0)
+
+
+def _previous_mc_diagonal_fast(model, selection, relaxation, M, K, master_seed, chunk=4096):
+    # the kernel before the cache-blocked rewrite, verbatim: the bit oracle
+    c = model.coefficients
+    d = c.size
+    top = int(model.support_indices.max()) if d else 1
+
+    fixed = not callable(selection.schedule)
+    dists = None if fixed else [selection.distribution(m) for m in range(M)]
+    fixed_dist = selection.distribution(0) if fixed else None
+    pure = isinstance(relaxation, PureRelaxation)
+    alphas = np.array([relaxation.alpha(m) for m in range(M)])
+
+    sums = np.zeros(M + 1)
+    sumsq = np.zeros(M + 1)
+    support_table = np.full(top + 2, -1, dtype=np.int64)
+    support_table[model.support_indices] = np.arange(d)
+
+    for start in range(0, K, chunk):
+        B = min(chunk, K - start)
+        U = np.empty((B, M))
+        for t in range(B):
+            rng = np.random.default_rng(_trial_seed(master_seed, start + t))
+            U[t] = rng.random(M)
+        # map uniforms to support positions per step (-1: no support coefficient)
+        pos = np.empty((B, M), dtype=np.int64)
+        if fixed:
+            idx = fixed_dist.sample_from_uniform(U)
+            pos[:] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
+        else:
+            for m in range(M):
+                idx = dists[m].sample_from_uniform(U[:, m])
+                pos[:, m] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
+        state = np.zeros((B, d))
+        errs = np.empty((B, M + 1))
+        rows = np.arange(B)
+        for m in range(M):
+            errs[:, m] = ((c - state) ** 2).sum(axis=1)
+            hit = pos[:, m] >= 0
+            rows_h = rows[hit]
+            cols_h = pos[hit, m]
+            # residual at u^{(m)}: below the zero threshold the direction is
+            # dropped (omega = 0) and the coordinate only scales with alpha
+            live = np.abs(c[cols_h] - state[rows_h, cols_h]) > model.zero_tol
+            if not pure:
+                state *= alphas[m]
+            state[rows_h[live], cols_h[live]] = c[cols_h[live]]
+        errs[:, M] = ((c - state) ** 2).sum(axis=1)
+        sums += errs.sum(axis=0)
+        sumsq += (errs ** 2).sum(axis=0)
+    return _finalize_estimate(sums, sumsq, K)
+
+
+def _power_law_coefficients(d):
+    return make_diagonal([i ** -1.5 for i in range(1, d + 1)])
+
+
+def _truncated_rule():
+    return RandomRule(TruncatedSchedule(PowerLawDistribution(0.5), 1.0))
+
+
+# (model, rule factory, relaxation, steps, trials); each rule is built fresh
+# for each kernel, so both see the same lazily grown tables
+KERNEL_CASES = {
+    "truncated_gawr": (_power_law_coefficients(30), _truncated_rule, GAWRRelaxation(), 60, 300),
+    "truncated_pure": (_power_law_coefficients(30), _truncated_rule, PureRelaxation(), 60, 300),
+    "explicit_past_gapped_support": (
+        make_diagonal({1: 0.5, 3: -0.25, 7: 0.125}),
+        lambda: RandomRule(ExplicitDistribution(np.full(9, 1.0 / 9.0))),
+        GAWRRelaxation(), 40, 301),
+    # 1500 trials are not a multiple of the 1456-row default block at d=30
+    "trials_past_row_block": (_power_law_coefficients(30), _truncated_rule, GAWRRelaxation(), 12, 1500),
+    "trials_past_group": (_power_law_coefficients(4), _truncated_rule, GAWRRelaxation(), 5, 5000),
+    "no_steps": (_power_law_coefficients(30), _truncated_rule, GAWRRelaxation(), 0, 5000),
+}
+
+
+class TestMonteCarloKernelOracle:
+    """The kernel is bit-identical to its previous version for any budgets."""
+
+    @pytest.mark.parametrize("budgets", ["default", "tiny"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_bit_identical_to_previous_kernel(self, case, budgets, monkeypatch):
+        model, make_rule, relax, steps, trials = KERNEL_CASES[case]
+        if budgets == "tiny":
+            # a few rows per block and a few row blocks per chunk
+            monkeypatch.setattr(analysis, "MC_CHUNK_BYTES", 16 << 10)
+            monkeypatch.setattr(analysis, "MC_CACHE_BYTES", 4 << 10)
+        expected = _previous_mc_diagonal_fast(model, make_rule(), relax, steps, trials, 11)
+        got = mc_expected_error(model, make_rule(), relax, steps, trials, 11)
+        assert np.array_equal(got.mean, expected.mean)
+        assert np.array_equal(got.stderr, expected.stderr)
 
 
 class TestChebyshev:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mschwarz import (
     truncate_distribution,
     uniform_distribution,
 )
+from mschwarz.distributions import truncation_cutoff
 
 
 class TestExplicit:
@@ -143,3 +146,63 @@ class TestTruncation:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             truncate_distribution(PowerLawDistribution(1.0), 0, 0.0)
+
+    def test_cutoff_is_table_size(self):
+        sched = TruncatedSchedule(PowerLawDistribution(0.5), 1.0)
+        for m in [0, 3, 50, 399]:
+            assert sched.cutoff(m) == sched(m).n
+            assert sched.l1_error(m) == 2.0 * sched.base.tail_mass(sched(m).n)
+
+    def test_schedule_keeps_only_latest_table(self):
+        # cutoffs 2, 2, 2, 3, ...: one table per cutoff, and only the latest
+        sched = TruncatedSchedule(PowerLawDistribution(1.0), 1.0)
+        first = sched(0)
+        assert sched(1) is first and sched(2) is first
+        released = weakref.ref(first)
+        del first
+        assert sched(3).n == 3
+        gc.collect()
+        assert released() is None
+
+
+def _per_index_truncation(base, m, D):
+    # the table built one prob(i) call at a time, as before head_probs
+    N = truncation_cutoff(base, m, D)
+    probs = np.array([base.prob(i) for i in range(1, N + 1)])
+    return probs / probs.sum()
+
+
+class TestHeadProbs:
+    """head_probs(N) is bit for bit the prob(i) loop, so tables built from it
+    are unchanged."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+    def test_power_law_matches_prob_loop(self, s):
+        d = PowerLawDistribution(s)
+        loop = np.array([d.prob(i) for i in range(1, 5001)])
+        for N in [*range(1, 1200), 4095, 4096, 5000]:
+            assert np.array_equal(d.head_probs(N), loop[:N])
+
+    def test_log_family_matches_prob_loop(self):
+        d = LogFamilyDistribution()
+        N = 100_000
+        loop = np.array([d.prob(i) for i in range(1, N + 1)])
+        for n in [1, 7, 64, 1000, 65_537, N]:
+            assert np.array_equal(d.head_probs(n), loop[:n])
+
+    def test_explicit_matches_prob_loop(self):
+        d = ExplicitDistribution([0.4, 0.0, 0.35, 0.25])
+        for N in range(1, 5):
+            assert np.array_equal(d.head_probs(N), [d.prob(i) for i in range(1, N + 1)])
+
+    @pytest.mark.parametrize("make_base", [
+        lambda: PowerLawDistribution(0.5),
+        lambda: PowerLawDistribution(1.3),
+        LogFamilyDistribution,
+        lambda: ExplicitDistribution([0.5, 0.2, 0.2, 0.1]),
+    ], ids=["power_law_0.5", "power_law_1.3", "log_family", "explicit"])
+    def test_truncation_tables_match_per_index_construction(self, make_base):
+        base = make_base()
+        for m in [0, 1, 17, 399]:
+            table = truncate_distribution(base, m, 1.0)
+            assert np.array_equal(table.probs, _per_index_truncation(base, m, 1.0))
