@@ -228,11 +228,8 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
     """
     c = model.coefficients
     d = c.size
-    top = int(model.support_indices.max()) if d else 1
     alphas = None if isinstance(relaxation, PureRelaxation) else np.array(
         [relaxation.alpha(m) for m in range(M)])
-    support_table = np.full(top + 2, -1, dtype=np.int64)
-    support_table[model.support_indices] = np.arange(d)
     block = max(1, MC_CACHE_BYTES // (24 * max(d, 1)))
     chunk = _chunk_rows(M)
 
@@ -251,8 +248,8 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
                 U[:, t] = np.random.default_rng(_trial_seed(master_seed, start + t)).random(M)
             pos = U.view(np.int64)
             for m in range(M):
-                idx = selection.distribution(m).sample_from_uniform(U[m])
-                pos[m] = np.where(idx <= top, support_table[np.minimum(idx, top)], -1)
+                pos[m] = model.support_positions(
+                    selection.distribution(m).sample_from_uniform(U[m]))
             # after the first chunk of a group, row 0 carries the group's
             # partial sum, so the sum over rows continues it in row order
             lead = 0 if gsum is None else 1

@@ -32,6 +32,7 @@ from .diagonal import DiagonalModel, a1_norm, ainfty_pi_norm
 from .problems import (
     MatrixSchwarzModel,
     energy_norm,
+    local_solve,
     representation_block_norms,
     stability_constants,
     uniform_bound_lambda,
@@ -347,10 +348,21 @@ def _check_omega_optimality(model, selection, relaxation, steps, seed):
     return True
 
 
+def _fresh_local_norms(model, state, indices):
+    """The pool's local norms one component at a time, not through the
+    model's pool scan, so that the scan is checked against an independent
+    computation."""
+    if isinstance(model, MatrixSchwarzModel):
+        g = model.problem.b - state.w
+        return np.array([local_solve(model.problem, model.splitting[i], g).local_norm
+                         for i in indices])
+    return np.array([model.local_residual(state, i).local_norm for i in indices])
+
+
 def _check_greedy_compliance(model, rule, relaxation, steps, seed):
     for m, state, _, res, _, _ in iterate(model, rule, relaxation, steps, seed):
         indices = np.asarray(rule.pool.indices(model, state, m))
-        norms = model.pool_local_norms(state, indices)
+        norms = _fresh_local_norms(model, state, indices)
         if res.local_norm < rule.beta * norms.max() - 1e-12 * (1 + norms.max()):
             return False
     return True
@@ -476,6 +488,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # e.g. trace arrays for a step count no machine can hold
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -7,6 +7,7 @@ an equal config.
 """
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,9 @@ class _Checker:
             return None
         if integer and not isinstance(val, int):
             self.fail(f"{path}.{key}", f"expected an integer, got {val!r}")
+            return None
+        if not _is_finite_number(val):
+            self.fail(f"{path}.{key}", f"expected a finite number, got {val!r}")
             return None
         if lo is not None and (val <= lo if lo_open else val < lo):
             cmp = ">" if lo_open else ">="
@@ -183,6 +187,15 @@ _TOP_KEYS = {
 }
 
 
+def _is_finite_number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _validate_problem(ck, node):
     if not ck.require_keys(node, "problem", _PROBLEM_KEYS, required=("kind",)):
         return
@@ -198,12 +211,12 @@ def _validate_problem(ck, node):
             for i, v in coeffs.items():
                 if not isinstance(i, int) or i < 1:
                     ck.fail(f"problem.coefficients.{i}", "indices must be integers >= 1")
-                elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                    ck.fail(f"problem.coefficients.{i}", f"expected a number, got {v!r}")
+                elif not _is_finite_number(v):
+                    ck.fail(f"problem.coefficients.{i}", f"expected a finite number, got {v!r}")
         elif isinstance(coeffs, list):
             for k, v in enumerate(coeffs):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    ck.fail(f"problem.coefficients[{k}]", f"expected a number, got {v!r}")
+                if not _is_finite_number(v):
+                    ck.fail(f"problem.coefficients[{k}]", f"expected a finite number, got {v!r}")
         else:
             ck.fail("problem.coefficients", "expected a list or an index mapping")
     elif kind == "poisson_1d":
@@ -235,9 +248,10 @@ def _validate_family(ck, node):
         if not isinstance(probs, list) or not probs:
             ck.fail("selection.family.probs", "expected a nonempty list of probabilities")
         else:
-            bad = [p for p in probs if isinstance(p, bool) or not isinstance(p, (int, float)) or p < 0]
+            bad = [p for p in probs if not _is_finite_number(p) or p < 0]
             if bad:
-                ck.fail("selection.family.probs", f"entries must be numbers >= 0, got {bad[0]!r}")
+                ck.fail("selection.family.probs",
+                        f"entries must be finite numbers >= 0, got {bad[0]!r}")
             elif abs(sum(probs) - 1.0) > 1e-12:
                 ck.fail("selection.family.probs", f"must sum to 1, got {sum(probs)!r}")
     elif kind == "uniform":

@@ -60,13 +60,24 @@ class DiagonalModel:
         r = self.coefficients[pos] - state.u[pos]
         return BlockResidual(int(i), float(r), abs(float(r)))
 
-    def pool_local_norms(self, state, indices):
+    def support_positions(self, indices):
+        """Position of each index in the sorted support, -1 off it.
+
+        A search of the support, not a lookup array indexed by the
+        coefficient index, which would be sized by the largest index.
+        """
         indices = np.asarray(indices, dtype=np.int64)
-        # positions in the sorted support; an index off it keeps a zero norm
-        pos = np.searchsorted(self.support_indices, indices)
-        hit = pos < self.support_indices.size
-        hit[hit] = self.support_indices[pos[hit]] == indices[hit]
-        out = np.zeros(indices.size)
+        support = self.support_indices
+        if support.size == 0:
+            return np.full(indices.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(support, indices), support.size - 1)
+        return np.where(support[pos] == indices, pos, -1)
+
+    def pool_local_norms(self, state, indices):
+        # an index off the support keeps a zero norm
+        pos = self.support_positions(indices)
+        hit = pos >= 0
+        out = np.zeros(pos.size)
         out[hit] = np.abs(self.coefficients[pos[hit]] - state.u[pos[hit]])
         return out
 

@@ -227,10 +227,12 @@ def truncation_cutoff(base, m, D):
     return hi if bound is None else min(hi, bound)
 
 
-def truncate_distribution(base, m, D):
+def truncate_distribution(base, m, D, cutoff=None):
     """Truncate-and-renormalize ``base`` to the head {1..N_m} of
-    ``truncation_cutoff``."""
-    probs = base.head_probs(truncation_cutoff(base, m, D))
+    ``truncation_cutoff``; ``cutoff`` passes an N_m already searched."""
+    if cutoff is None:
+        cutoff = truncation_cutoff(base, m, D)
+    probs = base.head_probs(cutoff)
     return ExplicitDistribution(probs / probs.sum())
 
 
@@ -251,8 +253,9 @@ class TruncatedSchedule:
         return truncation_cutoff(self.base, m, self.D)
 
     def __call__(self, m):
-        if self._latest is None or self._latest.n != self.cutoff(m):
-            self._latest = truncate_distribution(self.base, m, self.D)
+        N = self.cutoff(m)
+        if self._latest is None or self._latest.n != N:
+            self._latest = truncate_distribution(self.base, m, self.D, cutoff=N)
         return self._latest
 
     def l1_error(self, m):

@@ -13,6 +13,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, get_lapack_funcs
 
 
+# Right-hand-side entries per multi-column local solve in the greedy scan.
+# OpenBLAS runs a triangular solve with 1024 or more entries on its thread
+# pool, and on a few cores that pool and numpy's contend (about 10 ms per
+# call measured on 2 vCPUs, against 10 us single-threaded); a factor group is
+# therefore solved in column blocks below that size.  The bits of a column do
+# not depend on the block it is solved in.
+SOLVE_BLOCK_ENTRIES = 1023
+
+
 class UnstableSplittingError(ValueError):
     """Raised when a finite splitting fails to span the full space."""
 
@@ -134,6 +143,15 @@ class SplittingComponent:
 
     def local_inner(self, v, w):
         return float(v @ (self.A_local @ w))
+
+    def local_norms(self, xs):
+        """sqrt(max(x . A_i x, 0)) for every row x of ``xs``.
+
+        The two stacked products run, row by row, the same matrix-vector
+        and dot products as ``local_inner(x, x)``, so each norm has its bits.
+        """
+        Ax = np.matmul(self.A_local, xs[:, :, None])
+        return np.sqrt(np.maximum(np.matmul(xs[:, None, :], Ax)[:, 0, 0], 0.0))
 
 
 class CoordinateBlock(SplittingComponent):
@@ -378,11 +396,23 @@ class MatrixSchwarzModel:
     two-level coarse component the rows are all of A, and the refresh of w
     is the full product.  Only the reported error uses a CSR copy of A.
 
-    The greedy pool scan keeps its local solutions: asked for a component
-    the last scan solved at the same cached w, ``local_residual`` returns
-    that solution instead of solving again.  ``apply_update`` replaces
-    ``state.w`` with a new array at every step, so that w is compared by
-    identity.
+    The greedy pool scan works on factor groups: components whose local
+    forms and stored Cholesky factors are byte-equal (all overlapping
+    blocks of a uniform Poisson grid) share one.  Per group a scan gathers
+    the local right-hand sides as the columns of one matrix, solves them
+    with one ``potrs`` call per column block of fewer than
+    SOLVE_BLOCK_ENTRIES entries and takes the local norms with two stacked
+    ``matmul`` calls.  Column by column this is the computation of
+    :func:`local_solve`: that a multi-column ``potrs`` and a stacked
+    ``matmul`` round each column as the single-column calls do is a
+    property of the BLAS, which the tests pin against the per-component
+    loop.  A one-member group goes through the same code.
+
+    The scan keeps its local solutions: asked for a component the last
+    scan solved at the same cached w, ``local_residual`` builds the
+    winner's ``BlockResidual`` from them instead of solving again.
+    ``apply_update`` replaces ``state.w`` with a new array at every step,
+    so that w is compared by identity.
     """
 
     refresh_every = 1000
@@ -397,11 +427,56 @@ class MatrixSchwarzModel:
         self._solution_norm = energy_norm(problem, problem.exact_solution)
         self._A_csr = csr_array(problem.A)
         self._windows = {int(i): self._reached_rows(splitting[i]) for i in splitting.indices()}
+        self._group_of = self._factor_groups()
         # (i, r, d, A d) of the last direction: one step needs A d for its
         # relaxation parameters and again for the update of w
         self._last_direction = None
-        # (w, {i: BlockResidual}) of the last pool scan
-        self._last_scan = (None, {})
+        # (pool indices as bytes, scan plan) of the last pool
+        self._last_plan = (None, None)
+        # (w, [(solutions, norms) per group], {i: (group, row)}) of the last scan
+        self._last_scan = (None, [], {})
+
+    def _factor_groups(self):
+        """Group number of each component index.  Components share a group
+        when they restrict alike (all coordinate blocks or all dense R) and
+        their local forms and stored factors are byte-equal."""
+        keys = {}
+        group_of = {}
+        for i in self.splitting.indices().tolist():
+            c = self.splitting[i]
+            key = (c.span is None, c.A_local.tobytes(), c._chol[0].tobytes(), c._chol[1])
+            group_of[i] = keys.setdefault(key, len(keys))
+        return group_of
+
+    def _scan_plan(self, indices):
+        """The groups of a pool, computed once per pool.
+
+        Returns ``(groups, where)``: per column block of a group (see
+        SOLVE_BLOCK_ENTRIES) its pool positions, its components in pool
+        order and the coordinate gather array (None for dense R), and each
+        index's first (block, row) in the scan's solutions.
+        """
+        key = indices.tobytes()
+        if self._last_plan[0] != key:
+            members = {}
+            for k, i in enumerate(indices.tolist()):
+                members.setdefault(self._group_of[i], []).append((k, i))
+            groups, where = [], {}
+            for pairs in members.values():
+                dim = self.splitting[pairs[0][1]].dim
+                width = max(1, SOLVE_BLOCK_ENTRIES // dim)
+                for b in range(0, len(pairs), width):
+                    block = pairs[b:b + width]
+                    comps = [self.splitting[i] for _, i in block]
+                    gather = None
+                    if comps[0].span is not None:
+                        starts = np.array([c.span.start for c in comps])
+                        gather = starts[:, None] + np.arange(dim)
+                    for j, (_, i) in enumerate(block):
+                        where.setdefault(i, (len(groups), j))
+                    groups.append((np.array([k for k, _ in block]), comps, gather))
+            self._last_plan = (key, (groups, where))
+        return self._last_plan[1]
 
     def _reached_rows(self, component):
         """The rows [lo, hi) of A on which A R_i r can be nonzero.
@@ -426,20 +501,36 @@ class MatrixSchwarzModel:
         return MatrixSchwarzState(self.problem.n)
 
     def local_residual(self, state, i):
-        w, solved = self._last_scan
-        if w is state.w and i in solved:
-            return solved[i]
+        w, solved, where = self._last_scan
+        if w is state.w and i in where:
+            p, j = where[i]
+            xs, norms = solved[p]
+            return BlockResidual(int(i), xs[j], float(norms[j]))
         g = self.problem.b - state.w
         return local_solve(self.problem, self.splitting[i], g)
 
     def pool_local_norms(self, state, indices):
+        indices = np.asarray(indices, dtype=np.int64)
         g = self.problem.b - state.w
-        solved = {}
-        out = np.empty(len(indices))
-        for k, i in enumerate(indices):
-            res = solved[int(i)] = local_solve(self.problem, self.splitting[i], g)
-            out[k] = res.local_norm
-        self._last_scan = (state.w, solved)
+        if g.shape != (self.problem.n,):
+            raise ValueError(f"residual has shape {g.shape}, expected ({self.problem.n},)")
+        groups, where = self._scan_plan(indices)
+        out = np.empty(indices.size)
+        solved = []
+        for ks, comps, gather in groups:
+            # one column per member: its local right-hand side R_i^T g
+            if gather is not None:
+                rhs = g[gather].T
+            else:
+                rhs = np.array([c.restrict(g) for c in comps]).T
+            xs = comps[0].solve_local(rhs).T
+            nonzero = rhs.any(axis=0)
+            if not nonzero.all():
+                xs[~nonzero] = 0.0
+            norms = comps[0].local_norms(xs)
+            out[ks] = norms
+            solved.append((xs, norms))
+        self._last_scan = (state.w, solved, where)
         return out
 
     def direction(self, i, r):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ class TestMonteCarloKernelOracle:
         got = mc_expected_error(model, make_rule(), relax, steps, trials, 11)
         assert np.array_equal(got.mean, expected.mean)
         assert np.array_equal(got.stderr, expected.stderr)
+
+
+class TestMonteCarloSupportPositions:
+    def test_large_index_allocates_by_support_size(self):
+        # a lookup array indexed by the coefficient index would take 80 MB
+        far = make_diagonal({1: 0.5, 2: -0.25, 10 ** 7: 0.125})
+        near = make_diagonal({1: 0.5, 2: -0.25, 4: 0.125})
+        rule = RandomRule(ExplicitDistribution([0.5, 0.25, 0.25]))
+        tracemalloc.start()
+        try:
+            got = mc_expected_error(far, rule, GAWRRelaxation(), 20, 50, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # neither index 4 nor 10**7 is ever drawn
+        want = mc_expected_error(near, rule, GAWRRelaxation(), 20, 50, 3)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.stderr, want.stderr)
 
 
 class TestChebyshev:

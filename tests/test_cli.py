@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mschwarz.problems as problems_module
+from mschwarz import DiagonalModel
 from mschwarz.cli import main
 
 DIAG_GREEDY = """
@@ -285,3 +286,68 @@ def test_diagonal_expect_does_not_import_scipy_sparse(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+POISSON_GREEDY_FIXED = POISSON_SMALL.replace("pool: growing", "pool: fixed")
+
+
+class TestGreedyComplianceCheck:
+    """`check` compares the picks with per-component solves, so a scan that
+    misreports a norm fails it even when a second scan would agree."""
+
+    @pytest.mark.parametrize("model_class, text", [
+        (problems_module.MatrixSchwarzModel, POISSON_GREEDY_FIXED),
+        (DiagonalModel, DIAG_GREEDY),
+    ], ids=["poisson", "diagonal"])
+    def test_scan_that_shrinks_the_largest_norm_fails(self, tmp_path, capsys, monkeypatch,
+                                                      model_class, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        scan = model_class.pool_local_norms
+
+        def shrunk(self, state, indices):
+            norms = scan(self, state, indices)
+            norms[np.argmax(norms)] *= 0.5
+            return norms
+
+        monkeypatch.setattr(model_class, "pool_local_norms", shrunk)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "FAIL greedy compliance" in capsys.readouterr().out.splitlines()
+
+
+class TestNonFiniteAndHugeInput:
+    @pytest.mark.parametrize("old, new, path", [
+        ("[0.5, 0.25, 0.125]", "[0.5, .nan, 0.125]", "problem.coefficients[1]"),
+        ("[0.5, 0.25, 0.125]", "[0.5, 0.25, .inf]", "problem.coefficients[2]"),
+        ("[0.5, 0.25, 0.125]", "{1: 0.5, 4: -.inf}", "problem.coefficients.4"),
+        ("beta: 1.0", "beta: .nan", "selection.beta"),
+    ])
+    def test_non_finite_greedy_config_exits_two(self, tmp_path, capsys, old, new, path):
+        cfg = write_config(tmp_path, DIAG_GREEDY.replace(old, new))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: expected a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family, path", [
+        ("kind: explicit\n    probs: [0.5, .nan, 0.5]", "selection.family.probs"),
+        ("kind: power_law\n    s: .inf", "selection.family.s"),
+        ("kind: power_law\n    s: 0.5\n  truncation:\n    D: .nan", "selection.truncation.D"),
+    ])
+    def test_non_finite_distribution_exits_two(self, tmp_path, capsys, family, path):
+        text = ORACLE_EXPECT.replace(
+            "kind: explicit\n    probs: [0.5, 0.4, 0.1]", family)
+        assert family in text
+        cfg = write_config(tmp_path, text)
+        assert main(["expect", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}:" in err and "finite" in err
+
+    def test_unallocatable_step_count_exits_two(self, tmp_path, capsys):
+        # 8e13 bytes per trace column: numpy refuses the allocation outright
+        cfg = write_config(tmp_path, DIAG_GREEDY.replace("steps: 50", "steps: 10000000000000"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: out of memory")
+        assert "Traceback" not in err

@@ -112,6 +112,13 @@ class TestPoolScan:
         empty = DiagonalModel({})
         assert np.array_equal(empty.pool_local_norms(empty.new_state(), np.array([1, 5])), [0.0, 0.0])
 
+    def test_support_positions_equal_dictionary_lookup(self):
+        model = DiagonalModel({2: 0.5, 3: 0.25, 40: -0.125, 10**9: 1.0})
+        indices = np.array([1, 2, 3, 4, 39, 40, 41, 10**9, 10**9 + 1, 2**62])
+        want = [model._pos.get(int(i), -1) for i in indices]
+        assert model.support_positions(indices).tolist() == want
+        assert DiagonalModel({}).support_positions(indices).tolist() == [-1] * indices.size
+
 
 class TestPureRandomHitSets:
     def test_iterate_equals_partial_sum_over_hit_set(self):

@@ -14,6 +14,7 @@ from mschwarz import (
     truncate_distribution,
     uniform_distribution,
 )
+from mschwarz import distributions
 from mschwarz.distributions import truncation_cutoff
 
 
@@ -163,6 +164,26 @@ class TestTruncation:
         assert sched(3).n == 3
         gc.collect()
         assert released() is None
+
+
+class TestCutoffSearches:
+    def test_one_search_per_call_and_one_build_per_cutoff(self, monkeypatch):
+        base, D, steps = PowerLawDistribution(0.5), 1.0, 300
+        want = [truncate_distribution(base, m, D).probs.tobytes() for m in range(steps)]
+        cutoffs = [truncation_cutoff(base, m, D) for m in range(steps)]
+        searches, builds = [], []
+        search = distributions.truncation_cutoff
+        build = distributions.truncate_distribution
+        monkeypatch.setattr(distributions, "truncation_cutoff",
+                            lambda *a: searches.append(a[1]) or search(*a))
+        monkeypatch.setattr(distributions, "truncate_distribution",
+                            lambda *a, **k: builds.append(a[1]) or build(*a, **k))
+        sched = TruncatedSchedule(PowerLawDistribution(0.5), D)
+        for m in range(steps):
+            assert sched(m).probs.tobytes() == want[m]
+            assert searches == [m]
+            searches.clear()
+        assert builds == [m for m in range(steps) if m == 0 or cutoffs[m] != cutoffs[m - 1]]
 
 
 def _per_index_truncation(base, m, D):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from mschwarz import (
     CoordinateBlock,
     DiagonalModel,
     FiniteSplitting,
+    FixedPool,
     GAWRRelaxation,
     GreedyRule,
+    GrowingPool,
     MatrixSchwarzModel,
     Problem,
     PureRelaxation,
@@ -352,20 +356,156 @@ class TestGreedyScanReuse:
     def test_winner_is_not_solved_again(self, monkeypatch):
         problem, splitting = make_poisson_1d(128, TWO_LEVEL)
         model = MatrixSchwarzModel(problem, splitting)
-        calls = []
-        solve = problems_module.local_solve
+        calls, columns = [], []
+        solve, solve_local = problems_module.local_solve, SplittingComponent.solve_local
         monkeypatch.setattr(problems_module, "local_solve",
                             lambda *a: calls.append(a[1].index) or solve(*a))
+        monkeypatch.setattr(SplittingComponent, "solve_local", lambda self, rhs: (
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1]) or solve_local(self, rhs)))
         steps = 0
         for m, state, i, res, _, _ in iterate(model, GreedyRule(1.0), GAWRRelaxation(), 30):
-            assert len(calls) == (m + 1) * splitting.N
+            # the scan solved every pool component once, in factor groups,
+            # and the winner's residual was taken from it, not solved again
+            assert calls == [] and sum(columns) == splitting.N
             fresh = solve(problem, splitting[i], problem.b - state.w)
             assert res.r.tobytes() == fresh.r.tobytes() and res.local_norm == fresh.local_norm
+            columns.clear()
             steps += 1
         assert steps == 30
         # a residual of the last scan is not reused once the update replaced w
         model.local_residual(state, i)
-        assert len(calls) == 30 * splitting.N + 1
+        assert calls == [i] and columns == [1]
+
+
+class LoopScanModel(MatrixSchwarzModel):
+    """The per-component pool scan the factor-group scan replaced, verbatim."""
+
+    _loop_scan = (None, {})
+
+    def local_residual(self, state, i):
+        w, solved = self._loop_scan
+        if w is state.w and i in solved:
+            return solved[i]
+        g = self.problem.b - state.w
+        return local_solve(self.problem, self.splitting[i], g)
+
+    def pool_local_norms(self, state, indices):
+        g = self.problem.b - state.w
+        solved = {}
+        out = np.empty(len(indices))
+        for k, i in enumerate(indices):
+            res = solved[int(i)] = local_solve(self.problem, self.splitting[i], g)
+            out[k] = res.local_norm
+        self._loop_scan = (state.w, solved)
+        return out
+
+
+def assert_same_trace(got, want):
+    for field in ("index", "alpha", "omega", "local_norm"):
+        assert np.array_equal(getattr(got, field), getattr(want, field),
+                              equal_nan=field != "index"), field
+    np.testing.assert_allclose(got.error, want.error, rtol=1e-12, atol=0.0)
+
+
+def mixed_splitting():
+    """Two block forms, a dense-R component, a duplicated index, and a
+    right-hand side that vanishes on the first block at u = 0."""
+    rng = np.random.default_rng(41)
+    n = 12
+    A = random_spd(rng, n)
+    b = rng.standard_normal(n)
+    b[:3] = 0.0
+    problem = Problem(A, b)
+    form1 = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]])
+    form2 = random_spd(rng, 3)
+    coarse = np.linspace(0.5, 1.5, n)[:, None]
+    comps = [
+        CoordinateBlock(1, n, 0, 3, form1),
+        CoordinateBlock(2, n, 3, 6, form1),
+        CoordinateBlock(3, n, 6, 9, form2),
+        CoordinateBlock(4, n, 9, 12, form1),
+        SplittingComponent(5, coarse, np.array([[2.5]])),
+        CoordinateBlock(6, n, 4, 7, form2),
+        # a second component 2: the index resolves to the first one
+        CoordinateBlock(2, n, 8, 11, form2),
+    ]
+    return problem, FiniteSplitting(problem, comps)
+
+
+class TestGroupedScanPinnedToLoop:
+    """The factor-group scan is bit-identical to the per-component loop."""
+
+    RELAXATIONS = {"gawr": GAWRRelaxation, "pure": PureRelaxation,
+                   "two_param": TwoParamRelaxation}
+
+    def runs(self, problem, splitting, relaxation, steps):
+        for beta in (1.0, 0.7):
+            for pool in (FixedPool(), GrowingPool()):
+                yield [run(model, GreedyRule(beta, pool), self.RELAXATIONS[relaxation](), steps)
+                       for model in (MatrixSchwarzModel(problem, splitting),
+                                     LoopScanModel(problem, splitting))]
+
+    @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
+    @pytest.mark.parametrize("name", sorted(POISSON_SPLITTINGS))
+    def test_poisson_runs(self, name, relaxation):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS[name])
+        for grouped, loop in self.runs(problem, splitting, relaxation, 60):
+            assert_same_trace(grouped, loop)
+
+    @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
+    def test_mixed_splitting_runs(self, relaxation):
+        problem, splitting = mixed_splitting()
+        for grouped, loop in self.runs(problem, splitting, relaxation, 40):
+            assert_same_trace(grouped, loop)
+
+    def test_mixed_splitting_scan(self):
+        problem, splitting = mixed_splitting()
+        model = MatrixSchwarzModel(problem, splitting)
+        loop = LoopScanModel(problem, splitting)
+        # form1 blocks, form2 blocks and the dense component
+        assert len(set(model._group_of.values())) == 3
+        indices = splitting.indices()
+        assert list(indices) == [1, 2, 3, 4, 5, 6, 2]
+        state = model.new_state()
+        norms = model.pool_local_norms(state, indices)
+        assert norms.tobytes() == loop.pool_local_norms(state, indices).tobytes()
+        assert norms[0] == 0.0 and np.all(norms[1:] > 0.0)
+        for i in indices:
+            got = model.local_residual(state, i)
+            want = local_solve(problem, splitting[i], problem.b - state.w)
+            assert got.index == i and got.local_norm == want.local_norm
+            assert got.r.tobytes() == want.r.tobytes()
+        # the duplicated index is the first component 2, not the second
+        assert model.local_residual(state, 2).r.tobytes() == local_solve(
+            problem, splitting.components[1], problem.b).r.tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 64, 10 ** 9])
+    def test_column_blocks_do_not_change_bits(self, entries, monkeypatch):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
+        model = MatrixSchwarzModel(problem, splitting)
+        assert sorted(collections.Counter(model._group_of.values()).values()) == [1, 21]
+        want = run(LoopScanModel(problem, splitting), GreedyRule(1.0), GAWRRelaxation(), 40)
+        monkeypatch.setattr(problems_module, "SOLVE_BLOCK_ENTRIES", entries)
+        assert_same_trace(run(model, GreedyRule(1.0), GAWRRelaxation(), 40), want)
+
+
+class TestBatchedLocalKernels:
+    """The BLAS property the grouped scan rests on, checked directly."""
+
+    def test_multi_column_solve_and_stacked_norms_match_single_columns(self):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
+        rng = np.random.default_rng(17)
+        for c in splitting.components[:1] + splitting.components[-1:]:
+            for width in (1, 2, 7, 15, 16, 21, 40):
+                for _ in range(5):
+                    rhs = rng.standard_normal((width, c.dim)) * rng.uniform(1e-3, 1e3)
+                    xs = c.solve_local(rhs.T).T
+                    norms = c.local_norms(xs)
+                    for j in range(width):
+                        x = c.solve_local(rhs[j])
+                        assert xs[j].tobytes() == x.tobytes()
+                        want = float(np.sqrt(max(c.local_inner(x, x), 0.0)))
+                        assert norms[j] == want
 
 
 class TestStepStateAgainstRecompute:
