@@ -3,7 +3,8 @@
 The config is a single YAML tree with nested sections for the problem, the
 selection rule, the relaxation variant and outputs.  Unknown keys are errors,
 every violation is reported with its path, and serialize/parse round-trips to
-an equal config.
+an equal config.  A key given twice in one mapping is an error too (YAML
+loaders otherwise keep the last value silently).
 """
 
 import io
@@ -304,15 +305,61 @@ def _validate_selection(ck, node):
                 ck.fail(f"selection.{key}", "only valid for random selection")
 
 
+def _safe_load(text):
+    """``yaml.safe_load(text)`` plus the "path: duplicated key" errors of
+    every mapping key that equals an earlier key of the same mapping.
+
+    This is safe_load's own sequence (compose the node tree, then construct
+    it) with a walk over the composed tree in between, so the parse is the
+    same and equal keys are compared as the constructed values (1 and 1.0
+    are one key).
+    """
+    loader = yaml.SafeLoader(io.StringIO(text))
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None, []
+        duplicates = []
+        _find_duplicate_keys(loader, node, "", duplicates, set())
+        return loader.construct_document(node), duplicates
+    finally:
+        loader.dispose()
+
+
+def _find_duplicate_keys(loader, node, path, out, seen):
+    if id(node) in seen:  # an alias of a node already walked
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for k, item in enumerate(node.value):
+            _find_duplicate_keys(loader, item, f"{path}[{k}]", out, seen)
+    elif isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key_node, value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # merged keys may be overridden by design
+            key = loader.construct_object(key_node, deep=True)
+            sub = f"{path}.{key}" if path else str(key)
+            try:
+                if key in keys:
+                    out.append(f"{sub}: duplicated key")
+                keys.add(key)
+            except TypeError:  # unhashable; construction reports it
+                continue
+            _find_duplicate_keys(loader, value_node, sub, out, seen)
+
+
 def parse_config(text):
     """Parse and validate a YAML experiment config.
 
     Raises :class:`ConfigError` listing every violation with its path.
     """
     try:
-        raw = yaml.safe_load(io.StringIO(text))
+        raw, duplicates = _safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"<yaml>: {exc}"]) from exc
+    if duplicates:
+        raise ConfigError(duplicates)
     ck = _Checker()
     if not isinstance(raw, dict):
         raise ConfigError([f"<root>: expected a mapping, got {type(raw).__name__}"])

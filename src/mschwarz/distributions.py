@@ -9,7 +9,6 @@ sums; analytic families extend their tables on demand.
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -125,6 +124,9 @@ class PowerLawDistribution(_SeriesDistribution):
     def __init__(self, s):
         if s <= 0:
             raise ValueError(f"power-law exponent s={s} must be positive")
+        # imported here so that only power-law configs load scipy.special
+        from scipy.special import zeta
+
         self.s = float(s)
         self.Z = float(zeta(1.0 + s))
         super().__init__()

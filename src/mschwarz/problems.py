@@ -10,7 +10,10 @@ error, r_i = T_i e, from the global residual alone.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, get_lapack_funcs
+
+# scipy.linalg is imported inside the set-up functions that use it, never in
+# a per-step one, so that a run loads it only when its config needs it (the
+# diagonal model never does)
 
 
 # Right-hand-side entries per multi-column local solve in the greedy scan.
@@ -34,9 +37,18 @@ def _as_matrix(A):
 
 
 class Problem:
-    """An SPD form A, functional b, and the direct-solve reference solution."""
+    """An SPD form A, functional b, and the direct-solve reference solution.
+
+    ``_chol`` is ``(L, True)`` with the clean lower Cholesky factor
+    L = cholesky(A, lower=True), in the form ``cho_solve`` takes: ``potrs``
+    reads only the lower triangle, so the solves have the bits they have on
+    ``cho_factor``'s factor, and :func:`stability_constants` multiplies with
+    L instead of factoring A again.
+    """
 
     def __init__(self, A, b, exact_solution=None):
+        from scipy.linalg import cho_solve, cholesky
+
         A = _as_matrix(A)
         b = np.asarray(b, dtype=float)
         n = A.shape[0]
@@ -48,7 +60,7 @@ class Problem:
             raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
         A = 0.5 * (A + A.T)
         try:
-            self._chol = cho_factor(A, lower=True)
+            self._chol = (cholesky(A, lower=True), True)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
         self.A = A
@@ -68,6 +80,8 @@ class Problem:
             raise ValueError("supplied exact solution does not solve A u = b")
 
     def solve(self, rhs):
+        from scipy.linalg import cho_solve
+
         return cho_solve(self._chol, rhs)
 
 
@@ -111,6 +125,8 @@ class SplittingComponent:
         self._set_local_form(index, A_local)
 
     def _set_local_form(self, index, A_local):
+        from scipy.linalg import cho_factor, get_lapack_funcs
+
         A_local = 0.5 * (A_local + A_local.T)
         try:
             self._chol = cho_factor(A_local, lower=True)
@@ -260,19 +276,32 @@ def local_solve(problem, component, g):
     )
 
 
-def _component_lambda(problem, component):
-    G = component.galerkin(problem.A)
-    w = eigh(0.5 * (G + G.T), component.A_local, eigvals_only=True)
+def _component_lambda(G, A_local):
+    """sqrt of the largest eigenvalue of the pencil (sym(G), A_local)."""
+    from scipy.linalg import eigh
+
+    w = eigh(0.5 * (G + G.T), A_local, eigvals_only=True)
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
 def uniform_bound_lambda(problem, splitting):
-    """Smallest constant with ||R_i v||_a <= Lambda ||v||_{a_i} for all i."""
+    """Smallest constant with ||R_i v||_a <= Lambda ||v||_{a_i} for all i.
+
+    The generalized eigenproblem is solved once per distinct byte-equal
+    (Galerkin block, local form) pair: the overlapping blocks of a uniform
+    grid share one, and equal inputs give equal eigenvalues.
+    """
     stored = getattr(splitting, "uniform_bound", None)
     if stored is not None:
         return float(stored)
     if splitting._lambda is None:
-        splitting._lambda = max(_component_lambda(problem, c) for c in splitting)
+        lams = {}
+        for c in splitting:
+            G = c.galerkin(problem.A)
+            key = (G.tobytes(), c.A_local.tobytes())
+            if key not in lams:
+                lams[key] = _component_lambda(G, c.A_local)
+        splitting._lambda = max(lams.values())
     return splitting._lambda
 
 
@@ -309,13 +338,21 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T, once per splitting.  A rank-deficient splitting is
-    reported with kappa = inf rather than raised.
+    with A = L L^T, once per splitting.  L is the factor the problem stores,
+    and the form is built and symmetrized in place, so at most three n x n
+    arrays are alive at once (S, L^T S and the form).  A rank-deficient
+    splitting is reported with kappa = inf rather than raised.
     """
     if splitting._spectrum is None:
-        L = cholesky(problem.A, lower=True)
-        M = L.T @ additive_schwarz_sum(problem, splitting) @ L
-        w = eigh(0.5 * (M + M.T), eigvals_only=True)
+        from scipy.linalg import eigh
+
+        L = problem._chol[0]
+        M = L.T @ additive_schwarz_sum(problem, splitting)
+        M = M @ L
+        # the bits of 0.5 * (M + M.T): numpy buffers the overlapping M.T
+        np.add(M, M.T, out=M)
+        M *= 0.5
+        w = eigh(M, eigvals_only=True, overwrite_a=True)
         splitting._spectrum = (float(w[0]), float(w[-1]))
     lam_min, lam_max = splitting._spectrum
     if lam_min <= rank_tol * max(lam_max, 1.0):
@@ -360,6 +397,8 @@ def representation_block_norms(problem, splitting, u):
     stationarity condition of the quadratic program), so one n x n solve
     replaces the KKT system of size sum_i d_i + n.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     S = additive_schwarz_sum(problem, splitting)
     y = cho_solve(cho_factor(S, lower=True), np.asarray(u, dtype=float))
     norms = []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mschwarz.problems as problems_module
 from mschwarz import DiagonalModel
@@ -260,32 +261,72 @@ class TestLibraryErrors:
         assert lines and all(line.startswith("PASS ") for line in lines)
 
 
+class TestDuplicatedKeys:
+    @pytest.mark.parametrize("text, path", [
+        (DIAG_GREEDY.replace("[0.5, 0.25, 0.125]", "{1: 0.5, 1.0: 0.3}"),
+         "problem.coefficients.1.0"),
+        (DIAG_GREEDY + "steps: 5\n", "steps"),
+    ], ids=["coefficient-index", "steps"])
+    def test_duplicated_key_exits_2_with_its_path(self, tmp_path, capsys, text, path):
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: duplicated key" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+
 class TestCheckSetupWork:
     def test_check_solves_the_stability_eigenproblem_once(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, POISSON_SMALL + "bounds: true\n")
         calls = []
-        eigh = problems_module.eigh
+        eigh = scipy.linalg.eigh
         # the stability spectrum is the one eigh call with a single matrix;
-        # Lambda's per-component calls pass a second (local) matrix
-        monkeypatch.setattr(problems_module, "eigh",
+        # Lambda's per-form calls pass a second (local) matrix.  The library
+        # imports eigh inside its set-up functions, so it calls the patched one
+        monkeypatch.setattr(scipy.linalg, "eigh",
                             lambda *a, **k: calls.append(len(a)) or eigh(*a, **k))
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert calls.count(1) == 1
 
 
-def test_diagonal_expect_does_not_import_scipy_sparse(tmp_path):
-    cfg = write_config(tmp_path, ORACLE_EXPECT)
+POWER_LAW_EXPECT = DIAG_GREEDY.replace(
+    "kind: greedy\n  beta: 1.0\n  pool: support_union",
+    "kind: random\n  family:\n    kind: power_law\n    s: 0.5\n  truncation:\n    D: 1.0",
+).replace("steps: 50", "steps: 20\ntrials: 20")
+
+POISSON_UNIFORM_RUN = POISSON_SMALL.replace(
+    "kind: greedy\n  beta: 1.0\n  pool: growing",
+    "kind: random\n  family:\n    kind: uniform",
+)
+
+
+def _loaded(modules, name):
+    return any(m == name or m.startswith(name + ".") for m in modules)
+
+
+@pytest.mark.parametrize("command, text, loaded, not_loaded", [
+    (None, None, [], ["scipy"]),
+    ("expect", POWER_LAW_EXPECT, ["scipy.special"], ["scipy.linalg", "scipy.sparse"]),
+    ("expect", ORACLE_EXPECT, [], ["scipy"]),
+    ("run", POISSON_UNIFORM_RUN, ["scipy.linalg", "scipy.sparse"], ["scipy.special"]),
+], ids=["import-cli", "diagonal-power-law", "diagonal-explicit", "poisson-uniform"])
+def test_scipy_modules_loaded_only_where_the_config_needs_them(
+        tmp_path, command, text, loaded, not_loaded):
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys\n"
-        "from mschwarz.cli import main\n"
-        f"assert main(['expect', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print('scipy.sparse' in sys.modules)\n"
-    )
+    code = "import sys\nfrom mschwarz.cli import main\n"
+    if command is not None:
+        cfg = write_config(tmp_path, text)
+        code += f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+    code += "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    modules = out.splitlines()[-1].split() if out.strip() else []
+    for name in loaded:
+        assert _loaded(modules, name), name
+    for name in not_loaded:
+        assert not _loaded(modules, name), name
 
 
 POISSON_GREEDY_FIXED = POISSON_SMALL.replace("pool: growing", "pool: fixed")

@@ -53,6 +53,33 @@ class TestParsing:
         paths = "\n".join(exc.value.errors)
         assert "selection.beta" in paths and "steps" in paths
 
+    def test_duplicated_index_key_rejected(self):
+        # 1 and 1.0 are one mapping key; YAML alone would keep 0.3 silently
+        bad = MINIMAL.replace("[1.0, 0.5]", "{1: 0.5, 1.0: 0.3}")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        assert exc.value.errors == ["problem.coefficients.1.0: duplicated key"]
+
+    def test_duplicated_top_level_key_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "steps: 5\n")
+        assert exc.value.errors == ["steps: duplicated key"]
+
+    def test_duplicated_nested_key_reports_its_path(self):
+        bad = MINIMAL + "rate_fit: {lo: 1, hi: 2, lo: 3}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        assert exc.value.errors == ["rate_fit.lo: duplicated key"]
+
+    def test_aliases_and_merge_keys_still_parse(self):
+        text = MINIMAL.replace(
+            "problem:\n  kind: diagonal\n  coefficients: [1.0, 0.5]",
+            "problem:\n  <<: &p {kind: diagonal, coefficients: [2.0]}\n"
+            "  coefficients: [1.0, 0.5]",
+        )
+        assert parse_config(text).data["problem"] == {"kind": "diagonal",
+                                                      "coefficients": [1.0, 0.5]}
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("problem:\n  kind: diagonal\n  coefficients: [1.0]\n")

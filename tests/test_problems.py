@@ -1,7 +1,10 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 
 import mschwarz.problems as problems_module
 from mschwarz import (
@@ -30,7 +33,7 @@ from mschwarz import (
     uniform_bound_lambda,
     uniform_distribution,
 )
-from mschwarz.problems import UnstableSplittingError
+from mschwarz.problems import UnstableSplittingError, additive_schwarz_sum
 
 
 def identity_splitting(problem):
@@ -529,13 +532,22 @@ class TestStepStateAgainstRecompute:
         check(state)
 
 
+def count_eigh_calls(monkeypatch):
+    """Record the positional arguments of every scipy.linalg.eigh call.
+
+    The library imports eigh inside the set-up functions, so the patched
+    module attribute is the one it calls.
+    """
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    return calls
+
+
 class TestSetupCaching:
     def test_second_stability_call_does_no_eigensolve(self, monkeypatch):
         problem, splitting = make_poisson_1d(64, TWO_LEVEL)
-        calls = []
-        eigh = problems_module.eigh
-        monkeypatch.setattr(problems_module, "eigh",
-                            lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        calls = count_eigh_calls(monkeypatch)
         first = stability_constants(problem, splitting)
         assert len(calls) == 1
         assert stability_constants(problem, splitting) == first
@@ -549,3 +561,76 @@ class TestSetupCaching:
             assert float(norms @ norms) == pytest.approx(
                 representation_norm_sq(problem, splitting, u), rel=1e-10
             )
+
+
+def reference_spectrum(problem, splitting):
+    """(lam_min, lam_max) as stability_constants computed them before it
+    reused the problem's factor, verbatim: A factored a second time and the
+    symmetrization into new arrays."""
+    L = cholesky(problem.A, lower=True)
+    M = L.T @ additive_schwarz_sum(problem, splitting) @ L
+    w = eigh(0.5 * (M + M.T), eigvals_only=True)
+    return float(w[0]), float(w[-1])
+
+
+def component_lambda(problem, c):
+    G = c.galerkin(problem.A)
+    w = eigh(0.5 * (G + G.T), c.A_local, eigvals_only=True)
+    return float(np.sqrt(max(w[-1], 0.0)))
+
+
+SETUP_CASES = {
+    **{name: lambda name=name: make_poisson_1d(*POISSON_SPLITTINGS[name])
+       for name in ("blocks-128", "two-level-128", "two-level-1024")},
+    "mixed-dense-R": mixed_splitting,
+    "diagonal-dense": lambda: DiagonalModel([1.0, -0.5, 0.25, 2.0]).to_dense(),
+}
+
+
+class TestLeanSetup:
+    """The stored clean factor, the in-place stability form and the
+    deduplicated Lambda keep the bits of the straightforward computations."""
+
+    @pytest.mark.parametrize("case", ["two-level-128", "two-level-1024", "mixed-dense-R",
+                                      "diagonal-dense"])
+    def test_problem_keeps_the_clean_lower_factor(self, case):
+        problem, _ = SETUP_CASES[case]()
+        L, lower = problem._chol
+        assert lower is True
+        assert np.array_equal(L, cholesky(problem.A, lower=True))
+        # the solve on cho_factor's factor, whose upper triangle holds A
+        want = cho_solve(cho_factor(problem.A, lower=True), problem.b)
+        assert np.array_equal(problem.exact_solution, want)
+        assert np.array_equal(problem.solve(problem.b), want)
+
+    @pytest.mark.parametrize("case", sorted(SETUP_CASES))
+    def test_stability_spectrum_has_the_reference_bits(self, case):
+        problem, splitting = SETUP_CASES[case]()
+        want = reference_spectrum(problem, splitting)
+        sc = stability_constants(problem, splitting)
+        assert (sc.lam_min, sc.lam_max) == want
+
+    def test_stability_peak_memory_is_three_matrices(self):
+        n, spec = POISSON_SPLITTINGS["two-level-1024"]
+        problem, splitting = make_poisson_1d(n, spec)
+        tracemalloc.start()
+        try:
+            stability_constants(problem, splitting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S, L^T S and the form, plus eigh's workspace
+        assert peak <= 3.25 * n * n * 8
+
+    @pytest.mark.parametrize("case, solves", [
+        ("two-level-1024", 2),  # 21 equal blocks and the coarse component
+        ("mixed-dense-R", 7),  # every Galerkin block of a random A differs
+        ("diagonal-dense", 1),
+    ])
+    def test_lambda_solves_once_per_distinct_form(self, monkeypatch, case, solves):
+        problem, splitting = SETUP_CASES[case]()
+        want = max(component_lambda(problem, c) for c in splitting)
+        calls = count_eigh_calls(monkeypatch)
+        assert uniform_bound_lambda(problem, splitting) == want
+        assert len(calls) == solves
+
