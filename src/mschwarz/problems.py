@@ -24,6 +24,22 @@ import numpy as np
 # not depend on the block it is solved in.
 SOLVE_BLOCK_ENTRIES = 1023
 
+# Column piece of OpenBLAS's dgemv.  It sums a row of A @ d in pieces of this
+# many columns and adds the pieces' sums, so a tile of A d (see
+# MatrixSchwarzModel) whose columns cross a multiple of it would round its
+# rows differently from the full product (rows 2047 and 2048 mismatched at
+# every n > 2048); such a tile spans all columns instead.
+DGEMV_COLUMN_PIECE = 2048
+
+# The column multiple a tile of A d starts and ends on.  So aligned, every
+# term of a row falls in the SIMD lane it has in the full row (in 40 random
+# products at n = 1024, windows aligned to 1 or 2 columns mismatched, and
+# windows aligned to 4 or more matched).
+TILE_COLUMN_ALIGN = 64
+
+# Rows per tile of A d: a tile then reads little more than the band of A.
+TILE_ROWS = 64
+
 
 class UnstableSplittingError(ValueError):
     """Raised when a finite splitting fails to span the full space."""
@@ -352,7 +368,9 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
         # the bits of 0.5 * (M + M.T): numpy buffers the overlapping M.T
         np.add(M, M.T, out=M)
         M *= 0.5
-        w = eigh(M, eigvals_only=True, overwrite_a=True)
+        # M is now exactly symmetric, so its Fortran-ordered view M.T is the
+        # same matrix, and eigh works on it in place instead of on a copy
+        w = eigh(M.T, eigvals_only=True, overwrite_a=True)
         splitting._spectrum = (float(w[0]), float(w[-1]))
     lam_min, lam_max = splitting._spectrum
     if lam_min <= rank_tol * max(lam_max, 1.0):
@@ -408,6 +426,32 @@ def representation_block_norms(problem, splitting, u):
     return np.array(norms)
 
 
+def image_tiles(A_csr, lo, hi):
+    """The tiles ``(rows, cols)`` of the rows [lo, hi) of A for a tiled A @ d.
+
+    Rows go in tiles of TILE_ROWS; a one-row remainder joins the tile
+    before it, because numpy computes a one-row product with ``ddot``, not
+    ``dgemv``.  A tile's columns are the stored columns of its rows, widened
+    out to multiples of TILE_COLUMN_ALIGN (or to n), and to all columns when
+    they cross a multiple of DGEMV_COLUMN_PIECE.  Then, row by row,
+    ``A[rows, cols] @ d[cols]`` has the bits of ``A @ d``.
+    """
+    n = A_csr.shape[1]
+    indptr, indices = A_csr.indptr, A_csr.indices
+    starts = list(range(lo, hi, TILE_ROWS))
+    if len(starts) > 1 and hi - starts[-1] == 1:
+        del starts[-1]
+    tiles = []
+    for start, stop in zip(starts, starts[1:] + [hi]):
+        cols = indices[indptr[start]:indptr[stop]]
+        first = int(cols.min()) // TILE_COLUMN_ALIGN * TILE_COLUMN_ALIGN
+        last = min(-(-(int(cols.max()) + 1) // TILE_COLUMN_ALIGN) * TILE_COLUMN_ALIGN, n)
+        if first // DGEMV_COLUMN_PIECE != (last - 1) // DGEMV_COLUMN_PIECE:
+            first, last = 0, n
+        tiles.append((slice(start, stop), slice(first, last)))
+    return tiles
+
+
 class MatrixSchwarzState:
     """Iteration state for a matrix problem: u and the cached product w = A u."""
 
@@ -428,12 +472,21 @@ class MatrixSchwarzModel:
     Every product that feeds omega, alpha, u or w (A d, b.d, w.d, d.Ad) is
     the dense one, so a run's picks do not depend on how A is stored: on
     splittings with exactly tied local norms rounding decides the pick.
-    A d for d = R_i r is the dense product restricted to the rows [lo, hi)
-    of A that R_i reaches, found once per component from the CSR pattern:
-    each of those rows is the same dense dot product as in A @ d, and every
-    other row is the +0.0 the full product gives (pinned by test).  For the
-    two-level coarse component the rows are all of A, and the refresh of w
-    is the full product.  Only the reported error uses a CSR copy of A.
+    A d for d = R_i r is computed in tiles, found once per component from
+    the CSR pattern (:func:`image_tiles`): the rows [lo, hi) of A that R_i
+    reaches, in tiles of TILE_ROWS rows, each multiplied on only the columns
+    its rows store, ``Ad[rows] = A[rows, cols] @ d[cols]``.  Every other row
+    is the +0.0 the full product gives.  Each tiled row is the same BLAS
+    ``dgemv`` over the same nonzero terms as in A @ d, so the same bits, by
+    three properties of the BLAS and numpy that tests pin: the columns start
+    and end on multiples of TILE_COLUMN_ALIGN (or at n), so every term keeps
+    its SIMD lane; a tile whose columns would cross a multiple of
+    DGEMV_COLUMN_PIECE, where the full product starts a new piece of its row
+    sums, spans all columns; and no tile has a single row, which numpy would
+    hand to ``ddot``.  The two-level coarse component reaches every row but
+    is multiplied on little more than the band of A.  The refresh of w stays
+    the full product: it is the independent recompute.  Only the reported
+    error uses a CSR copy of A.
 
     The greedy pool scan works on factor groups: components whose local
     forms and stored Cholesky factors are byte-equal (all overlapping
@@ -465,7 +518,8 @@ class MatrixSchwarzModel:
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
         self._A_csr = csr_array(problem.A)
-        self._windows = {int(i): self._reached_rows(splitting[i]) for i in splitting.indices()}
+        self._tiles = {int(i): image_tiles(self._A_csr, *self._reached_rows(splitting[i]))
+                       for i in splitting.indices()}
         self._group_of = self._factor_groups()
         # (i, r, d, A d) of the last direction: one step needs A d for its
         # relaxation parameters and again for the update of w
@@ -528,7 +582,7 @@ class MatrixSchwarzModel:
             cols = indices[indptr[component.span.start]:indptr[component.span.stop]]
         else:
             cols = indices[np.repeat(component.R.any(axis=1), np.diff(indptr))]
-        return slice(int(cols.min()), int(cols.max()) + 1)
+        return int(cols.min()), int(cols.max()) + 1
 
     def component_count(self):
         return self.splitting.N
@@ -584,9 +638,10 @@ class MatrixSchwarzModel:
         last = self._last_direction
         if last is None or last[1] is not r or last[0] != i:
             d = self.direction(i, r)
-            rows = self._windows[i]
+            A = self.problem.A
             Ad = np.zeros(self.problem.n)
-            Ad[rows] = self.problem.A[rows] @ d
+            for rows, cols in self._tiles[i]:
+                Ad[rows] = A[rows, cols] @ d[cols]
             last = self._last_direction = (i, r, d, Ad)
         return last[2], last[3]
 

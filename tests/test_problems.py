@@ -1,10 +1,12 @@
 import collections
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
+from scipy.sparse import csr_array
 
 import mschwarz.problems as problems_module
 from mschwarz import (
@@ -33,6 +35,7 @@ from mschwarz import (
     uniform_bound_lambda,
     uniform_distribution,
 )
+from mschwarz.poisson import poisson_matrix
 from mschwarz.problems import UnstableSplittingError, additive_schwarz_sum
 
 
@@ -311,48 +314,116 @@ POISSON_SPLITTINGS = {
 
 
 def full_rows(model):
-    """Force every component's A d onto all rows of A: the full dense product."""
-    model._windows = {i: slice(0, model.problem.n) for i in model._windows}
+    """Force every component's A d onto one tile of all rows and all columns
+    of A: the full dense product."""
+    everything = slice(0, model.problem.n)
+    model._tiles = {i: [(everything, everything)] for i in model._tiles}
     return model
 
 
-class TestImageWindowPinnedToDenseProduct:
-    """A d on the rows a component reaches is the full dense A @ d, bit for bit."""
+def blas_note():
+    """The BLAS numpy calls, as numpy reports it: the message of a test that
+    pins how that BLAS rounds, so that a failure after a BLAS upgrade reads
+    as one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration reported')})")
 
-    @pytest.mark.parametrize("name", sorted(POISSON_SPLITTINGS) + ["dense-R-128"])
+
+def assert_same_trace(got, want):
+    for field in ("index", "alpha", "omega", "local_norm"):
+        assert np.array_equal(getattr(got, field), getattr(want, field),
+                              equal_nan=field != "index"), f"{field}; {blas_note()}"
+    np.testing.assert_allclose(got.error, want.error, rtol=1e-12, atol=0.0)
+
+
+@functools.cache
+def two_level_2100():
+    """A two-level splitting on more than DGEMV_COLUMN_PIECE columns, whose
+    last block reaches 65 rows."""
+    return make_poisson_1d(2100, POISSON_SPLITTINGS["two-level-1024"][1])
+
+
+def dense_two_level_128():
+    problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+    return problem, dense_copy(problem, splitting)
+
+
+IMAGE_CASES = {
+    **{name: lambda name=name: make_poisson_1d(*POISSON_SPLITTINGS[name])
+       for name in POISSON_SPLITTINGS},
+    "two-level-2100": two_level_2100,
+    "dense-R-128": dense_two_level_128,
+}
+
+
+def assert_tile_rules(tiles, lo, hi, n):
+    """The tiles cover the rows [lo, hi) in order, no tile has one row unless
+    the window does, columns start on a multiple of 64 and end on one or at
+    n, and a tile that crosses a multiple of 2048 columns spans them all."""
+    rows = [t for t, _ in tiles]
+    assert rows[0].start == lo and rows[-1].stop == hi
+    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    for t, cols in tiles:
+        assert t.stop - t.start > 1 or hi - lo == 1, (t, lo, hi)
+        assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), cols
+        if cols.start // 2048 != (cols.stop - 1) // 2048:
+            assert cols == slice(0, n), cols
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want), blas_note()
+    assert np.array_equal(np.signbit(got), np.signbit(want)), blas_note()
+
+
+SCALES = (1e-8, 1.0, 1e8)
+
+
+class TestImageTilesPinnedToDenseProduct:
+    """A d tile by tile is the full dense A @ d, bit for bit."""
+
+    @pytest.mark.parametrize("n", [128, 1000, 1023, 1024, 1025, 2100, 4096])
+    def test_tiles_of_all_rows(self, n):
+        A = poisson_matrix(n)
+        tiles = problems_module.image_tiles(csr_array(A), 0, n)
+        assert_tile_rules(tiles, 0, n, n)
+        rng = np.random.default_rng(n)
+        for scale in SCALES:
+            for _ in range(3):
+                d = rng.standard_normal(n) * scale
+                Ad = np.zeros(n)
+                for rows, cols in tiles:
+                    Ad[rows] = A[rows, cols] @ d[cols]
+                assert_same_bits(Ad, A @ d)
+
+    @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
     def test_every_component_image_equals_full_product(self, name):
-        if name == "dense-R-128":
-            problem, splitting = make_poisson_1d(128, TWO_LEVEL)
-            splitting = dense_copy(problem, splitting)
-        else:
-            problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS[name])
+        problem, splitting = IMAGE_CASES[name]()
         model = MatrixSchwarzModel(problem, splitting)
         rng = np.random.default_rng(31)
         for c in splitting:
             # A is tridiagonal: the nonzero rows of R and one neighbour each side
             nonzero = np.flatnonzero(c.R.any(axis=1))
-            assert model._windows[c.index] == slice(
-                max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, problem.n))
-            for _ in range(4):
-                r = rng.standard_normal(c.dim)
-                d, Ad = model._direction_and_image(c.index, r)
-                full = problem.A @ d
-                assert np.array_equal(Ad, full)
-                assert np.array_equal(np.signbit(Ad), np.signbit(full))
+            lo, hi = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, problem.n)
+            tiles = model._tiles[c.index]
+            assert_tile_rules(tiles, lo, hi, problem.n)
+            for scale in SCALES:
+                for _ in range(2):
+                    r = rng.standard_normal(c.dim) * scale
+                    d, Ad = model._direction_and_image(c.index, r)
+                    assert_same_bits(Ad, problem.A @ d)
 
+    @pytest.mark.parametrize("name, steps", [("two-level-1024", 400), ("two-level-2100", 100)])
     @pytest.mark.parametrize("rule", ["greedy", "random"])
-    def test_two_level_run_equals_run_on_full_rows(self, rule):
-        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
+    def test_two_level_run_equals_run_on_full_rows(self, rule, name, steps):
+        problem, splitting = IMAGE_CASES[name]()
         select = GreedyRule(1.0) if rule == "greedy" else RandomRule(uniform_distribution(splitting.N))
-        traces = [
-            run(model, select, GAWRRelaxation(), 400, seed=3)
+        tiled, full = (
+            run(model, select, GAWRRelaxation(), steps, seed=3)
             for model in (MatrixSchwarzModel(problem, splitting),
                           full_rows(MatrixSchwarzModel(problem, splitting)))
-        ]
-        for field in ("index", "alpha", "omega", "local_norm"):
-            assert np.array_equal(getattr(traces[0], field), getattr(traces[1], field),
-                                  equal_nan=field != "index"), field
-        np.testing.assert_allclose(traces[0].error, traces[1].error, rtol=1e-12, atol=0.0)
+        )
+        assert_same_trace(tiled, full)
 
 
 class TestGreedyScanReuse:
@@ -401,13 +472,6 @@ class LoopScanModel(MatrixSchwarzModel):
             out[k] = res.local_norm
         self._loop_scan = (state.w, solved)
         return out
-
-
-def assert_same_trace(got, want):
-    for field in ("index", "alpha", "omega", "local_norm"):
-        assert np.array_equal(getattr(got, field), getattr(want, field),
-                              equal_nan=field != "index"), field
-    np.testing.assert_allclose(got.error, want.error, rtol=1e-12, atol=0.0)
 
 
 def mixed_splitting():
@@ -471,13 +535,13 @@ class TestGroupedScanPinnedToLoop:
         assert list(indices) == [1, 2, 3, 4, 5, 6, 2]
         state = model.new_state()
         norms = model.pool_local_norms(state, indices)
-        assert norms.tobytes() == loop.pool_local_norms(state, indices).tobytes()
+        assert norms.tobytes() == loop.pool_local_norms(state, indices).tobytes(), blas_note()
         assert norms[0] == 0.0 and np.all(norms[1:] > 0.0)
         for i in indices:
             got = model.local_residual(state, i)
             want = local_solve(problem, splitting[i], problem.b - state.w)
-            assert got.index == i and got.local_norm == want.local_norm
-            assert got.r.tobytes() == want.r.tobytes()
+            assert got.index == i and got.local_norm == want.local_norm, blas_note()
+            assert got.r.tobytes() == want.r.tobytes(), blas_note()
         # the duplicated index is the first component 2, not the second
         assert model.local_residual(state, 2).r.tobytes() == local_solve(
             problem, splitting.components[1], problem.b).r.tobytes()
@@ -506,9 +570,9 @@ class TestBatchedLocalKernels:
                     norms = c.local_norms(xs)
                     for j in range(width):
                         x = c.solve_local(rhs[j])
-                        assert xs[j].tobytes() == x.tobytes()
+                        assert xs[j].tobytes() == x.tobytes(), blas_note()
                         want = float(np.sqrt(max(c.local_inner(x, x), 0.0)))
-                        assert norms[j] == want
+                        assert norms[j] == want, blas_note()
 
 
 class TestStepStateAgainstRecompute:
@@ -609,6 +673,15 @@ class TestLeanSetup:
         want = reference_spectrum(problem, splitting)
         sc = stability_constants(problem, splitting)
         assert (sc.lam_min, sc.lam_max) == want
+
+    def test_stability_eigh_gets_a_fortran_ordered_form(self, monkeypatch):
+        problem, splitting = SETUP_CASES["two-level-128"]()
+        calls = count_eigh_calls(monkeypatch)
+        stability_constants(problem, splitting)
+        [(form,)] = calls
+        # LAPACK works on a Fortran-ordered array in place; a C-ordered one
+        # it would receive as a copy
+        assert form.flags.f_contiguous
 
     def test_stability_peak_memory_is_three_matrices(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
