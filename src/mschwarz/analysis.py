@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import DiagonalModel
+from .distributions import ExplicitDistribution
 from .solver import GAWRRelaxation, PureRelaxation, RandomRule, run
 
 
@@ -191,70 +192,116 @@ def _finalize_estimate(sums, sumsq, K):
     return ExpectationEstimate(mean=mean, stderr=np.sqrt(var / K), trials=K)
 
 
-# Trials are summed in groups of this many rows, in row order; chunks and row
-# blocks only tile a group, so the sums do not depend on the budgets below.
+# Trials are summed in groups of this many rows, in row order; row blocks only
+# tile a group, so the sums do not depend on the budgets below.
 _MC_GROUP = 4096
-# Bytes for one chunk of trials: its uniforms (overwritten by the support
-# positions they map to) and its per-step errors.
-MC_CHUNK_BYTES = 64 << 20
+# Cap on the bytes of one row block's uniforms (overwritten by the support
+# positions they map to) and per-step errors, which grow with the step count.
+MC_CHUNK_BYTES = 16 << 20
 # Bytes for one row block of the recursion: its state, the error scratch and
 # the tiled coefficients, sized to stay in a core's L2 cache.
 MC_CACHE_BYTES = 1 << 20
 
 
-def _chunk_rows(M):
-    """Trials per chunk: the largest power of two <= _MC_GROUP within
-    MC_CHUNK_BYTES, so that chunks tile the accumulation groups."""
-    if M == 0:
-        # a single error column is summed pairwise by numpy, so its group is
-        # never split; it costs 8 bytes a trial
-        return _MC_GROUP
-    rows = _MC_GROUP
-    while rows > 1 and rows * 8 * (2 * M + 1) > MC_CHUNK_BYTES:
-        rows //= 2
-    return rows
+def _step_maps(model, selection, M):
+    """The map of every step from a block of uniforms (steps x trials) to
+    the support positions of the indices they draw (-1: off the support),
+    built once per run; it overwrites the block in place with the int64
+    positions.
+
+    A fixed distribution maps the whole block through its own
+    ``sample_from_uniform``.  A step-dependent schedule keeps, for each step
+    whose table is an ``ExplicitDistribution``, only the table boundaries
+    (see ``ExplicitDistribution.boundaries``) that open or close the interval
+    of a support index: a ``searchsorted`` finds the interval of each
+    uniform, and a label per interval, the same at every step, gives its
+    position.  A step with any other distribution samples from it.
+    """
+    if not callable(selection.schedule):
+        dist = selection.schedule
+
+        def to_positions(U):
+            U.view(np.int64)[:] = model.support_positions(dist.sample_from_uniform(U))
+
+        return to_positions
+
+    support = model.support_indices
+    # boundary k closes the interval of index k and opens that of index k+1
+    ks = np.union1d(support - 1, support)
+    ks = ks[ks > 0]
+    # the uniforms that ``searchsorted`` puts at c lie between boundaries
+    # lo[c] and hi[c] (the last has none above); they draw a single index
+    # exactly when hi[c] == lo[c] + 1
+    lo = np.concatenate(([0], ks))
+    one = lo + 1
+    labels = np.where(np.append(ks, 0) == one, model.support_positions(one), -1)
+    bounds = np.empty((M, ks.size))
+    sampled = {}
+    for m in range(M):
+        dist = selection.distribution(m)
+        if isinstance(dist, ExplicitDistribution):
+            bounds[m] = dist.boundaries(ks)
+        else:
+            sampled[m] = dist
+
+    def to_positions(U):
+        pos = U.view(np.int64)
+        for m in range(M):
+            if m in sampled:
+                pos[m] = model.support_positions(sampled[m].sample_from_uniform(U[m]))
+            else:
+                np.take(labels, np.searchsorted(bounds[m], U[m], side="right"), out=pos[m])
+
+    return to_positions
 
 
 def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
-    """The diagonal-model Monte Carlo kernel: all trials step by step at once.
+    """The diagonal-model Monte Carlo kernel: one row block of trials at a time.
 
     Trial t replays ``run`` on its own stream from (master_seed, t), so the
-    result is stream-identical to the generic loop. Trials are processed in
-    chunks of ``_chunk_rows(M)`` and the recursion in row blocks of about
-    MC_CACHE_BYTES; the bits of ``mean`` and ``stderr`` do not depend on
-    either budget, because every per-trial operation is elementwise or a
-    reduction along one row, and the per-step sums over trials are taken in
-    row order within groups of _MC_GROUP trials.
+    result is stream-identical to the generic loop.  Each step's sampling map
+    is built once per run (``_step_maps``).  A row block of trials, about
+    MC_CACHE_BYTES of recursion state and at most MC_CHUNK_BYTES of uniforms
+    and errors, draws its uniforms, maps them to support positions, runs the
+    M-step recursion and folds its errors into the sums of its group.  The
+    bits of ``mean`` and ``stderr`` do not depend on either budget, because
+    every per-trial operation is elementwise or a reduction along one row,
+    and the per-step sums over trials are taken in row order within groups
+    of _MC_GROUP trials.
     """
     c = model.coefficients
     d = c.size
     alphas = None if isinstance(relaxation, PureRelaxation) else np.array(
         [relaxation.alpha(m) for m in range(M)])
-    block = max(1, MC_CACHE_BYTES // (24 * max(d, 1)))
-    chunk = _chunk_rows(M)
+    to_positions = _step_maps(model, selection, M)
+    cache_rows = max(1, MC_CACHE_BYTES // (24 * max(d, 1)))
+    if M == 0:
+        # a single error column is summed pairwise by numpy, so its group is
+        # never split; it costs 8 bytes a trial
+        rows = min(_MC_GROUP, K)
+    else:
+        rows = max(1, min(_MC_GROUP, K, cache_rows, MC_CHUNK_BYTES // (8 * (2 * M + 1))))
+    # one row per step and one column per trial
+    U_buf = np.empty((M, rows))
+    # after the first row block of a group, row 0 carries the group's partial
+    # sum, so the sum over rows continues it in row order
+    errs_buf = np.empty((1 + rows, M + 1))
 
     sums = np.zeros(M + 1)
     sumsq = np.zeros(M + 1)
     for group in range(0, K, _MC_GROUP):
         group_end = min(group + _MC_GROUP, K)
         gsum = gsumsq = None
-        for start in range(group, group_end, chunk):
-            B = min(chunk, group_end - start)
-            # one row per step, one column per trial; each step's uniforms
-            # are overwritten in place by the support positions they map to
-            # (-1: no support coefficient)
-            U = np.empty((M, B))
-            for t in range(B):
-                U[:, t] = np.random.default_rng(_trial_seed(master_seed, start + t)).random(M)
-            pos = U.view(np.int64)
-            for m in range(M):
-                pos[m] = model.support_positions(
-                    selection.distribution(m).sample_from_uniform(U[m]))
-            # after the first chunk of a group, row 0 carries the group's
-            # partial sum, so the sum over rows continues it in row order
+        for start in range(group, group_end, rows):
+            B = min(rows, group_end - start)
+            U = U_buf[:, :B]
+            if M:
+                for t in range(B):
+                    U[:, t] = np.random.default_rng(_trial_seed(master_seed, start + t)).random(M)
+                to_positions(U)
             lead = 0 if gsum is None else 1
-            errs = np.empty((lead + B, M + 1))
-            _diagonal_recursion(c, pos, alphas, model.zero_tol, errs[lead:], block)
+            errs = errs_buf[:lead + B]
+            _diagonal_recursion(c, U.view(np.int64), alphas, model.zero_tol, errs[lead:], cache_rows)
             if lead:
                 errs[0] = gsum
             gsum = errs.sum(axis=0)
@@ -262,7 +309,6 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
             if lead:
                 errs[0] = gsumsq
             gsumsq = errs.sum(axis=0)
-            del U, pos, errs  # freed before the next chunk allocates its own
         sums += gsum
         sumsq += gsumsq
     return _finalize_estimate(sums, sumsq, K)

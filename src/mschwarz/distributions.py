@@ -37,12 +37,28 @@ class ExplicitDistribution:
         return self.probs[:N]
 
     def sample(self, rng, size=None):
-        idx = self.sample_from_uniform(np.atleast_1d(rng.random(size)))
-        return int(idx[0]) if size is None else idx
+        if size is None:
+            # the draw and the index of sample_from_uniform, on a scalar
+            pos = int(np.searchsorted(self._cum, rng.random(), side="right"))
+            return min(pos, self.n - 1) + 1
+        return self.sample_from_uniform(np.atleast_1d(rng.random(size)))
 
     def sample_from_uniform(self, u):
         pos = np.searchsorted(self._cum, u, side="right")
         return np.minimum(pos, self.n - 1).astype(np.int64) + 1
+
+    def boundaries(self, ks):
+        """The table boundaries at the sorted positions ``ks`` >= 1.
+
+        ``sample_from_uniform`` draws index j from u exactly when boundary
+        j-1 <= u < boundary j, where boundary k is the partial sum
+        pi_1 + ... + pi_k for 1 <= k < n and +inf from n on (index n also
+        takes every u above its partial sum), and boundary 0 is -inf.
+        """
+        out = np.full(len(ks), np.inf)
+        below = np.searchsorted(ks, self.n)
+        out[:below] = self._cum[ks[:below] - 1]
+        return out
 
     def head_mass(self, N):
         if N <= 0:

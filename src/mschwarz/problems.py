@@ -111,11 +111,16 @@ def energy_norm(problem, v):
 
 @dataclass
 class BlockResidual:
-    """Local solution r_i = T_i e with its local energy norm."""
+    """Local solution r_i = T_i e with its local energy norm.
+
+    ``local_energy`` is max(r . A_i r, 0), the square under ``local_norm``,
+    where the solve computed it (None otherwise).
+    """
 
     index: int
     r: np.ndarray
     local_norm: float
+    local_energy: float = None
 
 
 class SplittingComponent:
@@ -176,14 +181,14 @@ class SplittingComponent:
     def local_inner(self, v, w):
         return float(v @ (self.A_local @ w))
 
-    def local_norms(self, xs):
-        """sqrt(max(x . A_i x, 0)) for every row x of ``xs``.
+    def local_energies(self, xs):
+        """max(x . A_i x, 0) for every row x of ``xs``.
 
         The two stacked products run, row by row, the same matrix-vector
-        and dot products as ``local_inner(x, x)``, so each norm has its bits.
+        and dot products as ``local_inner(x, x)``, so each value has its bits.
         """
         Ax = np.matmul(self.A_local, xs[:, :, None])
-        return np.sqrt(np.maximum(np.matmul(xs[:, None, :], Ax)[:, 0, 0], 0.0))
+        return np.maximum(np.matmul(xs[:, None, :], Ax)[:, 0, 0], 0.0)
 
 
 class CoordinateBlock(SplittingComponent):
@@ -285,11 +290,10 @@ def local_solve(problem, component, g):
     rhs = component.restrict(g)
     if not rhs.any():
         r = np.zeros(component.dim)
-        return BlockResidual(component.index, r, 0.0)
+        return BlockResidual(component.index, r, 0.0, 0.0)
     r = component.solve_local(rhs)
-    return BlockResidual(
-        component.index, r, float(np.sqrt(max(component.local_inner(r, r), 0.0)))
-    )
+    energy = max(component.local_inner(r, r), 0.0)
+    return BlockResidual(component.index, r, float(np.sqrt(energy)), float(energy))
 
 
 def _component_lambda(G, A_local):
@@ -504,7 +508,9 @@ class MatrixSchwarzModel:
     scan solved at the same cached w, ``local_residual`` builds the
     winner's ``BlockResidual`` from them instead of solving again.
     ``apply_update`` replaces ``state.w`` with a new array at every step,
-    so that w is compared by identity.
+    so that w is compared by identity.  The local energy max(r . A_i r, 0)
+    that the scan or the single solve took for the residual handed out last
+    is kept with it, and ``local_inner_sq`` returns it for that r.
     """
 
     refresh_every = 1000
@@ -526,8 +532,12 @@ class MatrixSchwarzModel:
         self._last_direction = None
         # (pool indices as bytes, scan plan) of the last pool
         self._last_plan = (None, None)
-        # (w, [(solutions, norms) per group], {i: (group, row)}) of the last scan
+        # (w, [(solutions, norms, energies) per group], {i: (group, row)}) of
+        # the last scan
         self._last_scan = (None, [], {})
+        # (i, r, max(r . A_i r, 0)) of the last local residual handed out:
+        # omega needs that energy again for the same r
+        self._last_energy = None
 
     def _factor_groups(self):
         """Group number of each component index.  Components share a group
@@ -597,10 +607,12 @@ class MatrixSchwarzModel:
         w, solved, where = self._last_scan
         if w is state.w and i in where:
             p, j = where[i]
-            xs, norms = solved[p]
-            return BlockResidual(int(i), xs[j], float(norms[j]))
-        g = self.problem.b - state.w
-        return local_solve(self.problem, self.splitting[i], g)
+            xs, norms, energies = solved[p]
+            res = BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j]))
+        else:
+            res = local_solve(self.problem, self.splitting[i], self.problem.b - state.w)
+        self._last_energy = (i, res.r, res.local_energy)
+        return res
 
     def pool_local_norms(self, state, indices):
         indices = np.asarray(indices, dtype=np.int64)
@@ -620,9 +632,10 @@ class MatrixSchwarzModel:
             nonzero = rhs.any(axis=0)
             if not nonzero.all():
                 xs[~nonzero] = 0.0
-            norms = comps[0].local_norms(xs)
+            energies = comps[0].local_energies(xs)
+            norms = np.sqrt(energies)
             out[ks] = norms
-            solved.append((xs, norms))
+            solved.append((xs, norms, energies))
         self._last_scan = (state.w, solved, where)
         return out
 
@@ -650,6 +663,10 @@ class MatrixSchwarzModel:
         return float(max(d @ Ad, 0.0))
 
     def local_inner_sq(self, i, r):
+        # ``r`` is compared by identity, as in _direction_and_image
+        last = self._last_energy
+        if last is not None and last[1] is r and last[0] == i and last[2] is not None:
+            return last[2]
         return float(max(self.splitting[i].local_inner(r, r), 0.0))
 
     def dir_functional(self, i, r):

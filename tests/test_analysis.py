@@ -233,6 +233,12 @@ def _truncated_rule():
     return RandomRule(TruncatedSchedule(PowerLawDistribution(0.5), 1.0))
 
 
+def _mixed_rule():
+    # a truncated table at even steps, an untruncated series at odd ones
+    truncated, series = TruncatedSchedule(PowerLawDistribution(0.5), 1.0), PowerLawDistribution(2.0)
+    return RandomRule(lambda m: series if m % 2 else truncated(m))
+
+
 # (model, rule factory, relaxation, steps, trials); each rule is built fresh
 # for each kernel, so both see the same lazily grown tables
 KERNEL_CASES = {
@@ -246,6 +252,16 @@ KERNEL_CASES = {
     "trials_past_row_block": (_power_law_coefficients(30), _truncated_rule, GAWRRelaxation(), 12, 1500),
     "trials_past_group": (_power_law_coefficients(4), _truncated_rule, GAWRRelaxation(), 5, 5000),
     "no_steps": (_power_law_coefficients(30), _truncated_rule, GAWRRelaxation(), 0, 5000),
+    "fixed_power_law": (
+        _power_law_coefficients(30), lambda: RandomRule(PowerLawDistribution(2.0)),
+        GAWRRelaxation(), 40, 300),
+    # index 40 lies past the cutoff of the early steps
+    "truncated_gapped_support": (
+        make_diagonal({1: 0.5, 3: -0.25, 40: 0.125}), _truncated_rule, GAWRRelaxation(), 60, 300),
+    # under the tiny budgets the uniforms-and-errors cap, not the cache
+    # budget, sets the row block
+    "steps_cap_row_block": (_power_law_coefficients(4), _truncated_rule, GAWRRelaxation(), 200, 300),
+    "mixed_schedule": (_power_law_coefficients(30), _mixed_rule, GAWRRelaxation(), 40, 300),
 }
 
 
@@ -264,6 +280,63 @@ class TestMonteCarloKernelOracle:
         got = mc_expected_error(model, make_rule(), relax, steps, trials, 11)
         assert np.array_equal(got.mean, expected.mean)
         assert np.array_equal(got.stderr, expected.stderr)
+
+
+class TestMonteCarloStepMaps:
+    def test_boundary_map_matches_sampling_at_the_boundaries(self):
+        # zero probabilities make equal partial sums; the tables end before,
+        # at and past the support indices
+        tables = [ExplicitDistribution(p) for p in (
+            [1.0], [0.5, 0.5], [0.25, 0.0, 0.5, 0.25], [0.0, 0.5, 0.0, 0.0, 0.5],
+            np.full(10, 0.1), np.full(50, 0.02))]
+        rng = np.random.default_rng(5)
+        for support in ({1: 1.0}, {2: 1.0, 3: 1.0}, {1: 1.0, 3: 1.0, 40: 1.0}, {4: 1.0, 5: 1.0, 7: 1.0},
+                        {10: 1.0, 11: 1.0}):
+            model = make_diagonal(support)
+            rule = RandomRule(lambda m: tables[m])
+            to_positions = analysis._step_maps(model, rule, len(tables))
+            cums = np.concatenate([t._cum for t in tables])
+            u = np.unique(np.concatenate([
+                cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0), [0.0], rng.random(40)]))
+            u = u[(u >= 0.0) & (u < 1.0)]
+            U = np.tile(u, (len(tables), 1))
+            to_positions(U)
+            for m, table in enumerate(tables):
+                want = model.support_positions(table.sample_from_uniform(u))
+                assert np.array_equal(U.view(np.int64)[m], want), (support, m)
+
+    def test_one_table_per_cutoff_change_over_two_groups(self, monkeypatch):
+        from mschwarz import distributions
+
+        M, K = 60, 5000
+        cutoffs = [TruncatedSchedule(PowerLawDistribution(0.5), 1.0).cutoff(m) for m in range(M)]
+        changes = 1 + sum(a != b for a, b in zip(cutoffs, cutoffs[1:]))
+        built = []
+        truncate = distributions.truncate_distribution
+        monkeypatch.setattr(distributions, "truncate_distribution",
+                            lambda *a, **kw: built.append(a[1]) or truncate(*a, **kw))
+        mc_expected_error(_power_law_coefficients(30), _truncated_rule(), GAWRRelaxation(), M, K, 3)
+        assert len(built) == changes <= M
+
+    @staticmethod
+    def traced_peak(model, steps, trials):
+        rule = _truncated_rule()  # built first: it may import scipy.special
+        tracemalloc.start()
+        try:
+            mc_expected_error(model, rule, GAWRRelaxation(), steps, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        model = _power_law_coefficients(200)
+        small, large = self.traced_peak(model, 400, 2000), self.traced_peak(model, 400, 8000)
+        assert large <= small + (16 << 10), (small, large)
+
+    def test_chunk_budget_caps_the_row_block(self, monkeypatch):
+        # 40 rows of 500 uniforms and errors would take 320 KiB
+        monkeypatch.setattr(analysis, "MC_CHUNK_BYTES", 32 << 10)
+        assert self.traced_peak(_power_law_coefficients(4), 500, 40) < 256 << 10
 
 
 class TestMonteCarloSupportPositions:

@@ -33,6 +33,35 @@ class TestExplicit:
         draws = d.sample(rng, size=1000)
         assert np.all(draws == 1)
 
+    def test_scalar_sample_is_the_array_sample_of_the_same_draw(self):
+        class Replay:
+            """An rng whose draws are given; counts them."""
+
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None):
+                assert size is None
+                return self.values.pop(0)
+
+        # the partial sums end below 1, so the last index also takes the
+        # draws above its partial sum
+        d = ExplicitDistribution([0.1, 0.0, 0.1, 0.1, 0.1, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        cum = np.cumsum(d.probs)
+        assert cum[-1] < 1.0
+        u = np.unique(np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)]))
+        u = u[u < 1.0]
+        rng = Replay(u)
+        for v in u:
+            got = d.sample(rng)
+            assert type(got) is int
+            assert got == int(d.sample_from_uniform(np.array([v]))[0])
+        assert rng.values == []
+        # one draw per sample: the stream continues as after a size-1 sample
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert [d.sample(a) for _ in range(50)] == [int(d.sample(b, size=1)[0]) for _ in range(50)]
+        assert a.random() == b.random()
+
     def test_prob_lookup_is_one_based(self):
         d = ExplicitDistribution([0.2, 0.8])
         assert d.prob(1) == 0.2

@@ -451,6 +451,42 @@ class TestGreedyScanReuse:
         assert calls == [i] and columns == [1]
 
 
+class TestLocalEnergyReuse:
+    """omega takes r . A_i r from the solve that produced r."""
+
+    class RecomputingModel(MatrixSchwarzModel):
+        def local_inner_sq(self, i, r):
+            return float(max(self.splitting[i].local_inner(r, r), 0.0))
+
+    @pytest.mark.parametrize("rule", ["greedy", "random"])
+    def test_same_trace_without_a_second_product(self, rule, monkeypatch):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        make_rule = TestFastPathPinnedToDenseLoop.RULES[rule]
+        want = run(self.RecomputingModel(problem, splitting), make_rule(splitting.N),
+                   GAWRRelaxation(), 60, seed=4)
+        products = []
+        inner = SplittingComponent.local_inner
+        monkeypatch.setattr(SplittingComponent, "local_inner",
+                            lambda self, v, w: products.append(1) or inner(self, v, w))
+        got = run(MatrixSchwarzModel(problem, splitting), make_rule(splitting.N),
+                  GAWRRelaxation(), 60, seed=4)
+        assert_same_trace(got, want)
+        assert np.array_equal(got.error, want.error)
+        # the greedy scan takes its energies stacked; a random step's single
+        # solve takes one, and omega none
+        assert len(products) == (0 if rule == "greedy" else 60)
+
+    def test_energy_is_keyed_by_the_residual(self):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        model = MatrixSchwarzModel(problem, splitting)
+        state = model.new_state()
+        res = model.local_residual(state, 3)
+        assert model.local_inner_sq(3, res.r) == res.local_energy
+        other = res.r.copy()
+        other[0] += 1.0
+        assert model.local_inner_sq(3, other) == max(splitting[3].local_inner(other, other), 0.0)
+
+
 class LoopScanModel(MatrixSchwarzModel):
     """The per-component pool scan the factor-group scan replaced, verbatim."""
 
@@ -567,12 +603,12 @@ class TestBatchedLocalKernels:
                 for _ in range(5):
                     rhs = rng.standard_normal((width, c.dim)) * rng.uniform(1e-3, 1e3)
                     xs = c.solve_local(rhs.T).T
-                    norms = c.local_norms(xs)
+                    energies = c.local_energies(xs)
                     for j in range(width):
                         x = c.solve_local(rhs[j])
                         assert xs[j].tobytes() == x.tobytes(), blas_note()
-                        want = float(np.sqrt(max(c.local_inner(x, x), 0.0)))
-                        assert norms[j] == want, blas_note()
+                        want = max(c.local_inner(x, x), 0.0)
+                        assert energies[j] == want, blas_note()
 
 
 class TestStepStateAgainstRecompute:
