@@ -96,10 +96,12 @@ def _model_metadata(config, model):
         }
     else:
         lam = uniform_bound_lambda(model.problem, model.splitting)
-        sc = stability_constants(model.problem, model.splitting)
+        # the block norms first: they and the stability form share one
+        # additive Schwarz sum, which the stability form then releases
         block = representation_block_norms(
             model.problem, model.splitting, model.problem.exact_solution
         )
+        sc = stability_constants(model.problem, model.splitting)
         meta["lambda"] = lam
         meta["stability"] = {
             "lam_min": sc.lam_min,

@@ -218,6 +218,13 @@ class LogFamilyDistribution(_SeriesDistribution):
         return out
 
 
+def _cutoff_budget(m, D):
+    """The tail mass 0.5 D (m+2)^{-1/2} that the cutoff N_m may leave out."""
+    if D <= 0:
+        raise ValueError("truncation budget D must be positive")
+    return 0.5 * D / math.sqrt(m + 2)
+
+
 def truncation_cutoff(base, m, D):
     """The smallest head size N_m with ||pi^{(m)} - pi||_1 <= D (m+2)^{-1/2},
     capped at the support of a finite base.
@@ -225,17 +232,38 @@ def truncation_cutoff(base, m, D):
     The ell^1 distance of truncate-and-renormalize equals exactly twice the
     tail mass of the base distribution beyond the cutoff.
     """
-    if D <= 0:
-        raise ValueError("truncation budget D must be positive")
-    budget = 0.5 * D / math.sqrt(m + 2)
+    return _search_cutoff(base, _cutoff_budget(m, D), 1)
+
+
+def _search_cutoff(base, budget, start):
+    """The smallest N >= ``start`` with tail(N) <= budget, capped at the
+    support bound of a finite base.
+
+    Every N below ``start`` must have a tail above ``budget``.  The tail is
+    nonincreasing in N, so the result is the smallest such N overall; from
+    ``start`` = 1 the search doubles from 1 and bisects.  The cutoff N_m is
+    nondecreasing in m, so a search for m may start from the cutoff of a
+    smaller m: it gallops up from ``start`` below the smallest power of two
+    >= ``start``, which the search for ``start`` probed, and doubles only
+    past that power.  A series base thus grows its partial-sum table to the
+    same sizes in the same order from any start, and the table's bits depend
+    on that order.
+    """
+    if base.tail_mass(start) <= budget:
+        return start
     bound = base.support_bound()
-    # find the smallest N with tail(N) <= budget by doubling + bisection
-    hi = 1
-    while base.tail_mass(hi) > budget:
-        if bound is not None and hi >= bound:
-            break
-        hi *= 2
-    lo = hi // 2
+    # tail(lo) > budget; tail(hi) <= budget unless hi reached the bound
+    lo, hi = start, 1 << (start - 1).bit_length()
+    step = 1
+    while lo + step < hi and base.tail_mass(lo + step) > budget:
+        lo, step = lo + step, 2 * step
+    if lo + step < hi:
+        hi = lo + step
+    else:
+        while base.tail_mass(hi) > budget:
+            if bound is not None and hi >= bound:
+                break
+            lo, hi = hi, 2 * hi
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if base.tail_mass(mid) <= budget:
@@ -260,15 +288,24 @@ class TruncatedSchedule:
     Keeps only the latest truncation, keyed by its cutoff, so memory does not
     grow with the number of steps; exposes the exact ell^1 deviation for
     verification against the D (m+2)^{-1/2} budget.
+
+    A call with m at or above the last call's searches the cutoff upward
+    from the last cutoff (see ``_search_cutoff``); a smaller m searches from 1.
     """
 
     def __init__(self, base, D):
         self.base = base
         self.D = float(D)
         self._latest = None
+        # (m, N_m) of the last cutoff search
+        self._last_cutoff = None
 
     def cutoff(self, m):
-        return truncation_cutoff(self.base, m, self.D)
+        last = self._last_cutoff
+        start = 1 if last is None or m < last[0] else last[1]
+        N = _search_cutoff(self.base, _cutoff_budget(m, self.D), start)
+        self._last_cutoff = (m, N)
+        return N
 
     def __call__(self, m):
         N = self.cutoff(m)

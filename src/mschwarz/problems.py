@@ -234,8 +234,10 @@ class FiniteSplitting:
     """A finite family of components whose stacked ranges span the full space.
 
     A splitting belongs to the problem it was built for: the set-up
-    quantities computed from the pair (Lambda, the additive Schwarz sum and
-    its spectrum) are cached on it.
+    quantities computed from the pair are cached on it.  Lambda and the
+    stability spectrum stay for good; the n x n additive Schwarz sum stays
+    only until :func:`stability_constants` has consumed it (see
+    :func:`additive_schwarz_sum`).
     """
 
     def __init__(self, problem, components):
@@ -339,9 +341,14 @@ class StabilityConstants:
 def additive_schwarz_sum(problem, splitting):
     """The symmetric part S = sum_i R_i A_i^{-1} R_i^T of the additive operator.
 
-    Computed once per splitting and cached on it.
+    Cached on the splitting while its stability spectrum is unknown, so
+    that :func:`representation_block_norms` and then
+    :func:`stability_constants` share one S.  ``stability_constants`` drops
+    the cache once it has L^T S; a later caller gets an S of its own, with
+    the same bits, that is not cached.
     """
-    if splitting._schwarz_sum is None:
+    S = splitting._schwarz_sum
+    if S is None:
         n = problem.n
         S = np.zeros((n, n))
         for c in splitting:
@@ -349,8 +356,9 @@ def additive_schwarz_sum(problem, splitting):
                 S[c.span, c.span] += c.solve_local(np.eye(c.dim))
             else:
                 S += c.R @ c.solve_local(c.R.T)
-        splitting._schwarz_sum = S
-    return splitting._schwarz_sum
+        if splitting._spectrum is None:
+            splitting._schwarz_sum = S
+    return S
 
 
 def stability_constants(problem, splitting, rank_tol=1e-10):
@@ -358,9 +366,10 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T, once per splitting.  L is the factor the problem stores,
-    and the form is built and symmetrized in place, so at most three n x n
-    arrays are alive at once (S, L^T S and the form).  A rank-deficient
+    with A = L L^T, once per splitting.  L is the factor the problem stores.
+    S is released as soon as L^T S exists, and the form is built and
+    symmetrized in place, so beyond A and L at most two n x n arrays are
+    alive at once (S and L^T S, then L^T S and the form).  A rank-deficient
     splitting is reported with kappa = inf rather than raised.
     """
     if splitting._spectrum is None:
@@ -368,6 +377,7 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
 
         L = problem._chol[0]
         M = L.T @ additive_schwarz_sum(problem, splitting)
+        splitting._schwarz_sum = None
         M = M @ L
         # the bits of 0.5 * (M + M.T): numpy buffers the overlapping M.T
         np.add(M, M.T, out=M)
@@ -418,6 +428,11 @@ def representation_block_norms(problem, splitting, u):
     is v_i = A_i^{-1} R_i^T S^{-1} u with the additive Schwarz sum S (the
     stationarity condition of the quadratic program), so one n x n solve
     replaces the KKT system of size sum_i d_i + n.
+
+    Called before :func:`stability_constants`, as the CLI does, it leaves S
+    cached for that call, and S and its factor (a copy) are the two n x n
+    arrays it adds beyond A and L; called after, it builds an S of its own.
+    The norms have the same bits either way.
     """
     from scipy.linalg import cho_factor, cho_solve
 

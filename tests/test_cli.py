@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mschwarz.cli as cli_module
 import mschwarz.problems as problems_module
 from mschwarz import DiagonalModel
 from mschwarz.cli import main
@@ -299,6 +300,42 @@ POISSON_UNIFORM_RUN = POISSON_SMALL.replace(
     "kind: greedy\n  beta: 1.0\n  pool: growing",
     "kind: random\n  family:\n    kind: uniform",
 )
+
+
+class TestMetadataPass:
+    """run, expect, bounds and rate build the additive Schwarz sum S once,
+    check twice, and no subcommand leaves it on the splitting."""
+
+    @pytest.mark.parametrize("command, text, builds", [
+        ("run", POISSON_SMALL, 1),
+        ("run", POISSON_UNIFORM_RUN, 1),
+        ("expect", POISSON_UNIFORM_RUN + "trials: 4\n", 1),
+        ("bounds", POISSON_UNIFORM_RUN, 1),
+        ("rate", POISSON_SMALL, 1),
+        # the stability check first, then the sidecar's block norms
+        ("check", POISSON_SMALL, 2),
+    ], ids=["run-greedy", "run-random", "expect", "bounds", "rate", "check"])
+    def test_schwarz_sum_built_once_and_released(self, tmp_path, monkeypatch,
+                                                 command, text, builds):
+        cfg = write_config(tmp_path, text + "bounds: true\n")
+        splittings, built = [], []
+        metadata = cli_module._model_metadata
+        schwarz_sum = problems_module.additive_schwarz_sum
+
+        def spy_metadata(config, model):
+            splittings.append(model.splitting)
+            return metadata(config, model)
+
+        def spy_sum(problem, splitting):
+            built.append(splitting._schwarz_sum is None)
+            return schwarz_sum(problem, splitting)
+
+        monkeypatch.setattr(cli_module, "_model_metadata", spy_metadata)
+        monkeypatch.setattr(problems_module, "additive_schwarz_sum", spy_sum)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert splittings
+        assert all(s._schwarz_sum is None for s in splittings)
+        assert sum(built) == builds
 
 
 def _loaded(modules, name):

@@ -201,18 +201,101 @@ class TestCutoffSearches:
         want = [truncate_distribution(base, m, D).probs.tobytes() for m in range(steps)]
         cutoffs = [truncation_cutoff(base, m, D) for m in range(steps)]
         searches, builds = [], []
-        search = distributions.truncation_cutoff
+        search = distributions._search_cutoff
         build = distributions.truncate_distribution
-        monkeypatch.setattr(distributions, "truncation_cutoff",
-                            lambda *a: searches.append(a[1]) or search(*a))
+        # each search records where it starts
+        monkeypatch.setattr(distributions, "_search_cutoff",
+                            lambda *a: searches.append(a[2]) or search(*a))
         monkeypatch.setattr(distributions, "truncate_distribution",
                             lambda *a, **k: builds.append(a[1]) or build(*a, **k))
         sched = TruncatedSchedule(PowerLawDistribution(0.5), D)
         for m in range(steps):
             assert sched(m).probs.tobytes() == want[m]
-            assert searches == [m]
+            # one search per call, from the last cutoff after the first
+            assert searches == [1 if m == 0 else cutoffs[m - 1]]
             searches.clear()
         assert builds == [m for m in range(steps) if m == 0 or cutoffs[m] != cutoffs[m - 1]]
+
+
+def reference_cutoff(base, m, D):
+    """truncation_cutoff before the galloping search, verbatim: doubling
+    from 1, then bisection."""
+    budget = 0.5 * D / math.sqrt(m + 2)
+    bound = base.support_bound()
+    hi = 1
+    while base.tail_mass(hi) > budget:
+        if bound is not None and hi >= bound:
+            break
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if base.tail_mass(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi if bound is None else min(hi, bound)
+
+
+GALLOP_BASES = {
+    "power-law-0.5": (lambda: PowerLawDistribution(0.5), 1.0, 3000),
+    "power-law-2": (lambda: PowerLawDistribution(2.0), 1.0, 3000),
+    # D = 1.5 keeps the table at 2^17 entries; at D = 1 m = 800 needs 2^25
+    "log-family": (LogFamilyDistribution, 1.5, 800),
+    # the cutoff reaches the support bound 50 from m = 624 on
+    "uniform-50": (lambda: uniform_distribution(50), 1.0, 3000),
+    # cutoffs 2, 3, 4, where the tail is already 0 below the support bound 16
+    "zero-tail": (lambda: ExplicitDistribution([0.5, 0.25, 0.125, 0.125] + [0.0] * 12),
+                  1.0, 3000),
+}
+
+
+class TestGallopingCutoff:
+    """The schedule's cutoff searched up from the last one is the integer of
+    a search from scratch, and a series base grows its partial-sum table to
+    the same bits."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    @pytest.mark.parametrize("case", sorted(GALLOP_BASES))
+    def test_cutoff_is_the_search_from_scratch(self, case, order):
+        make, D, top = GALLOP_BASES[case]
+        ms = np.arange(top + 1)
+        if order == "reverse":
+            ms = ms[::-1]
+        elif order == "shuffled":
+            ms = np.random.default_rng(5).permutation(ms)
+        sched, scratch, reference = TruncatedSchedule(make(), D), make(), make()
+        for m in ms.tolist():
+            want = reference_cutoff(reference, m, D)
+            assert sched.cutoff(m) == want, m
+            assert truncation_cutoff(scratch, m, D) == want, m
+        if hasattr(reference, "_cum"):
+            assert sched.base._cum.tobytes() == reference._cum.tobytes()
+            assert scratch._cum.tobytes() == reference._cum.tobytes()
+
+    def test_finite_base_reaches_its_support_bound(self):
+        make, D, top = GALLOP_BASES["uniform-50"]
+        sched = TruncatedSchedule(make(), D)
+        cutoffs = [sched.cutoff(m) for m in range(top + 1)]
+        assert cutoffs[623] < 50 and cutoffs[624:] == [50] * (top - 623)
+
+    def test_search_probes_few_tails(self, monkeypatch):
+        # N_m ~ 2.3 m moves by a step or two per call: a few tail probes each,
+        # against the two dozen of a search from scratch at N ~ 7000
+        base = PowerLawDistribution(0.5)
+        sched = TruncatedSchedule(base, 1.0)
+        sched.cutoff(2000)
+        probes = []
+        tail = base.tail_mass
+        monkeypatch.setattr(base, "tail_mass", lambda N: probes.append(N) or tail(N))
+        per_call = []
+        for m in range(2001, 3001):
+            sched.cutoff(m)
+            per_call.append(len(probes))
+            probes.clear()
+        assert max(per_call) <= 4
+        reference_cutoff(base, 3000, 1.0)
+        assert len(probes) >= 20
 
 
 def _per_index_truncation(base, m, D):

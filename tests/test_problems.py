@@ -673,6 +673,18 @@ def reference_spectrum(problem, splitting):
     return float(w[0]), float(w[-1])
 
 
+def reference_block_norms(problem, splitting, u):
+    """representation_block_norms as computed before the metadata pass
+    released S, verbatim: the cached S, factored by cho_factor on a copy."""
+    S = additive_schwarz_sum(problem, splitting)
+    y = cho_solve(cho_factor(S, lower=True), np.asarray(u, dtype=float))
+    norms = []
+    for c in splitting:
+        v = c.solve_local(c.restrict(y))
+        norms.append(np.sqrt(max(c.local_inner(v, v), 0.0)))
+    return np.array(norms)
+
+
 def component_lambda(problem, c):
     G = c.galerkin(problem.A)
     w = eigh(0.5 * (G + G.T), c.A_local, eigvals_only=True)
@@ -685,6 +697,47 @@ SETUP_CASES = {
     "mixed-dense-R": mixed_splitting,
     "diagonal-dense": lambda: DiagonalModel([1.0, -0.5, 0.25, 2.0]).to_dense(),
 }
+
+
+class TestMetadataPass:
+    """The class norms first, then the stability form, which releases the
+    additive Schwarz sum once it has L^T S: every number keeps its bits."""
+
+    @pytest.mark.parametrize("case", sorted(SETUP_CASES))
+    def test_cli_order_has_the_reference_bits(self, case):
+        problem, splitting = SETUP_CASES[case]()
+        want_norms = reference_block_norms(*SETUP_CASES[case](), problem.exact_solution)
+        want_spectrum = reference_spectrum(*SETUP_CASES[case]())
+        uniform_bound_lambda(problem, splitting)
+        norms = representation_block_norms(problem, splitting, problem.exact_solution)
+        assert splitting._schwarz_sum is not None
+        sc = stability_constants(problem, splitting)
+        assert norms.tobytes() == want_norms.tobytes()
+        assert (sc.lam_min, sc.lam_max) == want_spectrum
+        assert splitting._schwarz_sum is None
+
+    @pytest.mark.parametrize("case", sorted(SETUP_CASES))
+    def test_block_norms_do_not_depend_on_the_stability_call(self, case):
+        got = {}
+        for when in ("before", "after", "without"):
+            problem, splitting = SETUP_CASES[case]()
+            if when == "after":
+                stability_constants(problem, splitting)
+            got[when] = representation_block_norms(
+                problem, splitting, problem.exact_solution).tobytes()
+            if when == "before":
+                stability_constants(problem, splitting)
+            # S is kept only while the stability form may still need it
+            assert (splitting._schwarz_sum is None) == (when != "without")
+        assert got["before"] == got["after"] == got["without"]
+
+    def test_schwarz_sum_is_rebuilt_with_its_bits(self):
+        problem, splitting = SETUP_CASES["mixed-dense-R"]()
+        first = additive_schwarz_sum(problem, splitting).copy()
+        stability_constants(problem, splitting)
+        assert splitting._schwarz_sum is None
+        assert np.array_equal(additive_schwarz_sum(problem, splitting), first)
+        assert splitting._schwarz_sum is None
 
 
 class TestLeanSetup:
@@ -730,6 +783,23 @@ class TestLeanSetup:
             tracemalloc.stop()
         # S, L^T S and the form, plus eigh's workspace
         assert peak <= 3.25 * n * n * 8
+
+    def test_metadata_peak_memory_is_two_matrices(self):
+        n, spec = POISSON_SPLITTINGS["two-level-1024"]
+        problem, splitting = make_poisson_1d(n, spec)
+        tracemalloc.start()
+        try:
+            # the CLI's order
+            uniform_bound_lambda(problem, splitting)
+            representation_block_norms(problem, splitting, problem.exact_solution)
+            stability_constants(problem, splitting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S and its factor, then S and L^T S, then L^T S and the form, plus
+        # the finiteness checks' boolean copies and eigh's workspace
+        assert peak <= 2.25 * n * n * 8
+        assert splitting._schwarz_sum is None
 
     @pytest.mark.parametrize("case, solves", [
         ("two-level-1024", 2),  # 21 equal blocks and the coarse component
