@@ -333,19 +333,19 @@ def _clone_state(model, state):
     return clone
 
 
-def _error_after(model, state, i, r, alpha, omega):
+def _error_after(model, state, res, alpha, omega):
     clone = _clone_state(model, state)
-    model.apply_update(clone, i, r, alpha, omega)
+    model.apply_update(clone, res, alpha, omega)
     return model.error(clone)
 
 
 def _check_omega_optimality(model, selection, relaxation, steps, seed):
     """Three-point test: perturbing omega can only increase the step error."""
-    for _, state, i, res, a, w in iterate(model, selection, relaxation, steps, seed):
-        base = _error_after(model, state, i, res.r, a, w)
+    for _, state, res, a, w in iterate(model, selection, relaxation, steps, seed):
+        base = _error_after(model, state, res, a, w)
         delta = max(abs(w), 1.0) * 1e-3
         for wp in (w - delta, w + delta):
-            if _error_after(model, state, i, res.r, a, wp) < base - 1e-10 * (1 + base):
+            if _error_after(model, state, res, a, wp) < base - 1e-10 * (1 + base):
                 return False
     return True
 
@@ -362,7 +362,7 @@ def _fresh_local_norms(model, state, indices):
 
 
 def _check_greedy_compliance(model, rule, relaxation, steps, seed):
-    for m, state, _, res, _, _ in iterate(model, rule, relaxation, steps, seed):
+    for m, state, res, _, _ in iterate(model, rule, relaxation, steps, seed):
         indices = np.asarray(rule.pool.indices(model, state, m))
         norms = _fresh_local_norms(model, state, indices)
         if res.local_norm < rule.beta * norms.max() - 1e-12 * (1 + norms.max()):
@@ -402,6 +402,10 @@ def _cmd_check(config, args):
         greedy_ok = _check_greedy_compliance(model, selection, relaxation, min(short, 50), seed)
         results.append(("greedy compliance", greedy_ok))
 
+    # the sidecar metadata before the stability check, so that the class
+    # norms and the stability spectrum share one additive Schwarz sum
+    metadata = _model_metadata(config, model) if config.data["bounds"] else None
+
     if isinstance(model, MatrixSchwarzModel):
         sc = stability_constants(model.problem, model.splitting)
         results.append(("stability lam_min > 0", sc.lam_min > 0.0))
@@ -416,9 +420,8 @@ def _cmd_check(config, args):
                 ok = False
         results.append(("uniform bound certificate", ok))
 
-    if config.data["bounds"]:
-        meta, block = _model_metadata(config, model)
-        bound = _bound_evaluator(config, model, meta, block)
+    if metadata is not None:
+        bound = _bound_evaluator(config, model, *metadata)
         if bound is not None:
             _, fn = bound
             vals = fn(np.arange(short + 1))

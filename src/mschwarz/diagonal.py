@@ -24,7 +24,11 @@ class DiagonalState:
 
 
 class DiagonalModel:
-    """Orthonormal diagonal problem/splitting pair with finite support."""
+    """Orthonormal diagonal problem/splitting pair with finite support.
+
+    A step record's ``r`` is the scalar c_i - u_i and its local energy r^2,
+    which is also d.Ad; the record needs no ``d`` or ``Ad``.
+    """
 
     uniform_bound = 1.0
 
@@ -56,9 +60,9 @@ class DiagonalModel:
     def local_residual(self, state, i):
         pos = self._pos.get(int(i))
         if pos is None:
-            return BlockResidual(int(i), 0.0, 0.0)
-        r = self.coefficients[pos] - state.u[pos]
-        return BlockResidual(int(i), float(r), abs(float(r)))
+            return BlockResidual(int(i), 0.0, 0.0, 0.0)
+        r = float(self.coefficients[pos] - state.u[pos])
+        return BlockResidual(int(i), r, abs(r), r ** 2)
 
     def support_positions(self, indices):
         """Position of each index in the sorted support, -1 off it.
@@ -79,21 +83,18 @@ class DiagonalModel:
         hit = pos >= 0
         out = np.zeros(pos.size)
         out[hit] = np.abs(self.coefficients[pos[hit]] - state.u[pos[hit]])
-        return out
+        return out, lambda i: self.local_residual(state, i)
 
-    def dir_energy_sq(self, i, r):
-        return float(r) ** 2
+    def dir_energy_sq(self, res):
+        return res.local_energy
 
-    def local_inner_sq(self, i, r):
-        return float(r) ** 2
+    def dir_functional(self, res):
+        pos = self._pos.get(res.index)
+        return float(self.coefficients[pos]) * res.r if pos is not None else 0.0
 
-    def dir_functional(self, i, r):
-        pos = self._pos.get(int(i))
-        return float(self.coefficients[pos]) * float(r) if pos is not None else 0.0
-
-    def dir_inner_current(self, state, i, r):
-        pos = self._pos.get(int(i))
-        return float(state.u[pos]) * float(r) if pos is not None else 0.0
+    def dir_inner_current(self, state, res):
+        pos = self._pos.get(res.index)
+        return float(state.u[pos]) * res.r if pos is not None else 0.0
 
     def current_energy_sq(self, state):
         return float(state.u @ state.u)
@@ -101,11 +102,11 @@ class DiagonalModel:
     def current_functional(self, state):
         return float(self.coefficients @ state.u)
 
-    def apply_update(self, state, i, r, alpha, omega):
+    def apply_update(self, state, res, alpha, omega):
         state.u = alpha * state.u
-        pos = self._pos.get(int(i))
+        pos = self._pos.get(res.index)
         if pos is not None:
-            state.u[pos] += omega * float(r)
+            state.u[pos] += omega * res.r
         state.steps += 1
 
     def error(self, state):

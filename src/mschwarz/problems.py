@@ -111,16 +111,21 @@ def energy_norm(problem, v):
 
 @dataclass
 class BlockResidual:
-    """Local solution r_i = T_i e with its local energy norm.
+    """The record of one step: the local solution r_i = T_i e of component
+    ``index``, its local energy, and the direction d = R_i r with its image.
 
     ``local_energy`` is max(r . A_i r, 0), the square under ``local_norm``,
-    where the solve computed it (None otherwise).
+    as the solve or the scan computed it.  ``d`` and ``Ad`` = A d are None
+    until :meth:`MatrixSchwarzModel.step` fills them; the relaxation
+    parameters and the update read them from here.
     """
 
     index: int
     r: np.ndarray
     local_norm: float
-    local_energy: float = None
+    local_energy: float
+    d: np.ndarray = None
+    Ad: np.ndarray = None
 
 
 class SplittingComponent:
@@ -519,13 +524,13 @@ class MatrixSchwarzModel:
     property of the BLAS, which the tests pin against the per-component
     loop.  A one-member group goes through the same code.
 
-    The scan keeps its local solutions: asked for a component the last
-    scan solved at the same cached w, ``local_residual`` builds the
-    winner's ``BlockResidual`` from them instead of solving again.
-    ``apply_update`` replaces ``state.w`` with a new array at every step,
-    so that w is compared by identity.  The local energy max(r . A_i r, 0)
-    that the scan or the single solve took for the residual handed out last
-    is kept with it, and ``local_inner_sq`` returns it for that r.
+    A step's quantities live on its :class:`BlockResidual`, not on the
+    model: :meth:`step` fills the record's d = R_i r and A d once, and the
+    relaxation parameters and :meth:`apply_update` read them there.  The
+    scan hands back, with the norms, a function that builds the winner's
+    record from the scan's own solution, so the winner is not solved again.
+    The model keeps only the scan plan of the last pool, keyed by the
+    pool's bytes, so one model can drive several runs at once.
     """
 
     refresh_every = 1000
@@ -542,17 +547,8 @@ class MatrixSchwarzModel:
         self._tiles = {int(i): image_tiles(self._A_csr, *self._reached_rows(splitting[i]))
                        for i in splitting.indices()}
         self._group_of = self._factor_groups()
-        # (i, r, d, A d) of the last direction: one step needs A d for its
-        # relaxation parameters and again for the update of w
-        self._last_direction = None
         # (pool indices as bytes, scan plan) of the last pool
         self._last_plan = (None, None)
-        # (w, [(solutions, norms, energies) per group], {i: (group, row)}) of
-        # the last scan
-        self._last_scan = (None, [], {})
-        # (i, r, max(r . A_i r, 0)) of the last local residual handed out:
-        # omega needs that energy again for the same r
-        self._last_energy = None
 
     def _factor_groups(self):
         """Group number of each component index.  Components share a group
@@ -619,17 +615,12 @@ class MatrixSchwarzModel:
         return MatrixSchwarzState(self.problem.n)
 
     def local_residual(self, state, i):
-        w, solved, where = self._last_scan
-        if w is state.w and i in where:
-            p, j = where[i]
-            xs, norms, energies = solved[p]
-            res = BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j]))
-        else:
-            res = local_solve(self.problem, self.splitting[i], self.problem.b - state.w)
-        self._last_energy = (i, res.r, res.local_energy)
-        return res
+        return self.step(local_solve(self.problem, self.splitting[i], self.problem.b - state.w))
 
     def pool_local_norms(self, state, indices):
+        """The local norms of the pool ``indices`` at ``state``, and a
+        function that builds the step record of one of them from the
+        scan's solution (valid until ``state`` changes)."""
         indices = np.asarray(indices, dtype=np.int64)
         g = self.problem.b - state.w
         if g.shape != (self.problem.n,):
@@ -651,44 +642,32 @@ class MatrixSchwarzModel:
             norms = np.sqrt(energies)
             out[ks] = norms
             solved.append((xs, norms, energies))
-        self._last_scan = (state.w, solved, where)
-        return out
 
-    def direction(self, i, r):
-        return self.splitting[i].prolong(r)
+        def residual(i):
+            p, j = where[int(i)]
+            xs, norms, energies = solved[p]
+            return self.step(BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j])))
 
-    def _direction_and_image(self, i, r):
-        """(d, A d) for d = R_i r, computed once per (i, r).
+        return out, residual
 
-        ``r`` is compared by identity; the memo holds a reference to it, so
-        no other array can take its place while it is stored.
-        """
-        last = self._last_direction
-        if last is None or last[1] is not r or last[0] != i:
-            d = self.direction(i, r)
-            A = self.problem.A
-            Ad = np.zeros(self.problem.n)
-            for rows, cols in self._tiles[i]:
-                Ad[rows] = A[rows, cols] @ d[cols]
-            last = self._last_direction = (i, r, d, Ad)
-        return last[2], last[3]
+    def step(self, res):
+        """Fill the record's direction d = R_i r and its tiled image A d."""
+        d = self.splitting[res.index].prolong(res.r)
+        A = self.problem.A
+        Ad = np.zeros(self.problem.n)
+        for rows, cols in self._tiles[res.index]:
+            Ad[rows] = A[rows, cols] @ d[cols]
+        res.d, res.Ad = d, Ad
+        return res
 
-    def dir_energy_sq(self, i, r):
-        d, Ad = self._direction_and_image(i, r)
-        return float(max(d @ Ad, 0.0))
+    def dir_energy_sq(self, res):
+        return float(max(res.d @ res.Ad, 0.0))
 
-    def local_inner_sq(self, i, r):
-        # ``r`` is compared by identity, as in _direction_and_image
-        last = self._last_energy
-        if last is not None and last[1] is r and last[0] == i and last[2] is not None:
-            return last[2]
-        return float(max(self.splitting[i].local_inner(r, r), 0.0))
+    def dir_functional(self, res):
+        return float(self.problem.b @ res.d)
 
-    def dir_functional(self, i, r):
-        return float(self.problem.b @ self._direction_and_image(i, r)[0])
-
-    def dir_inner_current(self, state, i, r):
-        return float(state.w @ self._direction_and_image(i, r)[0])
+    def dir_inner_current(self, state, res):
+        return float(state.w @ res.d)
 
     def current_energy_sq(self, state):
         return float(max(state.u @ state.w, 0.0))
@@ -696,14 +675,13 @@ class MatrixSchwarzModel:
     def current_functional(self, state):
         return float(self.problem.b @ state.u)
 
-    def apply_update(self, state, i, r, alpha, omega):
-        d, Ad = self._direction_and_image(i, r)
-        state.u = alpha * state.u + omega * d
+    def apply_update(self, state, res, alpha, omega):
+        state.u = alpha * state.u + omega * res.d
         state.steps += 1
         if state.steps % self.refresh_every == 0:
             state.w = self.problem.A @ state.u
         else:
-            state.w = alpha * state.w + omega * Ad
+            state.w = alpha * state.w + omega * res.Ad
 
     def error(self, state):
         e = self.problem.exact_solution - state.u

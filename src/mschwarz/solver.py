@@ -55,7 +55,7 @@ class SupportPool:
 
 
 # ---------------------------------------------------------------------------
-# selection rules: select(model, state, m, rng) -> (index, BlockResidual)
+# selection rules: select(model, state, m, rng) -> the step's BlockResidual
 
 class DeterministicRule:
     """A fixed index sequence: a callable m -> index or a list cycled over."""
@@ -70,8 +70,7 @@ class DeterministicRule:
             self._fn = lambda m: seq[m % len(seq)]
 
     def select(self, model, state, m, rng):
-        i = self._fn(m)
-        return i, model.local_residual(state, i)
+        return model.local_residual(state, self._fn(m))
 
 
 def cyclic_rule(n_components):
@@ -104,8 +103,7 @@ class RandomRule:
         return self.schedule
 
     def select(self, model, state, m, rng):
-        i = self.distribution(m).sample(rng)
-        return i, model.local_residual(state, i)
+        return model.local_residual(state, self.distribution(m).sample(rng))
 
 
 def select_greedy(model, state, rule, m):
@@ -113,16 +111,18 @@ def select_greedy(model, state, rule, m):
 
     Returns the smallest pool index whose squared local norm reaches
     beta^2 times the pool maximum; for beta = 1 this is the exact maximizer
-    with smallest-index tie-breaking.
+    with smallest-index tie-breaking.  The winner's record comes from the
+    scan, which has solved it already.
     """
     indices = np.asarray(rule.pool.indices(model, state, m))
     if indices.size == 0:
         raise ValueError("empty greedy pool")
-    norms_sq = model.pool_local_norms(state, indices) ** 2
+    norms, residual = model.pool_local_norms(state, indices)
+    norms_sq = norms ** 2
     threshold = rule.beta ** 2 * norms_sq.max()
     hit = np.nonzero(norms_sq >= threshold)[0]
     k = hit[np.argmin(indices[hit])]
-    return int(indices[k]), model.local_residual(state, int(indices[k]))
+    return residual(int(indices[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,9 @@ class Relaxation:
     def alpha(self, m):
         raise NotImplementedError
 
-    def parameters(self, model, state, i, r, m):
+    def parameters(self, model, state, res, m):
         a = self.alpha(m)
-        return a, omega_optimal(model, state, i, r, a)
+        return a, omega_optimal(model, res, a)
 
 
 class GAWRRelaxation(Relaxation):
@@ -167,25 +167,26 @@ class TwoParamRelaxation(Relaxation):
     def alpha(self, m):  # fallback value for degenerate directions
         return 1.0 - 1.0 / (m + 2)
 
-    def parameters(self, model, state, i, r, m):
-        return two_param_update(model, state, i, r, m)
+    def parameters(self, model, state, res, m):
+        return two_param_update(model, state, res, m)
 
 
-def omega_optimal(model, state, i, r, alpha):
-    """The error-minimizing relaxation weight along the direction R_i r.
+def omega_optimal(model, res, alpha):
+    """The error-minimizing relaxation weight along the direction d = R_i r
+    of the step record ``res``.
 
     omega = (alpha * a_i(r, r) + (1 - alpha) * F(R_i r)) / ||R_i r||_a^2,
-    computed from b, A and the current iterate only.  A direction of
-    negligible energy norm gets omega = 0.
+    computed from b, A and the current iterate only; a_i(r, r) is the
+    record's local energy.  A direction of negligible energy norm gets
+    omega = 0.
     """
-    d2 = model.dir_energy_sq(i, r)
+    d2 = model.dir_energy_sq(res)
     if d2 <= model.zero_tol ** 2:
         return 0.0
-    local_sq = model.local_inner_sq(i, r)
-    return (alpha * local_sq + (1.0 - alpha) * model.dir_functional(i, r)) / d2
+    return (alpha * res.local_energy + (1.0 - alpha) * model.dir_functional(res)) / d2
 
 
-def two_param_update(model, state, i, r, m):
+def two_param_update(model, state, res, m):
     """Minimize ||u - alpha u^{(m)} - omega R_i r||_a over alpha >= 0, omega.
 
     Solves the 2x2 normal equations (right-hand sides use a(u, .) = F(.)),
@@ -194,15 +195,15 @@ def two_param_update(model, state, i, r, m):
     alpha schedule when the Gram matrix is degenerate.
     """
     guu = model.current_energy_sq(state)
-    gdd = model.dir_energy_sq(i, r)
-    gud = model.dir_inner_current(state, i, r)
+    gdd = model.dir_energy_sq(res)
+    gud = model.dir_inner_current(state, res)
     fu = model.current_functional(state)
-    fd = model.dir_functional(i, r)
+    fd = model.dir_functional(res)
     scale = max(guu, gdd, 1e-300)
     det = guu * gdd - gud * gud
     if det <= 1e-28 * scale ** 2:
         alpha = 1.0 - 1.0 / (m + 2)
-        return alpha, omega_optimal(model, state, i, r, alpha)
+        return alpha, omega_optimal(model, res, alpha)
     alpha = (fu * gdd - fd * gud) / det
     omega = (fd * guu - fu * gud) / det
     if alpha < 0.0:
@@ -242,8 +243,9 @@ class IterationTrace:
 def iterate(model, selection, relaxation, steps, seed=None):
     """The multiplicative Schwarz iteration from u^{(0)} = 0, one step at a time.
 
-    Yields ``(m, state, i, res, alpha, omega)`` for m = 0 .. steps-1 before
-    step m is applied.  ``state`` is a single object updated in place, so once
+    Yields ``(m, state, res, alpha, omega)`` for m = 0 .. steps-1 before
+    step m is applied, with ``res`` the step's :class:`BlockResidual` (the
+    component is ``res.index``).  ``state`` is a single object updated in place, so once
     the generator is exhausted it holds u^{(steps)}.  The RNG stream is
     derived from ``seed`` alone.
     """
@@ -252,10 +254,10 @@ def iterate(model, selection, relaxation, steps, seed=None):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = model.new_state()
     for m in range(int(steps)):
-        i, res = selection.select(model, state, m, rng)
-        a, w = relaxation.parameters(model, state, i, res.r, m)
-        yield m, state, i, res, a, w
-        model.apply_update(state, i, res.r, a, w)
+        res = selection.select(model, state, m, rng)
+        a, w = relaxation.parameters(model, state, res, m)
+        yield m, state, res, a, w
+        model.apply_update(state, res, a, w)
 
 
 def run(model, selection, relaxation, steps, seed=None):
@@ -273,8 +275,8 @@ def run(model, selection, relaxation, steps, seed=None):
     local_norm = np.full(M + 1, np.nan)
     error = np.empty(M + 1)
     state = model.new_state()  # u^{(0)}; replaced by iterate()'s state when M > 0
-    for m, state, i, res, a, w in iterate(model, selection, relaxation, M, seed):
-        index[m] = i
+    for m, state, res, a, w in iterate(model, selection, relaxation, M, seed):
+        index[m] = res.index
         alpha[m] = a
         omega[m] = w
         local_norm[m] = res.local_norm

@@ -221,8 +221,8 @@ def test_criterion_10_solver_micro_invariants():
         i = int(rng.integers(1, 5))
         res = model.local_residual(state, i)
         alpha = float(rng.uniform(0.3, 1.0))
-        w_star = omega_optimal(model, state, i, res.r, alpha)
-        d = model.direction(i, res.r)
+        w_star = omega_optimal(model, res, alpha)
+        d = res.d
         u_ex = model.problem.exact_solution
 
         def err(w):
@@ -247,7 +247,7 @@ def test_criterion_10_solver_micro_invariants():
         state = model.new_state()
         state.u = rng.standard_normal(6)
         beta = float(rng.uniform(0.1, 1.0))
-        _, res = select_greedy(model, state, GreedyRule(beta, SupportPool()), 0)
+        res = select_greedy(model, state, GreedyRule(beta, SupportPool()), 0)
         pool_max = np.abs(model.coefficients - state.u).max()
         assert res.local_norm >= beta * pool_max - 1e-12 * (1 + pool_max)
 

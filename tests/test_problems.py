@@ -10,6 +10,7 @@ from scipy.sparse import csr_array
 
 import mschwarz.problems as problems_module
 from mschwarz import (
+    BlockResidual,
     CoordinateBlock,
     DiagonalModel,
     FiniteSplitting,
@@ -49,6 +50,12 @@ def identity_splitting(problem):
 def random_spd(rng, n):
     Q = rng.standard_normal((n, n))
     return Q @ Q.T + n * np.eye(n)
+
+
+def step_record(model, i, r):
+    """The step record of component i with local solution r, d and A d filled."""
+    energy = max(model.splitting[i].local_inner(r, r), 0.0)
+    return model.step(BlockResidual(i, r, float(np.sqrt(energy)), float(energy)))
 
 
 class TestEnergyNorm:
@@ -122,7 +129,7 @@ class TestApplyUpdate:
         state.u = np.array([0.3, 0.1, -0.2])
         state.w = p.A @ state.u
         before = state.u.copy()
-        model.apply_update(state, 1, np.zeros(1), 1.0, 0.0)
+        model.apply_update(state, step_record(model, 1, np.zeros(1)), 1.0, 0.0)
         assert np.array_equal(state.u, before)
 
     def test_pure_replacement(self):
@@ -132,7 +139,7 @@ class TestApplyUpdate:
         state = model.new_state()
         state.u = np.array([5.0, -1.0])
         v = np.array([1.0, 2.0])
-        model.apply_update(state, 1, v, 0.0, 1.0)
+        model.apply_update(state, step_record(model, 1, v), 0.0, 1.0)
         assert np.array_equal(state.u, v)
 
     def test_cache_tracks_dense_recomputation(self):
@@ -144,7 +151,7 @@ class TestApplyUpdate:
         for _ in range(50):
             i = int(rng.integers(1, 7))
             r = rng.standard_normal(1)
-            model.apply_update(state, i, r, 0.9, float(rng.standard_normal()))
+            model.apply_update(state, step_record(model, i, r), 0.9, float(rng.standard_normal()))
         assert np.abs(state.w - A @ state.u).max() < 1e-9
 
 
@@ -410,8 +417,8 @@ class TestImageTilesPinnedToDenseProduct:
             for scale in SCALES:
                 for _ in range(2):
                     r = rng.standard_normal(c.dim) * scale
-                    d, Ad = model._direction_and_image(c.index, r)
-                    assert_same_bits(Ad, problem.A @ d)
+                    res = step_record(model, c.index, r)
+                    assert_same_bits(res.Ad, problem.A @ res.d)
 
     @pytest.mark.parametrize("name, steps", [("two-level-1024", 400), ("two-level-2100", 100)])
     @pytest.mark.parametrize("rule", ["greedy", "random"])
@@ -437,26 +444,31 @@ class TestGreedyScanReuse:
         monkeypatch.setattr(SplittingComponent, "solve_local", lambda self, rhs: (
             columns.append(1 if rhs.ndim == 1 else rhs.shape[1]) or solve_local(self, rhs)))
         steps = 0
-        for m, state, i, res, _, _ in iterate(model, GreedyRule(1.0), GAWRRelaxation(), 30):
+        for m, state, res, _, _ in iterate(model, GreedyRule(1.0), GAWRRelaxation(), 30):
             # the scan solved every pool component once, in factor groups,
-            # and the winner's residual was taken from it, not solved again
+            # and the winner's record was built from it, not solved again
             assert calls == [] and sum(columns) == splitting.N
-            fresh = solve(problem, splitting[i], problem.b - state.w)
-            assert res.r.tobytes() == fresh.r.tobytes() and res.local_norm == fresh.local_norm
+            columns.clear()
+            # the single-solve path gives the same record
+            fresh = model.local_residual(state, res.index)
+            assert calls == [res.index] and columns == [1]
+            for field in ("r", "d", "Ad"):
+                assert getattr(res, field).tobytes() == getattr(fresh, field).tobytes(), field
+            assert (res.local_norm, res.local_energy) == (fresh.local_norm, fresh.local_energy)
+            calls.clear()
             columns.clear()
             steps += 1
         assert steps == 30
-        # a residual of the last scan is not reused once the update replaced w
-        model.local_residual(state, i)
-        assert calls == [i] and columns == [1]
 
 
 class TestLocalEnergyReuse:
     """omega takes r . A_i r from the solve that produced r."""
 
     class RecomputingModel(MatrixSchwarzModel):
-        def local_inner_sq(self, i, r):
-            return float(max(self.splitting[i].local_inner(r, r), 0.0))
+        def step(self, res):
+            r = res.r
+            res.local_energy = float(max(self.splitting[res.index].local_inner(r, r), 0.0))
+            return super().step(res)
 
     @pytest.mark.parametrize("rule", ["greedy", "random"])
     def test_same_trace_without_a_second_product(self, rule, monkeypatch):
@@ -476,28 +488,65 @@ class TestLocalEnergyReuse:
         # solve takes one, and omega none
         assert len(products) == (0 if rule == "greedy" else 60)
 
-    def test_energy_is_keyed_by_the_residual(self):
-        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
-        model = MatrixSchwarzModel(problem, splitting)
-        state = model.new_state()
-        res = model.local_residual(state, 3)
-        assert model.local_inner_sq(3, res.r) == res.local_energy
-        other = res.r.copy()
-        other[0] += 1.0
-        assert model.local_inner_sq(3, other) == max(splitting[3].local_inner(other, other), 0.0)
+
+def alternated_runs(model, rule, relaxation, steps, seeds):
+    """One ``iterate`` generator per seed on the same model, rule and
+    relaxation objects, advanced a step each in turn; returns, per seed, the
+    ``run`` trace fields as bytes."""
+    runs = [iterate(model, rule, relaxation, steps, seed) for seed in seeds]
+    rows = [[] for _ in seeds]
+    states = [None] * len(seeds)
+    for _ in range(steps):
+        for k, steps_of_run in enumerate(runs):
+            _, states[k], res, a, w = next(steps_of_run)
+            rows[k].append((res.index, a, w, res.local_norm, model.error(states[k])))
+    for k, steps_of_run in enumerate(runs):
+        assert next(steps_of_run, None) is None  # applies the last step
+        rows[k].append((-1, np.nan, np.nan, np.nan, model.error(states[k])))
+    return [trace_bytes(*zip(*r)) for r in rows]
+
+
+def trace_bytes(index, alpha, omega, local_norm, error):
+    return (np.array(index, dtype=np.int64).tobytes(),) + tuple(
+        np.array(values, dtype=float).tobytes() for values in (alpha, omega, local_norm, error))
+
+
+class TestModelServesInterleavedRuns:
+    """A model holds no per-step state: two runs stepped alternately on one
+    model, rule and relaxation each give their solo trace, bit for bit."""
+
+    RULES = {
+        "greedy": lambda n: GreedyRule(1.0, FixedPool()),
+        "random": lambda n: RandomRule(uniform_distribution(n)),
+    }
+    RELAXATIONS = {"gawr": GAWRRelaxation, "two_param": TwoParamRelaxation}
+    MODELS = {
+        "two-level-128": lambda: MatrixSchwarzModel(*make_poisson_1d(128, TWO_LEVEL)),
+        "diagonal": lambda: DiagonalModel([(-1) ** k * (k + 1) ** -1.5 for k in range(59)]),
+    }
+
+    @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_alternated_runs_equal_solo_runs(self, name, rule, relaxation):
+        model = self.MODELS[name]()
+        n = model.component_count() or model.support_indices.size
+        select, relax = self.RULES[rule](n), self.RELAXATIONS[relaxation]()
+        before = dict(vars(model))
+        got = alternated_runs(model, select, relax, 40, seeds=(3, 4))
+        # stepping adds no attribute and rebinds none but the scan plan
+        after = vars(model)
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] is not before[k]] in ([], ["_last_plan"])
+        for seed, traced in zip((3, 4), got):
+            solo = run(self.MODELS[name](), self.RULES[rule](n), self.RELAXATIONS[relaxation](),
+                       40, seed=seed)
+            assert traced == trace_bytes(solo.index, solo.alpha, solo.omega,
+                                         solo.local_norm, solo.error)
 
 
 class LoopScanModel(MatrixSchwarzModel):
     """The per-component pool scan the factor-group scan replaced, verbatim."""
-
-    _loop_scan = (None, {})
-
-    def local_residual(self, state, i):
-        w, solved = self._loop_scan
-        if w is state.w and i in solved:
-            return solved[i]
-        g = self.problem.b - state.w
-        return local_solve(self.problem, self.splitting[i], g)
 
     def pool_local_norms(self, state, indices):
         g = self.problem.b - state.w
@@ -506,8 +555,7 @@ class LoopScanModel(MatrixSchwarzModel):
         for k, i in enumerate(indices):
             res = solved[int(i)] = local_solve(self.problem, self.splitting[i], g)
             out[k] = res.local_norm
-        self._loop_scan = (state.w, solved)
-        return out
+        return out, lambda i: self.step(solved[i])
 
 
 def mixed_splitting():
@@ -570,16 +618,16 @@ class TestGroupedScanPinnedToLoop:
         indices = splitting.indices()
         assert list(indices) == [1, 2, 3, 4, 5, 6, 2]
         state = model.new_state()
-        norms = model.pool_local_norms(state, indices)
-        assert norms.tobytes() == loop.pool_local_norms(state, indices).tobytes(), blas_note()
+        norms, residual = model.pool_local_norms(state, indices)
+        assert norms.tobytes() == loop.pool_local_norms(state, indices)[0].tobytes(), blas_note()
         assert norms[0] == 0.0 and np.all(norms[1:] > 0.0)
         for i in indices:
-            got = model.local_residual(state, i)
+            got = residual(i)
             want = local_solve(problem, splitting[i], problem.b - state.w)
             assert got.index == i and got.local_norm == want.local_norm, blas_note()
             assert got.r.tobytes() == want.r.tobytes(), blas_note()
         # the duplicated index is the first component 2, not the second
-        assert model.local_residual(state, 2).r.tobytes() == local_solve(
+        assert residual(2).r.tobytes() == local_solve(
             problem, splitting.components[1], problem.b).r.tobytes()
 
     @pytest.mark.parametrize("entries", [1, 64, 10 ** 9])

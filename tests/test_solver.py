@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mschwarz import (
+    BlockResidual,
     DiagonalModel,
     ExplicitDistribution,
     FiniteSplitting,
@@ -44,14 +45,14 @@ def identity_model(rng, n):
 class TestGreedySelection:
     def test_largest_coefficient_wins(self):
         model = DiagonalModel([3.0, 2.0, 1.0])
-        i, res = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
-        assert i == 1
+        res = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
+        assert res.index == 1
         assert res.local_norm == 3.0
 
     def test_tie_breaks_to_smallest_index(self):
         model = DiagonalModel([1.0, 1.0])
-        i, _ = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
-        assert i == 1
+        res = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
+        assert res.index == 1
 
     def test_weak_greedy_compliance(self):
         rng = np.random.default_rng(0)
@@ -60,7 +61,7 @@ class TestGreedySelection:
             model = DiagonalModel(rng.standard_normal(6))
             state = model.new_state()
             state.u = rng.standard_normal(6)
-            _, res = select_greedy(model, state, rule, 0)
+            res = select_greedy(model, state, rule, 0)
             pool_max = np.abs(model.coefficients - state.u).max()
             assert res.local_norm ** 2 >= 0.25 * pool_max ** 2 - 1e-15
 
@@ -96,13 +97,14 @@ class TestOmegaOptimal:
     def test_zero_direction(self):
         rng = np.random.default_rng(3)
         model = identity_model(rng, 3)
-        assert omega_optimal(model, model.new_state(), 1, np.zeros(1), 0.5) == 0.0
+        res = model.step(BlockResidual(1, np.zeros(1), 0.0, 0.0))
+        assert omega_optimal(model, res, 0.5) == 0.0
 
     def test_orthonormal_alpha_one_writes_coefficient(self):
         model = DiagonalModel([0.7, -0.2])
         state = model.new_state()
         res = model.local_residual(state, 1)
-        assert omega_optimal(model, state, 1, res.r, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert omega_optimal(model, res, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_three_point_directional_optimality(self):
         rng = np.random.default_rng(4)
@@ -114,8 +116,8 @@ class TestOmegaOptimal:
             i = int(rng.integers(1, 5))
             res = model.local_residual(state, i)
             alpha = float(rng.uniform(0.3, 1.0))
-            w_star = omega_optimal(model, state, i, res.r, alpha)
-            d = model.direction(i, res.r)
+            w_star = omega_optimal(model, res, alpha)
+            d = res.d
             u_exact = model.problem.exact_solution
 
             def err(w):
@@ -131,7 +133,8 @@ class TestTwoParam:
         rng = np.random.default_rng(5)
         model = identity_model(rng, 3)
         state = model.new_state()  # u = 0 and r = 0: singular Gram matrix
-        a, w = two_param_update(model, state, 1, np.zeros(1), 4)
+        res = model.step(BlockResidual(1, np.zeros(1), 0.0, 0.0))
+        a, w = two_param_update(model, state, res, 4)
         assert a == pytest.approx(1.0 - 1.0 / 6.0, abs=1e-15)
         assert w == 0.0
 
@@ -153,8 +156,8 @@ class TestTwoParam:
             state.w = model.problem.A @ state.u
             i = int(rng.integers(1, 6))
             res = model.local_residual(state, i)
-            a_star, w_star = two_param_update(model, state, i, res.r, 0)
-            d = model.direction(i, res.r)
+            a_star, w_star = two_param_update(model, state, res, 0)
+            d = res.d
             u_exact = model.problem.exact_solution
 
             def err(a, w):
@@ -268,8 +271,8 @@ def test_iterate_yields_the_steps_run_records():
     rule = RandomRule(uniform_distribution(5))
     trace = run(model, rule, GAWRRelaxation(), 25, seed=9)
     seen = 0
-    for m, state, i, res, a, w in iterate(model, rule, GAWRRelaxation(), 25, seed=9):
-        assert (i, a, w, res.local_norm) == (
+    for m, state, res, a, w in iterate(model, rule, GAWRRelaxation(), 25, seed=9):
+        assert (res.index, a, w, res.local_norm) == (
             trace.index[m], trace.alpha[m], trace.omega[m], trace.local_norm[m]
         )
         assert model.error(state) == trace.error[m]
