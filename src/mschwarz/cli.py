@@ -96,8 +96,6 @@ def _model_metadata(config, model):
         }
     else:
         lam = uniform_bound_lambda(model.problem, model.splitting)
-        # the block norms first: they and the stability form share one
-        # additive Schwarz sum, which the stability form then releases
         block = representation_block_norms(
             model.problem, model.splitting, model.problem.exact_solution
         )
@@ -402,8 +400,6 @@ def _cmd_check(config, args):
         greedy_ok = _check_greedy_compliance(model, selection, relaxation, min(short, 50), seed)
         results.append(("greedy compliance", greedy_ok))
 
-    # the sidecar metadata before the stability check, so that the class
-    # norms and the stability spectrum share one additive Schwarz sum
     metadata = _model_metadata(config, model) if config.data["bounds"] else None
 
     if isinstance(model, MatrixSchwarzModel):

@@ -40,6 +40,20 @@ TILE_COLUMN_ALIGN = 64
 # Rows per tile of A d: a tile then reads little more than the band of A.
 TILE_ROWS = 64
 
+# Width unit of a slab of the set-up's n x n products (see _slabs): slabs
+# are multiples of it, about n / 8 wide.  Narrower slabs cost time, not
+# bits: OpenBLAS packs the whole other factor again on every call (64-wide
+# slabs made the n = 4096 stability pass 40% slower than the full products,
+# 512-wide ones as fast).
+SLAB_MIN = 64
+
+# The n that split into slabs are multiples of this.  OpenBLAS computes the
+# last n mod 8 columns of a product with edge kernels whose rounding depends
+# on how the product is blocked (at n = 300, slabs of the last 172 or 256
+# columns rounded those 4 columns differently from the full product), so
+# any other n is one slab: the full product.
+SLAB_N_MULTIPLE = 8
+
 
 class UnstableSplittingError(ValueError):
     """Raised when a finite splitting fails to span the full space."""
@@ -238,11 +252,10 @@ class CoordinateBlock(SplittingComponent):
 class FiniteSplitting:
     """A finite family of components whose stacked ranges span the full space.
 
-    A splitting belongs to the problem it was built for: the set-up
-    quantities computed from the pair are cached on it.  Lambda and the
-    stability spectrum stay for good; the n x n additive Schwarz sum stays
-    only until :func:`stability_constants` has consumed it (see
-    :func:`additive_schwarz_sum`).
+    A splitting belongs to the problem it was built for: Lambda and the
+    stability spectrum computed from the pair are cached on it.  No n x n
+    array is: each set-up function builds the additive Schwarz sum it needs
+    and consumes it (see :func:`additive_schwarz_sum`).
     """
 
     def __init__(self, problem, components):
@@ -272,7 +285,6 @@ class FiniteSplitting:
                 "component ranges do not span the space (rank-deficient splitting)"
             )
         self._lambda = None
-        self._schwarz_sum = None
         self._spectrum = None
 
     def __iter__(self):
@@ -343,27 +355,86 @@ class StabilityConstants:
         return np.isfinite(self.kappa)
 
 
+def _slabs(n):
+    """The slices of [0, n) in slabs of about n / 8, for the slab products
+    of :func:`additive_schwarz_sum` and :func:`_congruence_in_place`.
+
+    The width is n / 8 rounded up to a multiple of SLAB_MIN, so slabs start
+    on multiples of it (at n = 1560, 195-wide slabs mismatched).  A
+    remainder narrower than SLAB_MIN joins the slab before it: numpy
+    computes a product with one row or column with ``dgemv``, and OpenBLAS
+    one with 8, 16 or 32 on a small matrix with a kernel of its own
+    (n = 136 mismatched with an 8-row remainder).  An n that is not a
+    multiple of SLAB_N_MULTIPLE is one slab.  Then each entry of a slab
+    product is the same ``dgemm`` sum as in the full product, so it has its
+    bits: a property of the BLAS that tests pin, as for the tiles of A d.
+    """
+    if n % SLAB_N_MULTIPLE:
+        return [slice(0, n)]
+    width = SLAB_MIN * -(-n // (8 * SLAB_MIN))
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] < SLAB_MIN:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def additive_schwarz_sum(problem, splitting):
     """The symmetric part S = sum_i R_i A_i^{-1} R_i^T of the additive operator.
 
-    Cached on the splitting while its stability spectrum is unknown, so
-    that :func:`representation_block_norms` and then
-    :func:`stability_constants` share one S.  ``stability_constants`` drops
-    the cache once it has L^T S; a later caller gets an S of its own, with
-    the same bits, that is not cached.
+    A new n x n array, not kept: the caller consumes it in place.  The term
+    of a dense R is added in row slabs, ``S[r] += R[r] @ X`` with
+    X = A_i^{-1} R^T, which has the bits of ``S += R @ X`` without its
+    n x n temporary.
     """
-    S = splitting._schwarz_sum
-    if S is None:
-        n = problem.n
-        S = np.zeros((n, n))
-        for c in splitting:
-            if c.span is not None:
-                S[c.span, c.span] += c.solve_local(np.eye(c.dim))
-            else:
-                S += c.R @ c.solve_local(c.R.T)
-        if splitting._spectrum is None:
-            splitting._schwarz_sum = S
+    n = problem.n
+    S = np.zeros((n, n))
+    for c in splitting:
+        if c.span is not None:
+            S[c.span, c.span] += c.solve_local(np.eye(c.dim))
+        else:
+            X = c.solve_local(c.R.T)
+            for r in _slabs(n):
+                S[r] += c.R[r] @ X
     return S
+
+
+def _congruence_in_place(L, S):
+    """Overwrite S with M = L^T S L: L^T S in column slabs, then (L^T S) L
+    in row slabs, each slab product written back into S, so that no second
+    n x n array exists."""
+    slabs = _slabs(S.shape[0])
+    for c in slabs:
+        S[:, c] = L.T @ S[:, c]
+    for r in slabs:
+        S[r] = S[r] @ L
+    return S
+
+
+def _transpose_in_place(M):
+    """Overwrite M with M.T, over pairs of slabs (I, J >= I)."""
+    slabs = _slabs(M.shape[0])
+    for k, I in enumerate(slabs):
+        for J in slabs[k:]:
+            t = M[I, J].copy()
+            M[I, J] = M[J, I].T
+            M[J, I] = t.T
+    return M
+
+
+def _symmetrize_in_place(M):
+    """Overwrite M with 0.5 * (M + M.T), over pairs of slabs (I, J >= I).
+
+    ``np.add(M, M.T, out=M)`` would buffer a copy of M.T; the bits are
+    those of 0.5 * (M + M.T) because a + b == b + a in floating point.
+    """
+    slabs = _slabs(M.shape[0])
+    for k, I in enumerate(slabs):
+        for J in slabs[k:]:
+            t = M[I, J] + M[J, I].T
+            t *= 0.5
+            M[I, J] = t
+            M[J, I] = t.T
+    return M
 
 
 def stability_constants(problem, splitting, rank_tol=1e-10):
@@ -372,22 +443,17 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
     with A = L L^T, once per splitting.  L is the factor the problem stores.
-    S is released as soon as L^T S exists, and the form is built and
-    symmetrized in place, so beyond A and L at most two n x n arrays are
-    alive at once (S and L^T S, then L^T S and the form).  A rank-deficient
-    splitting is reported with kappa = inf rather than raised.
+    The whole computation lives in one n x n buffer beyond A and L: S is
+    built, overwritten with the form in slabs (:func:`_congruence_in_place`,
+    :func:`_symmetrize_in_place`) and handed to ``eigh`` to overwrite.  A
+    rank-deficient splitting is reported with kappa = inf rather than raised.
     """
     if splitting._spectrum is None:
         from scipy.linalg import eigh
 
-        L = problem._chol[0]
-        M = L.T @ additive_schwarz_sum(problem, splitting)
-        splitting._schwarz_sum = None
-        M = M @ L
-        # the bits of 0.5 * (M + M.T): numpy buffers the overlapping M.T
-        np.add(M, M.T, out=M)
-        M *= 0.5
-        # M is now exactly symmetric, so its Fortran-ordered view M.T is the
+        M = _congruence_in_place(problem._chol[0], additive_schwarz_sum(problem, splitting))
+        _symmetrize_in_place(M)
+        # M is exactly symmetric, so its Fortran-ordered view M.T is the
         # same matrix, and eigh works on it in place instead of on a copy
         w = eigh(M.T, eigvals_only=True, overwrite_a=True)
         splitting._spectrum = (float(w[0]), float(w[-1]))
@@ -434,15 +500,16 @@ def representation_block_norms(problem, splitting, u):
     stationarity condition of the quadratic program), so one n x n solve
     replaces the KKT system of size sum_i d_i + n.
 
-    Called before :func:`stability_constants`, as the CLI does, it leaves S
-    cached for that call, and S and its factor (a copy) are the two n x n
-    arrays it adds beyond A and L; called after, it builds an S of its own.
-    The norms have the same bits either way.
+    S is transposed in place, so that its Fortran-ordered view is S, and
+    factored in place: it is the one n x n array this adds beyond A and L,
+    and ``potrf`` gets the matrix it would get as the copy ``cho_factor``
+    makes of a C-ordered S.  (Building S Fortran-ordered costs more than
+    the transposition: numpy adds the C-ordered products into it slowly.)
     """
     from scipy.linalg import cho_factor, cho_solve
 
-    S = additive_schwarz_sum(problem, splitting)
-    y = cho_solve(cho_factor(S, lower=True), np.asarray(u, dtype=float))
+    S = _transpose_in_place(additive_schwarz_sum(problem, splitting)).T
+    y = cho_solve(cho_factor(S, lower=True, overwrite_a=True), np.asarray(u, dtype=float))
     norms = []
     for c in splitting:
         v = c.solve_local(c.restrict(y))

@@ -333,7 +333,7 @@ def blas_note():
     pins how that BLAS rounds, so that a failure after a BLAS upgrade reads
     as one."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"BLAS {blas.get('name')} {blas.get('version')} "
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration reported')})")
 
 
@@ -748,8 +748,8 @@ SETUP_CASES = {
 
 
 class TestMetadataPass:
-    """The class norms first, then the stability form, which releases the
-    additive Schwarz sum once it has L^T S: every number keeps its bits."""
+    """The class norms first, then the stability form, each on an additive
+    Schwarz sum of its own: every number keeps its bits."""
 
     @pytest.mark.parametrize("case", sorted(SETUP_CASES))
     def test_cli_order_has_the_reference_bits(self, case):
@@ -758,11 +758,9 @@ class TestMetadataPass:
         want_spectrum = reference_spectrum(*SETUP_CASES[case]())
         uniform_bound_lambda(problem, splitting)
         norms = representation_block_norms(problem, splitting, problem.exact_solution)
-        assert splitting._schwarz_sum is not None
         sc = stability_constants(problem, splitting)
         assert norms.tobytes() == want_norms.tobytes()
         assert (sc.lam_min, sc.lam_max) == want_spectrum
-        assert splitting._schwarz_sum is None
 
     @pytest.mark.parametrize("case", sorted(SETUP_CASES))
     def test_block_norms_do_not_depend_on_the_stability_call(self, case):
@@ -775,17 +773,104 @@ class TestMetadataPass:
                 problem, splitting, problem.exact_solution).tobytes()
             if when == "before":
                 stability_constants(problem, splitting)
-            # S is kept only while the stability form may still need it
-            assert (splitting._schwarz_sum is None) == (when != "without")
         assert got["before"] == got["after"] == got["without"]
 
     def test_schwarz_sum_is_rebuilt_with_its_bits(self):
         problem, splitting = SETUP_CASES["mixed-dense-R"]()
         first = additive_schwarz_sum(problem, splitting).copy()
         stability_constants(problem, splitting)
-        assert splitting._schwarz_sum is None
         assert np.array_equal(additive_schwarz_sum(problem, splitting), first)
-        assert splitting._schwarz_sum is None
+
+
+def verbatim_schwarz_sum(problem, splitting):
+    """additive_schwarz_sum as built before the dense-R term went in row
+    slabs, verbatim."""
+    n = problem.n
+    S = np.zeros((n, n))
+    for c in splitting:
+        if c.span is not None:
+            S[c.span, c.span] += c.solve_local(np.eye(c.dim))
+        else:
+            S += c.R @ c.solve_local(c.R.T)
+    return S
+
+
+SLAB_CASES = {
+    **SETUP_CASES,
+    # n = 1000 is no multiple of its 128-wide slabs; n = 48 is less than one
+    # slab; n = 1100 is no multiple of 8, so one slab
+    "two-level-1000": lambda: make_poisson_1d(1000, POISSON_SPLITTINGS["two-level-1024"][1]),
+    "two-level-1100": lambda: make_poisson_1d(1100, POISSON_SPLITTINGS["two-level-1024"][1]),
+    "two-level-48": lambda: make_poisson_1d(48, TWO_LEVEL),
+}
+
+
+class TestSlabsPinnedToFullProducts:
+    """The set-up's slab products, its blockwise symmetrization and its
+    in-place factor are the full-array expressions, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 48, 64, 65, 72, 127, 128, 136, 300, 1000, 1024, 1100, 4096])
+    def test_slab_rules(self, n):
+        slabs = problems_module._slabs(n)
+        assert slabs[0].start == 0 and slabs[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+        if n % 8 or n < 128:
+            assert slabs == [slice(0, n)]
+            return
+        width = slabs[0].stop
+        assert width % 64 == 0 and n / 8 <= width < n / 8 + 64
+        assert all(s.stop - s.start == width for s in slabs[:-1])
+        assert 64 <= slabs[-1].stop - slabs[-1].start < width + 64
+
+    @pytest.mark.parametrize("case", sorted(SLAB_CASES))
+    def test_schwarz_sum_equals_the_full_dense_r_term(self, case):
+        problem, splitting = SLAB_CASES[case]()
+        assert_same_bits(additive_schwarz_sum(problem, splitting),
+                         verbatim_schwarz_sum(problem, splitting))
+
+    @pytest.mark.parametrize("case", sorted(SLAB_CASES))
+    def test_form_equals_the_full_products(self, case):
+        problem, splitting = SLAB_CASES[case]()
+        L = problem._chol[0]
+        S = additive_schwarz_sum(problem, splitting)
+        M = L.T @ S @ L
+        form = problems_module._congruence_in_place(L, S)
+        assert_same_bits(form, M)
+        assert_same_bits(problems_module._symmetrize_in_place(form), 0.5 * (M + M.T))
+
+    @pytest.mark.parametrize("case", sorted(SLAB_CASES))
+    def test_in_place_factor_equals_the_copying_factor(self, case):
+        problem, splitting = SLAB_CASES[case]()
+        S = additive_schwarz_sum(problem, splitting)
+        want, _ = cho_factor(S, lower=True)
+        S = problems_module._transpose_in_place(S.copy()).T
+        assert_same_bits(S, additive_schwarz_sum(problem, splitting))
+        got, _ = cho_factor(S, lower=True, overwrite_a=True)
+        assert np.shares_memory(got, S)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [72, 136, 200, 300, 1000, 1560])
+    def test_slab_products_of_random_matrices(self, n):
+        """Random factors and sums at sizes whose last slab is narrower
+        than the others or takes in a short remainder, that are no
+        multiple of 8, or whose slabs would not start on multiples of 64
+        at ceil(n / 8) columns."""
+        rng = np.random.default_rng(n)
+        L = cholesky(random_spd(rng, n), lower=True)
+        for scale in SCALES:
+            S = rng.standard_normal((n, n)) * scale
+            M = L.T @ S @ L
+            form = problems_module._congruence_in_place(L, S)
+            assert_same_bits(form, M)
+            assert_same_bits(problems_module._symmetrize_in_place(form), 0.5 * (M + M.T))
+        for d in (1, 5, 32):
+            R = rng.standard_normal((n, d))
+            X = rng.standard_normal((d, n))
+            S = rng.standard_normal((n, n))
+            want = S + R @ X
+            for r in problems_module._slabs(n):
+                S[r] += R[r] @ X
+            assert_same_bits(S, want)
 
 
 class TestLeanSetup:
@@ -820,7 +905,19 @@ class TestLeanSetup:
         # it would receive as a copy
         assert form.flags.f_contiguous
 
-    def test_stability_peak_memory_is_three_matrices(self):
+    def test_block_norms_factor_a_fortran_ordered_sum_in_place(self, monkeypatch):
+        problem, splitting = SETUP_CASES["two-level-128"]()
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            lambda a, **k: calls.append((a, cho_factor(a, **k))) or calls[-1][1])
+        representation_block_norms(problem, splitting, problem.exact_solution)
+        [(S, (factor, lower))] = calls
+        # LAPACK factors a Fortran-ordered array in place; a C-ordered one
+        # it would receive as a copy
+        assert S.flags.f_contiguous and lower is True
+        assert np.shares_memory(factor, S)
+
+    def test_stability_peak_memory_is_one_matrix(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
         problem, splitting = make_poisson_1d(n, spec)
         tracemalloc.start()
@@ -829,10 +926,10 @@ class TestLeanSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # S, L^T S and the form, plus eigh's workspace
-        assert peak <= 3.25 * n * n * 8
+        # the one buffer, plus a slab product and eigh's workspace
+        assert peak <= 1.25 * n * n * 8
 
-    def test_metadata_peak_memory_is_two_matrices(self):
+    def test_metadata_peak_memory_is_one_matrix(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
         problem, splitting = make_poisson_1d(n, spec)
         tracemalloc.start()
@@ -844,10 +941,10 @@ class TestLeanSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # S and its factor, then S and L^T S, then L^T S and the form, plus
-        # the finiteness checks' boolean copies and eigh's workspace
-        assert peak <= 2.25 * n * n * 8
-        assert splitting._schwarz_sum is None
+        # one S at a time, factored or turned into the form in place, plus
+        # the finiteness checks' boolean copies, a slab product and eigh's
+        # workspace
+        assert peak <= 1.25 * n * n * 8
 
     @pytest.mark.parametrize("case, solves", [
         ("two-level-1024", 2),  # 21 equal blocks and the coarse component
