@@ -226,9 +226,12 @@ def _step_maps(model, selection, M):
         return to_positions
 
     support = model.support_indices
-    # boundary k closes the interval of index k and opens that of index k+1
-    ks = np.union1d(support - 1, support)
-    ks = ks[ks > 0]
+    # boundary k closes the interval of index k and opens that of index k+1;
+    # ks is the sorted distinct positive k in support - 1 and support (the
+    # support is sorted and distinct, so 0 can only lead).  np.union1d
+    # gives the same but loads numpy.ma for its masked-array check.
+    ks = np.sort(np.concatenate((support - 1, support)))
+    ks = ks[np.diff(ks, prepend=0) > 0]
     # the uniforms that ``searchsorted`` puts at c lie between boundaries
     # lo[c] and hi[c] (the last has none above); they draw a single index
     # exactly when hi[c] == lo[c] + 1

@@ -20,6 +20,8 @@ class ExplicitDistribution:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be a nonempty 1-d array")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         total = float(p.sum())
@@ -134,17 +136,68 @@ class _SeriesDistribution:
         return np.searchsorted(self._cum, u, side="right").astype(np.int64) + 1
 
 
-class PowerLawDistribution(_SeriesDistribution):
-    """pi_i = c_s i^{-(1+s)} with c_s = 1/zeta(1+s), s > 0."""
+# Cephes zetac (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), as scipy.special.zeta evaluates it: the values of
+# zeta(2..10) and the rational coefficients for 1 < x <= 10.
+_ZETA_INTEGERS = (
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+    1.03692775514337, 1.0173430619844492, 1.008349277381923,
+    1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+)
+_ZETA_P = (
+    5.85746514569725319540E11, 2.57534127756102572888E11,
+    4.87781159567948256438E10, 5.15399538023885770696E9,
+    3.41646073514754094281E8, 1.60837006880656492731E7,
+    5.92785467342109522998E5, 1.51129169964938823117E4,
+    2.01822444485997955865E2,
+)
+_ZETA_Q = (
+    3.90497676373371157516E11, 5.22858235368272161797E10,
+    5.64451517271280543351E9, 3.39006746015350418834E8,
+    1.79410371500126453702E7, 5.66666825131384797029E5,
+    1.60382976810944131506E4, 1.96436237223387314144E2,
+)
 
-    def __init__(self, s):
-        if s <= 0:
-            raise ValueError(f"power-law exponent s={s} must be positive")
-        # imported here so that only power-law configs load scipy.special
+
+def _zeta(x):
+    """The Riemann zeta value at x >= 1, bit for bit ``scipy.special.zeta(x)``.
+
+    For x <= 10 this is the arithmetic of Cephes ``zetac(x) + 1``: inf at
+    x = 1, a table at the integers 2..10, and otherwise
+    1 + x P(1/x) / (2^x (x - 1) Q(1/x)) by Horner's rule, where Q is monic.
+    Above 10 Cephes takes other tabulated coefficients, so the value comes
+    from scipy itself and only then is ``scipy.special`` imported.
+    """
+    if x == 1.0:
+        return math.inf
+    if x > 10.0:
         from scipy.special import zeta
 
+        return float(zeta(x))
+    if x == math.floor(x):
+        return _ZETA_INTEGERS[int(x) - 2]
+    w = 1.0 / x
+    p = _ZETA_P[0]
+    for c in _ZETA_P[1:]:
+        p = p * w + c
+    q = w + _ZETA_Q[0]
+    for c in _ZETA_Q[1:]:
+        q = q * w + c
+    return 1.0 + (x * p) / (2.0 ** x * (x - 1.0) * q)
+
+
+class PowerLawDistribution(_SeriesDistribution):
+    """pi_i = c_s i^{-(1+s)} with c_s = 1/zeta(1+s), s > 0 finite.
+
+    The constant comes from ``_zeta``, which equals scipy's value bit for
+    bit and imports ``scipy.special`` only for s > 9.
+    """
+
+    def __init__(self, s):
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"power-law exponent s={s} must be positive and finite")
         self.s = float(s)
-        self.Z = float(zeta(1.0 + s))
+        self.Z = _zeta(1.0 + self.s)
         super().__init__()
 
     def _terms(self, i):

@@ -12,6 +12,9 @@ error along the chosen direction.
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it with the solver keeps
+# that one-time import in the set-up, out of the first step that draws
+import numpy.random  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ class TestMonteCarloStepMaps:
 
     @staticmethod
     def traced_peak(model, steps, trials):
-        rule = _truncated_rule()  # built first: it may import scipy.special
+        rule = _truncated_rule()  # built first: its first partial-sum table is not the kernel's
         tracemalloc.start()
         try:
             mc_expected_error(model, rule, GAWRRelaxation(), steps, trials, 1)

@@ -349,12 +349,29 @@ def _loaded(modules, name):
     return any(m == name or m.startswith(name + ".") for m in modules)
 
 
+def _subpackages(modules):
+    """The public scipy subpackages among ``modules``, such as ``scipy.special``."""
+    return {".".join(m.split(".")[:2]) for m in modules
+            if m.count(".") and not m.split(".")[1].startswith("_")
+            and m.split(".")[1] != "version"}
+
+
+POWER_LAW_ABOVE_NINE = POWER_LAW_EXPECT.replace("s: 0.5", "s: 9.5")
+
+
+# A power law with s <= 9 takes its constant from the Cephes port in
+# distributions._zeta; only s > 9 asks scipy.special for it.
 @pytest.mark.parametrize("command, text, loaded, not_loaded", [
     (None, None, [], ["scipy"]),
-    ("expect", POWER_LAW_EXPECT, ["scipy.special"], ["scipy.linalg", "scipy.sparse"]),
+    ("expect", POWER_LAW_EXPECT, [], ["scipy"]),
+    ("run", POWER_LAW_EXPECT, [], ["scipy"]),
+    ("check", POWER_LAW_EXPECT, [], ["scipy"]),
+    ("expect", POWER_LAW_ABOVE_NINE, ["scipy.special"], ["scipy.linalg", "scipy.sparse"]),
     ("expect", ORACLE_EXPECT, [], ["scipy"]),
     ("run", POISSON_UNIFORM_RUN, ["scipy.linalg", "scipy.sparse"], ["scipy.special"]),
-], ids=["import-cli", "diagonal-power-law", "diagonal-explicit", "poisson-uniform"])
+], ids=["import-cli", "diagonal-power-law", "diagonal-power-law-run",
+        "diagonal-power-law-check", "diagonal-power-law-above-nine", "diagonal-explicit",
+        "poisson-uniform"])
 def test_scipy_modules_loaded_only_where_the_config_needs_them(
         tmp_path, command, text, loaded, not_loaded):
     src = Path(__file__).resolve().parent.parent / "src"
@@ -369,6 +386,7 @@ def test_scipy_modules_loaded_only_where_the_config_needs_them(
     modules = out.splitlines()[-1].split() if out.strip() else []
     for name in loaded:
         assert _loaded(modules, name), name
+    assert _subpackages(modules) <= set(loaded), modules
     for name in not_loaded:
         assert not _loaded(modules, name), name
 

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import zeta
 
 from mschwarz import (
@@ -15,7 +16,7 @@ from mschwarz import (
     uniform_distribution,
 )
 from mschwarz import distributions
-from mschwarz.distributions import truncation_cutoff
+from mschwarz.distributions import _zeta, truncation_cutoff
 
 
 class TestExplicit:
@@ -26,6 +27,11 @@ class TestExplicit:
             ExplicitDistribution([-0.1, 1.1])
         with pytest.raises(ValueError):
             ExplicitDistribution([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ExplicitDistribution([bad, 0.5, 0.5])
 
     def test_point_mass_always_samples_one(self):
         d = ExplicitDistribution([1.0, 0.0, 0.0])
@@ -100,6 +106,11 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             PowerLawDistribution(0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_rejects_nonfinite_exponent(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            PowerLawDistribution(s)
+
     def test_empirical_cdf_matches_analytic(self):
         # Kolmogorov distance < 0.002 at 1e6 draws
         d = PowerLawDistribution(1.0)
@@ -110,6 +121,61 @@ class TestPowerLaw:
         empirical = np.cumsum(counts) / draws.size
         analytic = np.cumsum(d._terms(np.arange(1, top + 1))) / d.Z
         assert np.abs(empirical - analytic).max() < 0.002
+
+
+def _versions():
+    """The message of a test that pins scipy's zeta bits, so that a failure
+    after an upgrade reads as one."""
+    return f"numpy {np.__version__}, scipy {scipy.__version__}"
+
+
+def _assert_zeta_matches_scipy(xs):
+    got = np.array([_zeta(float(x)) for x in xs])
+    want = zeta(np.asarray(xs, dtype=float))
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, (
+        f"{bad.size} of {len(xs)} differ, first at x={float(xs[bad[0]])!r}: "
+        f"{got[bad[0]]!r} != {want[bad[0]]!r}; {_versions()}")
+
+
+class TestZetaPort:
+    """``_zeta`` is the Cephes arithmetic scipy uses, so it equals
+    ``scipy.special.zeta`` bit for bit and the power law's constant, and
+    every table built from it, is unchanged."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(20261019)
+        # 1 - u is in (0, 1], so x is in (1, 10]
+        _assert_zeta_matches_scipy(1.0 + 9.0 * (1.0 - rng.random(100_000)))
+
+    def test_exponent_grid(self):
+        _assert_zeta_matches_scipy([1.0 + s for s in np.round(np.arange(1, 901) * 0.01, 2)])
+
+    def test_integers(self):
+        _assert_zeta_matches_scipy(np.arange(2.0, 11.0))
+
+    def test_near_one(self):
+        _assert_zeta_matches_scipy([1.0 + 2.0 ** -k for k in range(1, 53)])
+
+    def test_top_of_the_rational_range(self):
+        _assert_zeta_matches_scipy([10.0, np.nextafter(10.0, 0.0)])
+
+    def test_pole(self):
+        assert _zeta(1.0) == math.inf == float(zeta(1.0)), _versions()
+
+    def test_above_ten_goes_through_scipy(self, monkeypatch):
+        above = [np.nextafter(10.0, 11.0), 10.5, 11.0, 17.25, 50.0, 1e3]
+        _assert_zeta_matches_scipy(above)
+        asked = []
+        monkeypatch.setattr(scipy.special, "zeta", lambda x: asked.append(x) or zeta(x))
+        for x in [1.0, 1.5, 2.0, np.nextafter(10.0, 0.0), 10.0, *above]:
+            _zeta(float(x))
+        assert asked == above
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.3, 2.0, 2.5])
+    def test_power_law_constant(self, s):
+        # the exponents of the demos, the tests and the diagonal_expect benchmark
+        assert PowerLawDistribution(s).Z == float(zeta(1.0 + s)), _versions()
 
 
 class TestLogFamily:
