@@ -12,6 +12,15 @@ import numpy as np
 
 _NORMALIZATION_TOL = 1e-12
 
+# Slack of the table-limit check before a cutoff search (see
+# _SeriesDistribution.check_table_fits).  The search compares computed
+# tails, 1 minus a partial sum of the table, which can lie below the true
+# tail by a relative rounding error of the sum and the constant Z and by
+# some ulps of 1; the check raises only when the closed-form floor clears
+# the budget by both, so no search that ends under the limit is refused.
+_FLOOR_REL_SLACK = 1e-6
+_FLOOR_ABS_SLACK = 1e-12
+
 
 class ExplicitDistribution:
     """A finite distribution on indices 1..n."""
@@ -99,9 +108,24 @@ class _SeriesDistribution:
         if N <= n:
             return
         if N > self._table_limit:
-            raise ValueError(f"partial-sum table would exceed {self._table_limit} entries")
+            raise self._limit_error()
         new = self._terms(np.arange(n + 1, N + 1)) / self.Z
         self._cum = np.concatenate([self._cum, self._cum[-1] + np.cumsum(new)])
+
+    def _limit_error(self):
+        return ValueError(f"partial-sum table would exceed {self._table_limit} entries")
+
+    def check_table_fits(self, budget):
+        """Raise the table-limit error at once if the smallest N with a tail
+        of at most ``budget`` lies past ``_table_limit``.
+
+        ``_tail_floor(N)``, a closed-form lower bound on the tail beyond N,
+        is then above the budget at the limit; the cutoff search would
+        otherwise grow the table up to the limit before it failed.
+        """
+        floor = self._tail_floor(self._table_limit)
+        if floor > budget * (1.0 + _FLOOR_REL_SLACK) + _FLOOR_ABS_SLACK:
+            raise self._limit_error()
 
     def prob(self, i):
         if i < 1:
@@ -203,6 +227,11 @@ class PowerLawDistribution(_SeriesDistribution):
     def _terms(self, i):
         return np.asarray(i, dtype=float) ** (-(1.0 + self.s))
 
+    def _tail_floor(self, N):
+        """(N+1)^{-s} / (s Z) <= tail(N): the tail's sum is at least the
+        integral of x^{-(1+s)} / Z from N + 1 on."""
+        return (N + 1.0) ** -self.s / (self.s * self.Z)
+
 
 def _log_family_constant():
     """Z = sum_i 1/(i log^2(i+1)) by direct summation plus an
@@ -244,6 +273,12 @@ class LogFamilyDistribution(_SeriesDistribution):
     def _terms(self, i):
         i = np.asarray(i, dtype=float)
         return 1.0 / (i * np.log(i + 1.0) ** 2)
+
+    def _tail_floor(self, N):
+        """1 / (Z log(N+2)) <= tail(N): the tail's sum is at least the
+        integral of 1/(x log^2(x+1)) / Z from N + 1 on, which is at least
+        that of 1/((x+1) log^2(x+1)) / Z."""
+        return 1.0 / (self.Z * math.log(N + 2.0))
 
     _sample_table_cap = 1 << 20
 
@@ -300,11 +335,15 @@ def _search_cutoff(base, budget, start):
     >= ``start``, which the search for ``start`` probed, and doubles only
     past that power.  A series base thus grows its partial-sum table to the
     same sizes in the same order from any start, and the table's bits depend
-    on that order.
+    on that order.  A series base first checks that the cutoff fits under
+    its table limit, so that an unreachable budget fails before any table
+    grows.
     """
+    bound = base.support_bound()
+    if bound is None:
+        base.check_table_fits(budget)
     if base.tail_mass(start) <= budget:
         return start
-    bound = base.support_bound()
     # tail(lo) > budget; tail(hi) <= budget unless hi reached the bound
     lo, hi = start, 1 << (start - 1).bit_length()
     step = 1

@@ -10,7 +10,8 @@ import numpy as np
 
 from .problems import CoordinateBlock, FiniteSplitting, Problem, SplittingComponent
 
-# largest grid: A is stored dense, so n = 4096 already takes 128 MB
+# largest grid: the set-up's Cholesky factor L and additive Schwarz sum S
+# are dense, so n = 4096 already takes 128 MB for each
 MAX_GRID = 4096
 
 

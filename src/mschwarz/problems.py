@@ -66,8 +66,26 @@ def _as_matrix(A):
     return A
 
 
+def _is_symmetric(A):
+    """Whether A == A.T exactly, compared over pairs of slabs (I, J >= I) so
+    that no n x n temporary exists."""
+    slabs = _slabs(A.shape[0])
+    return all(np.array_equal(A[I, J], A[J, I].T) for k, I in enumerate(slabs) for J in slabs[k:])
+
+
 class Problem:
     """An SPD form A, functional b, and the direct-solve reference solution.
+
+    A is stored as its band: the contiguous copies of the row tiles
+    ``image_tiles(A_csr, 0, n)``, with the CSR copy ``_A_csr`` they were
+    found from.  Every product with A is a band product (:meth:`_matvec`),
+    which has the bits of the dense ``A @ v`` row by row (see
+    :func:`image_tiles`), so the dense n x n A exists only while the
+    problem is built.  An exactly symmetric input is taken as it is; any
+    other is checked and symmetrized, ``0.5 * (A + A.T)``, first.  The
+    band, b and the solution are copies: the problem never aliases the
+    caller's arrays.  ``A`` builds a dense copy on each access, for tests
+    and outside callers; no library path reads it.
 
     ``_chol`` is ``(L, True)`` with the clean lower Cholesky factor
     L = cholesky(A, lower=True), in the form ``cho_solve`` takes: ``potrs``
@@ -78,36 +96,69 @@ class Problem:
 
     def __init__(self, A, b, exact_solution=None):
         from scipy.linalg import cho_solve, cholesky
+        from scipy.sparse import csr_array
 
         A = _as_matrix(A)
-        b = np.asarray(b, dtype=float)
+        b = np.array(b, dtype=float)
         n = A.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-        sym_defect = np.abs(A - A.T).max()
-        scale = max(np.abs(A).max(), 1e-300)
-        if sym_defect > 1e-12 * scale:
-            raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
-        A = 0.5 * (A + A.T)
+        if not _is_symmetric(A):
+            sym_defect = np.abs(A - A.T).max()
+            scale = max(np.abs(A).max(), 1e-300)
+            if sym_defect > 1e-12 * scale:
+                raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
+            A = 0.5 * (A + A.T)
         try:
             self._chol = (cholesky(A, lower=True), True)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
-        self.A = A
+        self._A_csr = csr_array(A)
+        # copies, never views: a view of a full-width tile would keep the
+        # whole dense A alive
+        self._band = [(rows, cols, A[rows, cols].copy())
+                      for rows, cols in image_tiles(self._A_csr, 0, n)]
         self.b = b
         self.n = n
         if exact_solution is None:
             exact_solution = cho_solve(self._chol, b)
         else:
-            exact_solution = np.asarray(exact_solution, dtype=float)
+            exact_solution = np.array(exact_solution, dtype=float)
         self.exact_solution = exact_solution
         # residual measured in the dual norm, i.e. as the energy norm of the
         # solution error it induces (the A-norm of the raw residual vector is
         # not reachable in float64 once A is ill-conditioned)
-        res = A @ exact_solution - b
+        res = self._matvec(exact_solution) - b
         sol_norm = energy_norm(self, exact_solution)
         if energy_norm(self, cho_solve(self._chol, res)) > 1e-10 * max(sol_norm, 1e-300):
             raise ValueError("supplied exact solution does not solve A u = b")
+
+    @property
+    def A(self):
+        """A dense copy of A, built from the band on each access."""
+        return self._rows(slice(0, self.n))
+
+    def _band_tiles(self, lo, hi):
+        """The band tiles that cover the rows [lo, hi): tile k starts at row
+        k * TILE_ROWS, and the last one may hold one row more."""
+        last = len(self._band)
+        return self._band[min(lo // TILE_ROWS, last - 1):min(-(-hi // TILE_ROWS), last)]
+
+    def _matvec(self, v, tiles=None):
+        """A @ v from the band ``tiles`` (all of them by default), each
+        ``tile @ v[cols]``; rows outside the tiles are +0.0."""
+        out = np.zeros(self.n)
+        for rows, cols, tile in self._band if tiles is None else tiles:
+            out[rows] = tile @ v[cols]
+        return out
+
+    def _rows(self, r):
+        """The rows ``r`` (a slice) of A as a dense array."""
+        out = np.zeros((r.stop - r.start, self.n))
+        for rows, cols, tile in self._band_tiles(r.start, r.stop):
+            lo, hi = max(rows.start, r.start), min(rows.stop, r.stop)
+            out[lo - r.start:hi - r.start, cols] = tile[lo - rows.start:hi - rows.start]
+        return out
 
     def solve(self, rhs):
         from scipy.linalg import cho_solve
@@ -120,7 +171,7 @@ def energy_norm(problem, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({problem.n},)")
-    return float(np.sqrt(max(v @ (problem.A @ v), 0.0)))
+    return float(np.sqrt(max(v @ problem._matvec(v), 0.0)))
 
 
 @dataclass
@@ -187,9 +238,14 @@ class SplittingComponent:
         """R_i r."""
         return self.R @ r
 
-    def galerkin(self, A):
-        """R_i^T A R_i."""
-        return self.R.T @ (A @ self.R)
+    def galerkin(self, problem):
+        """R_i^T A R_i, with A R_i computed in the row slabs of
+        :func:`_slabs`, each from a slab of A's rows: the bits of
+        ``R.T @ (A @ R)`` without the dense A."""
+        AR = np.empty((self.n, self.dim))
+        for r in _slabs(self.n):
+            AR[r] = problem._rows(r) @ self.R
+        return self.R.T @ AR
 
     def solve_local(self, rhs):
         x, info = self._potrs(self._chol[0], rhs, lower=self._chol[1])
@@ -245,8 +301,9 @@ class CoordinateBlock(SplittingComponent):
         d[self.span] = r
         return d
 
-    def galerkin(self, A):
-        return A[self.span, self.span]
+    def galerkin(self, problem):
+        # a copy, so that the rows it is cut from are freed
+        return problem._rows(self.span)[:, self.span].copy()
 
 
 class FiniteSplitting:
@@ -336,7 +393,7 @@ def uniform_bound_lambda(problem, splitting):
     if splitting._lambda is None:
         lams = {}
         for c in splitting:
-            G = c.galerkin(problem.A)
+            G = c.galerkin(problem)
             key = (G.tobytes(), c.A_local.tobytes())
             if key not in lams:
                 lams[key] = _component_lambda(G, c.A_local)
@@ -525,7 +582,9 @@ def image_tiles(A_csr, lo, hi):
     ``dgemv``.  A tile's columns are the stored columns of its rows, widened
     out to multiples of TILE_COLUMN_ALIGN (or to n), and to all columns when
     they cross a multiple of DGEMV_COLUMN_PIECE.  Then, row by row,
-    ``A[rows, cols] @ d[cols]`` has the bits of ``A @ d``.
+    ``A[rows, cols] @ d[cols]`` has the bits of ``A @ d``, on a strided view
+    of A as on a contiguous copy of the tile.  The tiles of all rows,
+    ``image_tiles(A_csr, 0, n)``, are the band a :class:`Problem` stores.
     """
     n = A_csr.shape[1]
     indptr, indices = A_csr.indptr, A_csr.indices
@@ -560,13 +619,14 @@ class MatrixSchwarzModel:
     The cached product w = A u is updated incrementally and recomputed from
     scratch every ``refresh_every`` steps to cap floating-point drift.
 
-    Every product that feeds omega, alpha, u or w (A d, b.d, w.d, d.Ad) is
-    the dense one, so a run's picks do not depend on how A is stored: on
-    splittings with exactly tied local norms rounding decides the pick.
-    A d for d = R_i r is computed in tiles, found once per component from
-    the CSR pattern (:func:`image_tiles`): the rows [lo, hi) of A that R_i
-    reaches, in tiles of TILE_ROWS rows, each multiplied on only the columns
-    its rows store, ``Ad[rows] = A[rows, cols] @ d[cols]``.  Every other row
+    Every product that feeds omega, alpha, u or w (A d, b.d, w.d, d.Ad) has
+    the bits of the dense one, so a run's picks do not depend on how A is
+    stored: on splittings with exactly tied local norms rounding decides
+    the pick.  A is the problem's band of row tiles (see :class:`Problem`
+    and :func:`image_tiles`).  A d for d = R_i r multiplies the band tiles
+    that cover the rows [lo, hi) of A that R_i reaches, found once per
+    component from the problem's CSR pattern, ``Ad[rows] = tile @ d[cols]``;
+    every other row, and every row of those tiles that R_i does not reach,
     is the +0.0 the full product gives.  Each tiled row is the same BLAS
     ``dgemv`` over the same nonzero terms as in A @ d, so the same bits, by
     three properties of the BLAS and numpy that tests pin: the columns start
@@ -575,9 +635,9 @@ class MatrixSchwarzModel:
     DGEMV_COLUMN_PIECE, where the full product starts a new piece of its row
     sums, spans all columns; and no tile has a single row, which numpy would
     hand to ``ddot``.  The two-level coarse component reaches every row but
-    is multiplied on little more than the band of A.  The refresh of w stays
-    the full product: it is the independent recompute.  Only the reported
-    error uses a CSR copy of A.
+    is multiplied on little more than the band of A.  The refresh of w is
+    the product with the whole band: still a recompute of A u from scratch.
+    The reported error uses the problem's CSR copy of A.
 
     The greedy pool scan works on factor groups: components whose local
     forms and stored Cholesky factors are byte-equal (all overlapping
@@ -603,15 +663,11 @@ class MatrixSchwarzModel:
     refresh_every = 1000
 
     def __init__(self, problem, splitting):
-        # imported here so that the diagonal model never loads scipy.sparse
-        from scipy.sparse import csr_array
-
         self.problem = problem
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
-        self._A_csr = csr_array(problem.A)
-        self._tiles = {int(i): image_tiles(self._A_csr, *self._reached_rows(splitting[i]))
+        self._tiles = {int(i): problem._band_tiles(*self._reached_rows(splitting[i]))
                        for i in splitting.indices()}
         self._group_of = self._factor_groups()
         # (pool indices as bytes, scan plan) of the last pool
@@ -665,7 +721,7 @@ class MatrixSchwarzModel:
         R_i r vanishes off the nonzero rows of R_i and A is symmetric, so
         the stored columns of those rows of A are the rows reached: O(nnz).
         """
-        indptr, indices = self._A_csr.indptr, self._A_csr.indices
+        indptr, indices = self.problem._A_csr.indptr, self.problem._A_csr.indices
         if component.span is not None:
             cols = indices[indptr[component.span.start]:indptr[component.span.stop]]
         else:
@@ -719,12 +775,8 @@ class MatrixSchwarzModel:
 
     def step(self, res):
         """Fill the record's direction d = R_i r and its tiled image A d."""
-        d = self.splitting[res.index].prolong(res.r)
-        A = self.problem.A
-        Ad = np.zeros(self.problem.n)
-        for rows, cols in self._tiles[res.index]:
-            Ad[rows] = A[rows, cols] @ d[cols]
-        res.d, res.Ad = d, Ad
+        res.d = self.splitting[res.index].prolong(res.r)
+        res.Ad = self.problem._matvec(res.d, self._tiles[res.index])
         return res
 
     def dir_energy_sq(self, res):
@@ -746,13 +798,13 @@ class MatrixSchwarzModel:
         state.u = alpha * state.u + omega * res.d
         state.steps += 1
         if state.steps % self.refresh_every == 0:
-            state.w = self.problem.A @ state.u
+            state.w = self.problem._matvec(state.u)
         else:
             state.w = alpha * state.w + omega * res.Ad
 
     def error(self, state):
         e = self.problem.exact_solution - state.u
-        return float(np.sqrt(max(e @ (self._A_csr @ e), 0.0)))
+        return float(np.sqrt(max(e @ (self.problem._A_csr @ e), 0.0)))
 
     def solution_norm(self):
         return self._solution_norm

@@ -345,6 +345,55 @@ class TestMetadataPass:
         assert len(built) == builds
 
 
+TWO_LEVEL_TINY = """
+problem:
+  kind: poisson_1d
+  n: 64
+  splitting:
+    kind: two_level
+    coarse_stride: 8
+    block_size: 16
+    overlap: 4
+selection:
+  kind: random
+  family:
+    kind: uniform
+relaxation: gawr
+steps: 40
+trials: 4
+seed: 3
+bounds: true
+"""
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", TWO_LEVEL_TINY),
+    ("run", TWO_LEVEL_TINY.replace("kind: random\n  family:\n    kind: uniform",
+                                   "kind: greedy\n  beta: 1.0\n  pool: fixed")),
+    ("expect", TWO_LEVEL_TINY),
+    ("check", TWO_LEVEL_TINY),
+    ("bounds", TWO_LEVEL_TINY),
+], ids=["run-random", "run-greedy", "expect", "check", "bounds"])
+def test_no_command_reads_the_dense_a(tmp_path, monkeypatch, capsys, command, text):
+    """With ``Problem.A`` made to raise, every command gives the same
+    outputs: the library reads A through its band only."""
+    cfg = write_config(tmp_path, text)
+    outputs = []
+    for name in ("dense", "band"):
+        out = tmp_path / name
+        out.mkdir()
+        if name == "band":
+            def refuse(problem):
+                raise AssertionError("the dense A was read")
+            monkeypatch.setattr(problems_module.Problem, "A", property(refuse))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    # every command writes files but check, which prints its verdicts
+    assert outputs[1][1] if command != "check" else "PASS" in outputs[1][0]
+    assert outputs[0] == outputs[1]
+
+
 def _loaded(modules, name):
     return any(m == name or m.startswith(name + ".") for m in modules)
 

@@ -405,3 +405,58 @@ class TestHeadProbs:
         for m in [0, 1, 17, 399]:
             table = truncate_distribution(base, m, 1.0)
             assert np.array_equal(table.probs, _per_index_truncation(base, m, 1.0))
+
+
+def search_without_limit_check(base, budget):
+    """The cutoff search as it ran before the table-limit check, on ``base``:
+    the cutoff, or the error the table growth raised."""
+    base.check_table_fits = lambda budget: None
+    try:
+        return distributions._search_cutoff(base, budget, 1)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTableLimitFailsFast:
+    """A cutoff past the table limit raises before any table grows, and
+    every budget whose search fits under the limit is still searched."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: PowerLawDistribution(0.5),
+        lambda: PowerLawDistribution(2.0),
+        LogFamilyDistribution,
+    ], ids=["power-law-0.5", "power-law-2", "log-family"])
+    @pytest.mark.parametrize("limit", [1000, 5000, 1 << 13])
+    def test_same_outcome_and_cutoffs_as_the_unchecked_search(self, monkeypatch, make, limit):
+        monkeypatch.setattr(distributions._SeriesDistribution, "_table_limit", limit)
+        floor = make()._tail_floor(limit)
+        budgets = np.concatenate([floor * np.geomspace(0.25, 4.0, 81),
+                                  np.geomspace(1e-12, 0.5, 60)])
+        raised = early = 0
+        for budget in budgets.tolist():
+            want = search_without_limit_check(make(), budget)
+            base = make()
+            try:
+                got = distributions._search_cutoff(base, budget, 1)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, budget
+            raised += isinstance(want, str)
+            # a budget clearly below the floor at the limit fails at once
+            if budget < 0.99 * floor:
+                assert isinstance(got, str) and base._cum.size == base._table_start, budget
+                early += 1
+        assert 0 < early <= raised < budgets.size
+
+    def test_log_family_at_d_001_raises_before_the_table_grows(self):
+        base = LogFamilyDistribution()
+        with pytest.raises(ValueError, match="partial-sum table would exceed 50000000 entries"):
+            TruncatedSchedule(base, 0.01).cutoff(0)
+        assert base._cum.size == 64
+
+    @pytest.mark.parametrize("make", [lambda: PowerLawDistribution(0.7), LogFamilyDistribution],
+                             ids=["power-law", "log-family"])
+    def test_floor_is_below_the_tail(self, make):
+        base = make()
+        for N in (1, 10, 100, 1000, 10_000, 100_000):
+            assert base._tail_floor(N) <= base.tail_mass(N)

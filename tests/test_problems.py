@@ -92,6 +92,37 @@ class TestProblemValidation:
         assert np.allclose(p.exact_solution, 1.0)
 
 
+class TestBandStorage:
+    """A is stored as its band of copied tiles; ``Problem.A`` rebuilds it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 65, 130])
+    def test_dense_a_is_rebuilt_with_its_bits(self, n):
+        rng = np.random.default_rng(n)
+        for A in (random_spd(rng, n), poisson_matrix(n)):
+            p = Problem(A, rng.standard_normal(n))
+            assert_same_bits(p.A, A)
+            assert p.A is not p.A
+
+    def test_nearly_symmetric_input_is_symmetrized(self):
+        rng = np.random.default_rng(5)
+        A = random_spd(rng, 70)
+        A[3, 60] += 1e-14
+        assert Problem(A, np.ones(70)).A.tobytes() == (0.5 * (A + A.T)).tobytes()
+
+    def test_caller_arrays_are_not_aliased(self):
+        rng = np.random.default_rng(6)
+        A, b = random_spd(rng, 130), rng.standard_normal(130)
+        u = np.linalg.solve(A, b)
+        p = Problem(A, b, exact_solution=u)
+        want = [p.A.tobytes(), p.b.tobytes(), p.exact_solution.tobytes()]
+        d = rng.standard_normal(130)
+        Ad = p._matvec(d)
+        A[:], b[:], u[:] = 7.0, 3.0, 1.0
+        assert [p.A.tobytes(), p.b.tobytes(), p.exact_solution.tobytes()] == want
+        assert p._matvec(d).tobytes() == Ad.tobytes()
+        assert energy_norm(p, d) == float(np.sqrt(d @ Ad))
+
+
 class TestLocalSolve:
     def test_zero_residual(self):
         p = Problem(np.eye(2), np.zeros(2))
@@ -242,13 +273,13 @@ class TestCoordinateBlocks:
         A = random_spd(rng, 9)
         block = CoordinateBlock(1, 9, 3, 7, A[3:7, 3:7])
         dense = SplittingComponent(1, np.eye(9)[:, 3:7], A[3:7, 3:7])
-        assert np.array_equal(block.R, dense.R)
-        assert np.array_equal(block.galerkin(A), dense.galerkin(A))
         g = rng.standard_normal(9)
+        p = Problem(A, g)
+        assert np.array_equal(block.R, dense.R)
+        assert np.array_equal(block.galerkin(p), dense.galerkin(p))
         r = rng.standard_normal(4)
         assert block.restrict(g).tobytes() == dense.restrict(g).tobytes()
         assert np.array_equal(block.prolong(r), dense.prolong(r))
-        p = Problem(A, g)
         assert local_solve(p, block, g).r.tobytes() == local_solve(p, dense, g).r.tobytes()
 
     def test_poisson_blocks_keep_the_dense_local_forms(self):
@@ -324,7 +355,7 @@ def full_rows(model):
     """Force every component's A d onto one tile of all rows and all columns
     of A: the full dense product."""
     everything = slice(0, model.problem.n)
-    model._tiles = {i: [(everything, everything)] for i in model._tiles}
+    model._tiles = {i: [(everything, everything, model.problem.A)] for i in model._tiles}
     return model
 
 
@@ -365,17 +396,29 @@ IMAGE_CASES = {
 
 
 def assert_tile_rules(tiles, lo, hi, n):
-    """The tiles cover the rows [lo, hi) in order, no tile has one row unless
-    the window does, columns start on a multiple of 64 and end on one or at
-    n, and a tile that crosses a multiple of 2048 columns spans them all."""
-    rows = [t for t, _ in tiles]
+    """The tiles ``(rows, cols, tile)`` cover the rows [lo, hi) in order, no
+    tile has one row unless the window does, columns start on a multiple of
+    64 and end on one or at n, a tile that crosses a multiple of 2048
+    columns spans them all, and each tile is a contiguous array of its own
+    of that shape, with leading dimension its width."""
+    rows = [t for t, _, _ in tiles]
     assert rows[0].start == lo and rows[-1].stop == hi
     assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
-    for t, cols in tiles:
+    for t, cols, tile in tiles:
         assert t.stop - t.start > 1 or hi - lo == 1, (t, lo, hi)
         assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), cols
         if cols.start // 2048 != (cols.stop - 1) // 2048:
             assert cols == slice(0, n), cols
+        assert tile.shape == (t.stop - t.start, cols.stop - cols.start)
+        assert tile.flags.c_contiguous and tile.base is None
+
+
+def band_window(lo, hi, n):
+    """The rows of the band tiles that cover [lo, hi): tiles of 64 rows from
+    row 0, the last one taking a one-row remainder."""
+    starts = [s for s in range(0, n, 64) if s == 0 or n - s > 1]
+    after = [s for s in starts if s >= hi]
+    return max(s for s in starts if s <= lo), after[0] if after else n
 
 
 def assert_same_bits(got, want):
@@ -391,9 +434,16 @@ class TestImageTilesPinnedToDenseProduct:
 
     @pytest.mark.parametrize("n", [128, 1000, 1023, 1024, 1025, 2100, 4096])
     def test_tiles_of_all_rows(self, n):
+        """The strided views of A and the problem's stored band copies."""
         A = poisson_matrix(n)
         tiles = problems_module.image_tiles(csr_array(A), 0, n)
-        assert_tile_rules(tiles, 0, n, n)
+        band = Problem(A, np.ones(n))._band
+        assert [(rows, cols) for rows, cols, _ in band] == tiles
+        assert_tile_rules(band, 0, n, n)
+        for rows, cols, tile in band:
+            assert not np.shares_memory(tile, A)
+            assert tile.strides == (8 * (cols.stop - cols.start), 8)
+            assert np.array_equal(tile, A[rows, cols])
         rng = np.random.default_rng(n)
         for scale in SCALES:
             for _ in range(3):
@@ -401,6 +451,10 @@ class TestImageTilesPinnedToDenseProduct:
                 Ad = np.zeros(n)
                 for rows, cols in tiles:
                     Ad[rows] = A[rows, cols] @ d[cols]
+                assert_same_bits(Ad, A @ d)
+                Ad = np.zeros(n)
+                for rows, cols, tile in band:
+                    Ad[rows] = tile @ d[cols]
                 assert_same_bits(Ad, A @ d)
 
     @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
@@ -413,12 +467,26 @@ class TestImageTilesPinnedToDenseProduct:
             nonzero = np.flatnonzero(c.R.any(axis=1))
             lo, hi = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, problem.n)
             tiles = model._tiles[c.index]
-            assert_tile_rules(tiles, lo, hi, problem.n)
+            assert_tile_rules(tiles, *band_window(lo, hi, problem.n), problem.n)
             for scale in SCALES:
                 for _ in range(2):
                     r = rng.standard_normal(c.dim) * scale
                     res = step_record(model, c.index, r)
                     assert_same_bits(res.Ad, problem.A @ res.d)
+
+    @pytest.mark.parametrize("n", [128, 1000, 1023, 1024, 1025, 2100, 4096])
+    def test_lambda_row_slab_product_equals_full_product(self, n):
+        """Lambda's A R of the coarse component, slab by slab of rows built
+        from the band, is the full product A @ R; so is its Galerkin block."""
+        problem, splitting = make_poisson_1d(n, POISSON_SPLITTINGS["two-level-1024"][1])
+        c = splitting.components[-1]
+        assert c.span is None
+        A = problem.A
+        AR = np.concatenate([problem._rows(r) @ c.R for r in problems_module._slabs(n)])
+        assert_same_bits(AR, A @ c.R)
+        assert_same_bits(c.galerkin(problem), c.R.T @ (A @ c.R))
+        block = splitting.components[-2]
+        assert_same_bits(block.galerkin(problem), A[block.span, block.span])
 
     @pytest.mark.parametrize("name, steps", [("two-level-1024", 400), ("two-level-2100", 100)])
     @pytest.mark.parametrize("rule", ["greedy", "random"])
@@ -734,7 +802,10 @@ def reference_block_norms(problem, splitting, u):
 
 
 def component_lambda(problem, c):
-    G = c.galerkin(problem.A)
+    """Lambda_i from the dense A: the Galerkin block as computed before A
+    was stored as its band."""
+    A = problem.A
+    G = A[c.span, c.span] if c.span is not None else c.R.T @ (A @ c.R)
     w = eigh(0.5 * (G + G.T), c.A_local, eigvals_only=True)
     return float(np.sqrt(max(w[-1], 0.0)))
 
@@ -945,6 +1016,45 @@ class TestLeanSetup:
         # the finiteness checks' boolean copies, a slab product and eigh's
         # workspace
         assert peak <= 1.25 * n * n * 8
+
+    def test_build_peak_memory_is_two_matrices(self):
+        n, spec = POISSON_SPLITTINGS["two-level-1024"]
+        make_poisson_1d(128, spec)
+        tracemalloc.start()
+        try:
+            make_poisson_1d(n, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the caller's A and L, no symmetrized copy; the band, the finiteness
+        # check's boolean copy and the splitting's forms
+        assert peak <= 2.5 * n * n * 8
+
+    def test_problem_and_model_keep_one_matrix(self):
+        n, spec = POISSON_SPLITTINGS["two-level-1024"]
+        make_poisson_1d(128, spec)
+        tracemalloc.start()
+        try:
+            kept = make_poisson_1d(n, spec)
+            kept += (MatrixSchwarzModel(*kept),)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # L, the band (about 0.18 n^2 at n = 1024) and the local forms and
+        # factors; a dense A would be one n^2 more
+        assert retained <= 1.4 * n * n * 8
+
+    def test_lambda_peak_memory_is_a_slab(self):
+        n, spec = POISSON_SPLITTINGS["two-level-1024"]
+        problem, splitting = make_poisson_1d(n, spec)
+        tracemalloc.start()
+        try:
+            uniform_bound_lambda(problem, splitting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a slab of A's rows and A R; a dense A would be n^2
+        assert peak <= 0.25 * n * n * 8
 
     @pytest.mark.parametrize("case, solves", [
         ("two-level-1024", 2),  # 21 equal blocks and the coarse component
