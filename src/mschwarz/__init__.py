@@ -43,7 +43,6 @@ from .problems import (
     energy_norm,
     local_solve,
     representation_block_norms,
-    representation_norm_sq,
     stability_constants,
     uniform_bound_lambda,
 )

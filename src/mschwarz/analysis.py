@@ -317,15 +317,32 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
     return _finalize_estimate(sums, sumsq, K)
 
 
+def _aligned_arrays(count, shape):
+    """``count`` float arrays of ``shape`` cut from one buffer, each starting
+    on a 64-byte boundary and each 64 bytes further into a 4 KiB page than
+    a packed layout would put it.
+
+    Separate allocations start where the heap's history puts them, which
+    any earlier allocation moves, down to a module's docstrings.  The
+    recursion's elementwise passes on a 218 x 200 block took about 26 us
+    with its three arrays 64-byte aligned against 41-67 us at other
+    offsets (one thread).
+    """
+    size = math.prod(shape)
+    stride = size + (-size % 8) + 8
+    buf = np.empty(count * stride + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return [buf[start + k * stride:start + k * stride + size].reshape(shape) for k in range(count)]
+
+
 def _diagonal_recursion(c, pos, alphas, zero_tol, errs, block):
     """Run the M-step recursion of every trial (column of ``pos``) on row
     blocks of ``block`` trials, writing trial t's squared error before step m
     to ``errs[t, m]`` and after the last step to ``errs[t, M]``."""
     M, B = pos.shape
     rows = min(block, B)
-    tiled = np.tile(c, (rows, 1))
-    state_buf = np.empty((rows, c.size))
-    tmp_buf = np.empty((rows, c.size))
+    tiled, state_buf, tmp_buf = _aligned_arrays(3, (rows, c.size))
+    tiled[:] = c
     for r0 in range(0, B, rows):
         R = min(rows, B - r0)
         state, tmp, C = state_buf[:R], tmp_buf[:R], tiled[:R]

@@ -6,6 +6,7 @@ truncations of any of them.  Sampling uses inverse-CDF lookup over partial
 sums; analytic families extend their tables on demand.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -49,8 +50,10 @@ class ExplicitDistribution:
 
     def sample(self, rng, size=None):
         if size is None:
-            # the draw and the index of sample_from_uniform, on a scalar
-            pos = int(np.searchsorted(self._cum, rng.random(), side="right"))
+            # the draw and the index of sample_from_uniform, on a scalar:
+            # bisect_right on the table is searchsorted(side="right") without
+            # numpy's call overhead, and reads the array itself, no copy
+            pos = bisect.bisect_right(self._cum, rng.random())
             return min(pos, self.n - 1) + 1
         return self.sample_from_uniform(np.atleast_1d(rng.random(size)))
 
@@ -121,9 +124,13 @@ class _SeriesDistribution:
 
         ``_tail_floor(N)``, a closed-form lower bound on the tail beyond N,
         is then above the budget at the limit; the cutoff search would
-        otherwise grow the table up to the limit before it failed.
+        otherwise grow the table up to the limit before it failed.  The
+        floor is taken at the largest power of two at or below the limit:
+        the search doubles its probes from powers of two (see
+        ``_search_cutoff``), so it never builds a larger table, and a tail
+        above the budget there already sends its next probe past the limit.
         """
-        floor = self._tail_floor(self._table_limit)
+        floor = self._tail_floor(1 << (self._table_limit.bit_length() - 1))
         if floor > budget * (1.0 + _FLOOR_REL_SLACK) + _FLOOR_ABS_SLACK:
             raise self._limit_error()
 

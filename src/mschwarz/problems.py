@@ -32,10 +32,13 @@ SOLVE_BLOCK_ENTRIES = 1023
 DGEMV_COLUMN_PIECE = 2048
 
 # The column multiple a tile of A d starts and ends on.  So aligned, every
-# term of a row falls in the SIMD lane it has in the full row (in 40 random
-# products at n = 1024, windows aligned to 1 or 2 columns mismatched, and
-# windows aligned to 4 or more matched).
-TILE_COLUMN_ALIGN = 64
+# term of a row falls in the SIMD lane it has in the full row: in 40 random
+# dense products at n = 1024, windows aligned to 1 or 2 columns mismatched
+# and windows aligned to 4 or more matched; on the Poisson band at n in
+# {1000, 1024, 2100, 4096}, 60 vectors each, alignments 4 to 64 all kept
+# every bit, sign bits too.  16 leaves a margin over 4 and reads half the
+# entries 64 does (96,256 against 188,416 for the band at n = 1024).
+TILE_COLUMN_ALIGN = 16
 
 # Rows per tile of A d: a tile then reads little more than the band of A.
 TILE_ROWS = 64
@@ -103,6 +106,8 @@ class Problem:
         n = A.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
         if not _is_symmetric(A):
             sym_defect = np.abs(A - A.T).max()
             scale = max(np.abs(A).max(), 1e-300)
@@ -120,17 +125,24 @@ class Problem:
                       for rows, cols in image_tiles(self._A_csr, 0, n)]
         self.b = b
         self.n = n
+        # b and the solution are checked here, so that the solves skip
+        # cho_solve's check, which would also scan L with an n x n boolean
+        # temporary
         if exact_solution is None:
-            exact_solution = cho_solve(self._chol, b)
+            exact_solution = cho_solve(self._chol, b, check_finite=False)
         else:
             exact_solution = np.array(exact_solution, dtype=float)
+        if not np.isfinite(exact_solution).all():
+            raise ValueError("exact solution must be finite")
         self.exact_solution = exact_solution
         # residual measured in the dual norm, i.e. as the energy norm of the
         # solution error it induces (the A-norm of the raw residual vector is
-        # not reachable in float64 once A is ill-conditioned)
+        # not reachable in float64 once A is ill-conditioned); a residual
+        # that overflowed fails too
         res = self._matvec(exact_solution) - b
         sol_norm = energy_norm(self, exact_solution)
-        if energy_norm(self, cho_solve(self._chol, res)) > 1e-10 * max(sol_norm, 1e-300):
+        if not np.isfinite(res).all() or energy_norm(
+                self, cho_solve(self._chol, res, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
             raise ValueError("supplied exact solution does not solve A u = b")
 
     @property
@@ -146,10 +158,12 @@ class Problem:
 
     def _matvec(self, v, tiles=None):
         """A @ v from the band ``tiles`` (all of them by default), each
-        ``tile @ v[cols]``; rows outside the tiles are +0.0."""
+        ``tile @ v[cols]``; rows outside the tiles are +0.0.  ``np.dot``
+        writes each tile's rows in place with the ``dgemv`` call of
+        ``tile @ v[cols]``, so with its bits and no temporary."""
         out = np.zeros(self.n)
         for rows, cols, tile in self._band if tiles is None else tiles:
-            out[rows] = tile @ v[cols]
+            np.dot(tile, v[cols], out=out[rows])
         return out
 
     def _rows(self, r):
@@ -407,10 +421,6 @@ class StabilityConstants:
     lam_max: float
     kappa: float
 
-    @property
-    def stable(self):
-        return np.isfinite(self.kappa)
-
 
 def _slabs(n):
     """The slices of [0, n) in slabs of about n / 8, for the slab products
@@ -520,33 +530,6 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
     return StabilityConstants(lam_min, lam_max, lam_max / lam_min)
 
 
-def representation_norm_sq(problem, splitting, u):
-    """|||u|||^2 = min sum_i a_i(v_i, v_i) over representations u = sum_i R_i v_i.
-
-    Solved through the KKT system of the equality-constrained quadratic
-    program, without the additive Schwarz sum that
-    :func:`stability_constants` and :func:`representation_block_norms` use,
-    so it serves as an independent cross-check of both.
-    """
-    u = np.asarray(u, dtype=float)
-    dims = [c.dim for c in splitting]
-    total = sum(dims)
-    B = np.zeros((total, total))
-    C = np.zeros((problem.n, total))
-    off = 0
-    for c, d in zip(splitting, dims):
-        B[off : off + d, off : off + d] = c.A_local
-        C[:, off : off + d] = c.R
-        off += d
-    # KKT system: [2B  C^T; C  0] [v; mu] = [0; u]
-    kkt = np.block(
-        [[2.0 * B, C.T], [C, np.zeros((problem.n, problem.n))]]
-    )
-    rhs = np.concatenate([np.zeros(total), u])
-    v = np.linalg.solve(kkt, rhs)[:total]
-    return float(v @ (B @ v))
-
-
 def representation_block_norms(problem, splitting, u):
     """Per-component local energy norms ||v_i||_{a_i} of one explicit
     representation of ``u`` (the minimum-energy one).
@@ -603,7 +586,12 @@ def image_tiles(A_csr, lo, hi):
 
 
 class MatrixSchwarzState:
-    """Iteration state for a matrix problem: u and the cached product w = A u."""
+    """Iteration state for a matrix problem: u and the cached product w = A u.
+
+    :meth:`MatrixSchwarzModel.apply_update` overwrites u and w in place (w
+    is replaced by a fresh array on a refresh), so a caller that keeps
+    either across a step keeps a copy.
+    """
 
     __slots__ = ("u", "w", "steps")
 
@@ -637,7 +625,11 @@ class MatrixSchwarzModel:
     hand to ``ddot``.  The two-level coarse component reaches every row but
     is multiplied on little more than the band of A.  The refresh of w is
     the product with the whole band: still a recompute of A u from scratch.
-    The reported error uses the problem's CSR copy of A.
+    The reported error uses the problem's CSR copy of A: ``A e`` is scipy's
+    ``csr_matvec`` kernel called directly on a zeroed output, which is what
+    ``A_csr @ e`` runs after its dispatch (a test pins the two).  e and A e
+    go into two buffers the model owns, which hold nothing between calls,
+    so one model can still drive several runs at once.
 
     The greedy pool scan works on factor groups: components whose local
     forms and stored Cholesky factors are byte-equal (all overlapping
@@ -672,6 +664,12 @@ class MatrixSchwarzModel:
         self._group_of = self._factor_groups()
         # (pool indices as bytes, scan plan) of the last pool
         self._last_plan = (None, None)
+        # the work buffers of error(), e and A e, and its CSR kernel
+        from scipy.sparse._sparsetools import csr_matvec
+
+        self._e = np.empty(problem.n)
+        self._Ae = np.empty(problem.n)
+        self._csr_matvec = csr_matvec
 
     def _factor_groups(self):
         """Group number of each component index.  Components share a group
@@ -795,16 +793,23 @@ class MatrixSchwarzModel:
         return float(self.problem.b @ state.u)
 
     def apply_update(self, state, res, alpha, omega):
-        state.u = alpha * state.u + omega * res.d
+        """u <- alpha u + omega d and w <- alpha w + omega A d, in place:
+        each entry is rounded as in the expression ``alpha * u + omega * d``."""
+        np.multiply(state.u, alpha, out=state.u)
+        state.u += omega * res.d
         state.steps += 1
         if state.steps % self.refresh_every == 0:
             state.w = self.problem._matvec(state.u)
         else:
-            state.w = alpha * state.w + omega * res.Ad
+            np.multiply(state.w, alpha, out=state.w)
+            state.w += omega * res.Ad
 
     def error(self, state):
-        e = self.problem.exact_solution - state.u
-        return float(np.sqrt(max(e @ (self.problem._A_csr @ e), 0.0)))
+        A, e, Ae = self.problem._A_csr, self._e, self._Ae
+        np.subtract(self.problem.exact_solution, state.u, out=e)
+        Ae.fill(0.0)
+        self._csr_matvec(self.problem.n, self.problem.n, A.indptr, A.indices, A.data, e, Ae)
+        return float(np.sqrt(max(e @ Ae, 0.0)))
 
     def solution_norm(self):
         return self._solution_norm

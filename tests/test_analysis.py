@@ -281,6 +281,18 @@ class TestMonteCarloKernelOracle:
         assert np.array_equal(got.mean, expected.mean)
         assert np.array_equal(got.stderr, expected.stderr)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (218, 200)])
+    def test_work_arrays_are_aligned_staggered_and_disjoint(self, shape):
+        arrays = analysis._aligned_arrays(3, shape)
+        starts = [a.ctypes.data for a in arrays]
+        for a in arrays:
+            assert a.shape == shape and a.dtype == float and a.flags.c_contiguous
+        assert all(p % 64 == 0 for p in starts)
+        # staggered: no two start at the same offset within a 4 KiB page
+        assert len({p % 4096 for p in starts}) == 3
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
 
 class TestMonteCarloStepMaps:
     def test_boundary_map_matches_sampling_at_the_boundaries(self):

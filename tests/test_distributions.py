@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import weakref
@@ -17,6 +18,17 @@ from mschwarz import (
 )
 from mschwarz import distributions
 from mschwarz.distributions import _zeta, truncation_cutoff
+
+
+class Replay:
+    """An rng whose scalar draws are given; counts them."""
+
+    def __init__(self, values):
+        self.values = collections.deque(values)
+
+    def random(self, size=None):
+        assert size is None
+        return self.values.popleft()
 
 
 class TestExplicit:
@@ -40,16 +52,6 @@ class TestExplicit:
         assert np.all(draws == 1)
 
     def test_scalar_sample_is_the_array_sample_of_the_same_draw(self):
-        class Replay:
-            """An rng whose draws are given; counts them."""
-
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self, size=None):
-                assert size is None
-                return self.values.pop(0)
-
         # the partial sums end below 1, so the last index also takes the
         # draws above its partial sum
         d = ExplicitDistribution([0.1, 0.0, 0.1, 0.1, 0.1, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
@@ -62,11 +64,32 @@ class TestExplicit:
             got = d.sample(rng)
             assert type(got) is int
             assert got == int(d.sample_from_uniform(np.array([v]))[0])
-        assert rng.values == []
+        assert not rng.values
         # one draw per sample: the stream continues as after a size-1 sample
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         assert [d.sample(a) for _ in range(50)] == [int(d.sample(b, size=1)[0]) for _ in range(50)]
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: uniform_distribution(n) for n in (1, 2, 3, 23, 1000)),
+        *(lambda m=m: truncate_distribution(PowerLawDistribution(0.5), m, 1.0) for m in (0, 399)),
+        lambda: truncate_distribution(PowerLawDistribution(0.5), 399, 0.1),
+        lambda: truncate_distribution(LogFamilyDistribution(), 0, 3.0),
+    ], ids=["uniform-1", "uniform-2", "uniform-3", "uniform-23", "uniform-1000",
+            "power-law-m0", "power-law-m399", "power-law-m399-D0.1", "log-family"])
+    def test_scalar_bisect_is_searchsorted_at_every_boundary(self, make):
+        """The scalar path's ``bisect_right`` on the table finds the index
+        of ``searchsorted(side="right")`` at every partial sum and at both
+        of its float neighbours."""
+        d = make()
+        cum = d._cum
+        u = np.unique(np.concatenate([[0.0], cum, np.nextafter(cum, -np.inf),
+                                      np.nextafter(cum, np.inf)]))
+        want = np.minimum(np.searchsorted(cum, u, side="right"), d.n - 1) + 1
+        rng = Replay(u)
+        assert [d.sample(rng) for _ in range(u.size)] == want.tolist()
+        assert not rng.values
+        assert np.array_equal(d.sample_from_uniform(u), want)
 
     def test_prob_lookup_is_one_based(self):
         d = ExplicitDistribution([0.2, 0.8])
@@ -447,6 +470,38 @@ class TestTableLimitFailsFast:
                 assert isinstance(got, str) and base._cum.size == base._table_start, budget
                 early += 1
         assert 0 < early <= raised < budgets.size
+
+    @pytest.mark.parametrize("make", [
+        lambda: PowerLawDistribution(0.5),
+        lambda: PowerLawDistribution(2.0),
+        LogFamilyDistribution,
+    ], ids=["power-law-0.5", "power-law-2", "log-family"])
+    def test_floor_is_taken_at_the_largest_reachable_table(self, monkeypatch, make):
+        """At a limit of 1000 the doubling search builds at most 512
+        entries, so the floor is taken there: every budget the unchecked
+        search runs gets its cutoff, and every budget the floor at 512
+        clears by the slack raises before the table grows."""
+        monkeypatch.setattr(distributions._SeriesDistribution, "_table_limit", 1000)
+        base = make()
+        floor, floor_at_limit = base._tail_floor(512), base._tail_floor(1000)
+        budgets = np.concatenate([floor * np.geomspace(0.25, 4.0, 81),
+                                  np.geomspace(1e-12, 0.5, 60)])
+        searched = early = between = 0
+        for budget in budgets.tolist():
+            want = search_without_limit_check(make(), budget)
+            base = make()
+            try:
+                got = distributions._search_cutoff(base, budget, 1)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, budget
+            searched += not isinstance(want, str)
+            if floor > budget * (1.0 + distributions._FLOOR_REL_SLACK) + distributions._FLOOR_ABS_SLACK:
+                assert isinstance(got, str) and base._cum.size == base._table_start, budget
+                early += 1
+                # a floor at the limit itself would have let the table grow
+                between += budget >= floor_at_limit
+        assert searched > 0 and early > 0 and between > 0
 
     def test_log_family_at_d_001_raises_before_the_table_grows(self):
         base = LogFamilyDistribution()

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 from scipy.sparse import csr_array
@@ -30,7 +31,6 @@ from mschwarz import (
     local_solve,
     make_poisson_1d,
     representation_block_norms,
-    representation_norm_sq,
     run,
     stability_constants,
     uniform_bound_lambda,
@@ -50,6 +50,34 @@ def identity_splitting(problem):
 def random_spd(rng, n):
     Q = rng.standard_normal((n, n))
     return Q @ Q.T + n * np.eye(n)
+
+
+def representation_norm_sq(problem, splitting, u):
+    """|||u|||^2 = min sum_i a_i(v_i, v_i) over representations u = sum_i R_i v_i.
+
+    Solved through the KKT system of the equality-constrained quadratic
+    program, without the additive Schwarz sum that
+    :func:`stability_constants` and :func:`representation_block_norms` use,
+    so it serves as an independent cross-check of both.  Its dense system
+    has sum_i d_i + n rows, so it is for small problems only.
+    """
+    u = np.asarray(u, dtype=float)
+    dims = [c.dim for c in splitting]
+    total = sum(dims)
+    B = np.zeros((total, total))
+    C = np.zeros((problem.n, total))
+    off = 0
+    for c, d in zip(splitting, dims):
+        B[off : off + d, off : off + d] = c.A_local
+        C[:, off : off + d] = c.R
+        off += d
+    # KKT system: [2B  C^T; C  0] [v; mu] = [0; u]
+    kkt = np.block(
+        [[2.0 * B, C.T], [C, np.zeros((problem.n, problem.n))]]
+    )
+    rhs = np.concatenate([np.zeros(total), u])
+    v = np.linalg.solve(kkt, rhs)[:total]
+    return float(v @ (B @ v))
 
 
 def step_record(model, i, r):
@@ -85,6 +113,21 @@ class TestProblemValidation:
     def test_rejects_wrong_exact_solution(self):
         with pytest.raises(ValueError, match="exact solution"):
             Problem(np.eye(2), np.ones(2), exact_solution=np.array([2.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_b_and_exact_solution(self, bad):
+        b = np.ones(3)
+        b[1] = bad
+        with pytest.raises(ValueError, match="b must be finite"):
+            Problem(np.eye(3), b)
+        u = np.ones(3)
+        u[2] = bad
+        with pytest.raises(ValueError, match="exact solution must be finite"):
+            Problem(np.eye(3), np.ones(3), exact_solution=u)
+
+    def test_rejects_exact_solution_whose_residual_overflows(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="exact solution"):
+            Problem(np.diag([4.0, 4.0]), np.ones(2), exact_solution=np.array([1e308, -1e308]))
 
     def test_accepts_correct_exact_solution(self):
         p = Problem(np.diag([2.0, 4.0]), np.array([2.0, 4.0]),
@@ -172,6 +215,32 @@ class TestApplyUpdate:
         v = np.array([1.0, 2.0])
         model.apply_update(state, step_record(model, 1, v), 0.0, 1.0)
         assert np.array_equal(state.u, v)
+
+    @pytest.mark.parametrize("alpha, omega", [
+        (0.0, 1.0), (1.0, 0.0), (-0.0, -0.0), (0.5, -0.0), (0.0, -2.0), (0.75, -1.3), (2.0 / 3.0, 1e-9),
+    ])
+    def test_in_place_update_has_the_bits_of_the_expression(self, alpha, omega):
+        problem, splitting = make_poisson_1d(128, TWO_LEVEL)
+        model = MatrixSchwarzModel(problem, splitting)
+        rng = np.random.default_rng(12)
+        for i in (1, splitting.N):
+            for scale in SCALES:
+                state = model.new_state()
+                state.u = rng.standard_normal(128) * scale
+                state.w = rng.standard_normal(128) * scale
+                for v in (state.u, state.w):
+                    v[::5], v[1::5] = -0.0, 0.0
+                u, w = state.u, state.w
+                res = step_record(model, i, rng.standard_normal(splitting[i].dim))
+                want_u, want_w = alpha * u + omega * res.d, alpha * w + omega * res.Ad
+                model.apply_update(state, res, alpha, omega)
+                assert state.u is u and state.w is w
+                assert_same_bits(state.u, want_u)
+                assert_same_bits(state.w, want_w)
+                # a refresh replaces w with the band product A u
+                state.steps = model.refresh_every - 1
+                model.apply_update(state, res, alpha, omega)
+                assert_same_bits(state.w, problem.A @ state.u)
 
     def test_cache_tracks_dense_recomputation(self):
         rng = np.random.default_rng(11)
@@ -375,11 +444,10 @@ def assert_same_trace(got, want):
     np.testing.assert_allclose(got.error, want.error, rtol=1e-12, atol=0.0)
 
 
-@functools.cache
-def two_level_2100():
-    """A two-level splitting on more than DGEMV_COLUMN_PIECE columns, whose
-    last block reaches 65 rows."""
-    return make_poisson_1d(2100, POISSON_SPLITTINGS["two-level-1024"][1])
+def two_level(n):
+    """The two-level splitting of "two-level-1024" on n points: at n = 2100
+    more than DGEMV_COLUMN_PIECE columns, with a last block of 65 rows."""
+    return make_poisson_1d(n, POISSON_SPLITTINGS["two-level-1024"][1])
 
 
 def dense_two_level_128():
@@ -390,7 +458,7 @@ def dense_two_level_128():
 IMAGE_CASES = {
     **{name: lambda name=name: make_poisson_1d(*POISSON_SPLITTINGS[name])
        for name in POISSON_SPLITTINGS},
-    "two-level-2100": two_level_2100,
+    **{f"two-level-{n}": functools.partial(two_level, n) for n in (1000, 1023, 1025, 2100, 4096)},
     "dense-R-128": dense_two_level_128,
 }
 
@@ -398,15 +466,16 @@ IMAGE_CASES = {
 def assert_tile_rules(tiles, lo, hi, n):
     """The tiles ``(rows, cols, tile)`` cover the rows [lo, hi) in order, no
     tile has one row unless the window does, columns start on a multiple of
-    64 and end on one or at n, a tile that crosses a multiple of 2048
-    columns spans them all, and each tile is a contiguous array of its own
-    of that shape, with leading dimension its width."""
+    TILE_COLUMN_ALIGN and end on one or at n, a tile that crosses a multiple
+    of 2048 columns spans them all, and each tile is a contiguous array of
+    its own of that shape, with leading dimension its width."""
+    align = problems_module.TILE_COLUMN_ALIGN
     rows = [t for t, _, _ in tiles]
     assert rows[0].start == lo and rows[-1].stop == hi
     assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
     for t, cols, tile in tiles:
         assert t.stop - t.start > 1 or hi - lo == 1, (t, lo, hi)
-        assert cols.start % 64 == 0 and (cols.stop % 64 == 0 or cols.stop == n), cols
+        assert cols.start % align == 0 and (cols.stop % align == 0 or cols.stop == n), cols
         if cols.start // 2048 != (cols.stop - 1) // 2048:
             assert cols == slice(0, n), cols
         assert tile.shape == (t.stop - t.start, cols.stop - cols.start)
@@ -461,6 +530,7 @@ class TestImageTilesPinnedToDenseProduct:
     def test_every_component_image_equals_full_product(self, name):
         problem, splitting = IMAGE_CASES[name]()
         model = MatrixSchwarzModel(problem, splitting)
+        A = problem.A
         rng = np.random.default_rng(31)
         for c in splitting:
             # A is tridiagonal: the nonzero rows of R and one neighbour each side
@@ -472,7 +542,51 @@ class TestImageTilesPinnedToDenseProduct:
                 for _ in range(2):
                     r = rng.standard_normal(c.dim) * scale
                     res = step_record(model, c.index, r)
-                    assert_same_bits(res.Ad, problem.A @ res.d)
+                    assert_same_bits(res.Ad, A @ res.d)
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_random_dense_windows(self, n):
+        """Tiles of random dense rows, each tile of rows holding values on a
+        column window of random offset and width: TILE_COLUMN_ALIGN was
+        first chosen from random products, so it is pinned on them too.
+
+        n is a multiple of TILE_ROWS, so that every tile, and every share
+        of rows a multi-threaded BLAS gives a thread of the full product,
+        has a multiple of 4 rows: OpenBLAS computes a remainder of fewer
+        rows with another kernel, and on random rows (not on the Poisson
+        band) that kernel rounds differently."""
+        rng = np.random.default_rng(n + 16)
+        B = np.zeros((n, n))
+        for start in range(0, n, problems_module.TILE_ROWS):
+            stop = min(start + problems_module.TILE_ROWS, n)
+            width = int(rng.integers(1, 400))
+            first = int(rng.integers(0, n - width + 1))
+            B[start:stop, first:first + width] = rng.standard_normal((stop - start, width))
+        tiles = problems_module.image_tiles(csr_array(B), 0, n)
+        band = [(rows, cols, B[rows, cols].copy()) for rows, cols in tiles]
+        assert_tile_rules(band, 0, n, n)
+        assert any(cols != slice(0, n) for _, cols, _ in band)
+        for scale in SCALES:
+            for _ in range(4):
+                d = rng.standard_normal(n) * scale
+                Bd = np.zeros(n)
+                for rows, cols, tile in band:
+                    np.dot(tile, d[cols], out=Bd[rows])
+                assert_same_bits(Bd, B @ d)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("width", [1, 2, 16, 31, 48, 1024, 2100])
+    def test_dot_into_output_equals_matmul(self, rows, width):
+        """``np.dot(tile, v, out=...)``, as the band product writes a tile,
+        has the bits of ``tile @ v`` and touches no other entry."""
+        rng = np.random.default_rng(rows * 10_000 + width)
+        for scale in SCALES:
+            tile = rng.standard_normal((rows, width)) * scale
+            v = rng.standard_normal(width + 16) * scale
+            out = np.zeros(rows + 10)
+            np.dot(tile, v[16:], out=out[3:3 + rows])
+            assert_same_bits(out[3:3 + rows], tile @ v[16:])
+            assert not out[:3].any() and not out[3 + rows:].any()
 
     @pytest.mark.parametrize("n", [128, 1000, 1023, 1024, 1025, 2100, 4096])
     def test_lambda_row_slab_product_equals_full_product(self, n):
@@ -746,6 +860,57 @@ class TestStepStateAgainstRecompute:
             check(state)
         assert state.steps == steps
         check(state)
+
+
+def scipy_note():
+    """The scipy version: the message of a test that pins a private scipy
+    kernel, so that a failure after a scipy upgrade reads as one."""
+    return f"scipy {scipy.__version__}"
+
+
+class TestErrorKernel:
+    """The error's direct ``csr_matvec`` call is ``A_csr @ e``, bit for bit."""
+
+    @staticmethod
+    def assert_error_is_the_dispatched_product(model, state):
+        got = model.error(state)
+        e = model.problem.exact_solution - state.u
+        Ae = model.problem._A_csr @ e
+        assert np.array_equal(model._Ae, Ae), scipy_note()
+        assert np.array_equal(np.signbit(model._Ae), np.signbit(Ae)), scipy_note()
+        assert got == float(np.sqrt(max(e @ Ae, 0.0))), scipy_note()
+
+    @pytest.mark.parametrize("n", [1, 2, 128, 1000, 1024])
+    def test_random_vectors(self, n):
+        problem, splitting = make_poisson_1d(n, {"kind": "overlapping_blocks", "block_size": 1})
+        model = MatrixSchwarzModel(problem, splitting)
+        rng = np.random.default_rng(n)
+        state = model.new_state()
+        for scale in SCALES:
+            for _ in range(5):
+                state.u = problem.exact_solution + rng.standard_normal(n) * scale
+                self.assert_error_is_the_dispatched_product(model, state)
+        state.u = problem.exact_solution.copy()
+        self.assert_error_is_the_dispatched_product(model, state)
+        assert model.error(state) == 0.0
+
+    def test_vectors_of_a_3000_step_run(self):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
+        model = MatrixSchwarzModel(problem, splitting)
+        rule = RandomRule(uniform_distribution(splitting.N))
+        for _, state, *_ in iterate(model, rule, GAWRRelaxation(), 3000, seed=1):
+            self.assert_error_is_the_dispatched_product(model, state)
+        self.assert_error_is_the_dispatched_product(model, state)
+
+    def test_interleaved_runs_share_a_model(self):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-128"])
+        model = MatrixSchwarzModel(problem, splitting)
+        rule = RandomRule(uniform_distribution(splitting.N))
+        want = [run(model, rule, GAWRRelaxation(), 50, seed=s).error for s in (1, 2)]
+        runs = [iterate(model, rule, GAWRRelaxation(), 50, seed=s) for s in (1, 2)]
+        for steps in zip(*runs):
+            for k, (m, state, *_) in enumerate(steps):
+                assert model.error(state) == want[k][m]
 
 
 def count_eigh_calls(monkeypatch):
