@@ -28,7 +28,7 @@ from .analysis import (
     random_bound,
 )
 from .config import MAX_SEED, ConfigError, parse_config, serialize
-from .diagonal import DiagonalModel, a1_norm, ainfty_pi_norm
+from .diagonal import DiagonalModel, a1_norm, ainfty_pi_norm, sup_norm_over_pi
 from .problems import (
     MatrixSchwarzModel,
     energy_norm,
@@ -44,6 +44,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 BOUND_SLACK = 1e-9
+CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x):
@@ -54,19 +55,20 @@ def _fmt(x):
 
 
 def _write_csv(path, header, columns):
-    """Write columns (already formatted strings or numeric arrays) as CSV."""
-    rows = len(columns[0])
-    cells = []
-    for col in columns:
-        cells.append([v if isinstance(v, str) else _fmt(v) for v in col])
-    lines = [",".join(header)]
-    for r in range(rows):
-        lines.append(",".join(col[r] for col in cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write columns (integer or float arrays, or lists of formatted strings)
+    as CSV, CSV_BLOCK_ROWS rows at a time.
 
-
-def _config_hash(config):
-    return hashlib.sha256(serialize(config).encode()).hexdigest()
+    One ``%`` row format per table gives each cell the text :func:`_fmt`
+    gives it, so only a block of cells is held as Python objects.
+    """
+    columns = [np.asarray(col) for col in columns]
+    spec = {"i": "%d", "f": "%.17g", "U": "%s"}
+    row = ",".join(spec[col.dtype.kind] for col in columns) + "\n"
+    B = CSV_BLOCK_ROWS
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, len(columns[0]), B):
+            fh.write("".join(row % r for r in zip(*(col[s:s + B].tolist() for col in columns))))
 
 
 def _model_metadata(config, model):
@@ -82,7 +84,7 @@ def _model_metadata(config, model):
         "tool": "mschwarz",
         "version": __version__,
         "rng": "PCG64",
-        "config_hash": _config_hash(config),
+        "config_hash": hashlib.sha256(serialize(config).encode()).hexdigest(),
         "seed": config.data["seed"],
     }
     block = None
@@ -114,8 +116,9 @@ def _model_metadata(config, model):
     return meta, block
 
 
-def _bound_evaluator(config, model, meta, block):
-    """(column name, callable m -> bound) for the configured selection rule.
+def _bound_values(config, model, meta, block, ms):
+    """(column name, bound at each m of ``ms``) for the configured selection
+    rule.
 
     ``meta`` and ``block`` are what :func:`_model_metadata` returned.  Returns
     None when no a-priori bound applies (deterministic sequences).
@@ -127,21 +130,17 @@ def _bound_evaluator(config, model, meta, block):
         spec = GreedyBoundSpec(
             norm_a=norm_a, lam=lam, beta=float(sel["beta"]), a1=meta["a_norms"]["a1"]
         )
-        return "greedy_bound", (lambda m: greedy_bound(m, spec))
+        return "greedy_bound", greedy_bound(ms, spec)
     if sel["kind"] == "random":
         _, base = config.build_distribution(model)
         if isinstance(model, DiagonalModel):
             ainf = ainfty_pi_norm(model, base)
         else:
-            ainf = 0.0
-            for c, nrm in zip(model.splitting, block):
-                if nrm == 0.0:
-                    continue
-                p = base.prob(int(c.index))
-                ainf = float("inf") if p == 0.0 else max(ainf, nrm / p)
+            ainf = sup_norm_over_pi(((c.index, nrm) for c, nrm in zip(model.splitting, block)),
+                                    base)
         meta["a_norms"]["ainf_pi"] = ainf
         spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
-        return "random_bound", (lambda m: random_bound(m, spec))
+        return "random_bound", random_bound(ms, spec)
     return None
 
 
@@ -152,20 +151,40 @@ def _build(config):
     return model, selection, relaxation
 
 
-def _out_paths(config, args, default_trace):
+def _write_outputs(config, args, meta, csv_name, header=None, columns=None, extra=None):
+    """Write the CSV (when there is a header), then the summary sidecar with
+    ``extra`` merged in, into ``--out``; print one ``wrote`` line per file."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = config.data.get("outputs", {})
-    trace = out / outputs.get("trace", default_trace)
-    summary = out / outputs.get("summary", "summary.json")
-    return trace, summary
+    paths = []
+    if header is not None:
+        paths.append(out / outputs.get("trace", csv_name))
+        _write_csv(paths[-1], header, columns)
+    paths.append(out / outputs.get("summary", "summary.json"))
+    payload = dict(meta, **(extra or {}))
+    paths[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    for path in paths:
+        print(f"wrote {path}")
 
 
-def _write_summary(path, meta, extra=None):
-    payload = dict(meta)
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _assert_bound(args, bound, observed, limit, what):
+    """The exit code of ``--assert-bounds``: EXIT_CONFIG when no bound
+    applies, EXIT_FAIL at the first m with observed > limit + BOUND_SLACK
+    (reported through the format ``what`` of observed[m] and bound[m]),
+    else EXIT_OK."""
+    if not args.assert_bounds:
+        return EXIT_OK
+    if bound is None:
+        print(f"{args.command}: --assert-bounds set but no bound applies", file=sys.stderr)
+        return EXIT_CONFIG
+    bad = np.nonzero(observed > limit + BOUND_SLACK)[0]
+    if bad.size:
+        m = int(bad[0])
+        print(f"{args.command}: bound violated at m={m}: {what.format(observed[m], bound[m])}",
+              file=sys.stderr)
+        return EXIT_FAIL
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -175,42 +194,17 @@ def _cmd_run(config, args):
     model, selection, relaxation = _build(config)
     trace = run(model, selection, relaxation, config.data["steps"], config.data["seed"])
     meta, block = _model_metadata(config, model)
-    header = ["m", "index", "alpha", "omega", "local_norm", "error_a", "error_a_sq"]
     ms = np.arange(trace.steps + 1)
-    columns = [
-        ms,
-        trace.index,
-        trace.alpha,
-        trace.omega,
-        trace.local_norm,
-        trace.error,
-        trace.error_sq,
-    ]
-    bound = _bound_evaluator(config, model, meta, block) if config.data["bounds"] else None
+    header = ["m", "index", "alpha", "omega", "local_norm", "error_a", "error_a_sq"]
+    columns = [ms, trace.index, trace.alpha, trace.omega, trace.local_norm, trace.error,
+               trace.error_sq]
+    bound = _bound_values(config, model, meta, block, ms) if config.data["bounds"] else None
+    vals = None if bound is None else bound[1]
     if bound is not None:
-        name, fn = bound
-        vals = fn(ms)
-        header.append(name)
+        header.append(bound[0])
         columns.append(vals)
-    trace_path, summary_path = _out_paths(config, args, "trace.csv")
-    _write_csv(trace_path, header, columns)
-    _write_summary(summary_path, meta)
-    print(f"wrote {trace_path}")
-    print(f"wrote {summary_path}")
-    if args.assert_bounds:
-        if bound is None:
-            print("run: --assert-bounds set but no bound applies", file=sys.stderr)
-            return EXIT_CONFIG
-        bad = np.nonzero(trace.error_sq > vals + BOUND_SLACK)[0]
-        if bad.size:
-            m = int(bad[0])
-            print(
-                f"run: bound violated at m={m}: "
-                f"error_sq={trace.error_sq[m]!r} > bound={vals[m]!r}",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
-    return EXIT_OK
+    _write_outputs(config, args, meta, "trace.csv", header, columns)
+    return _assert_bound(args, vals, trace.error_sq, vals, "error_sq={!r} > bound={!r}")
 
 
 def _cmd_expect(config, args):
@@ -225,15 +219,14 @@ def _cmd_expect(config, args):
     meta, block = _model_metadata(config, model)
     ms = np.arange(M + 1)
     header = ["m", "mean_err_sq", "stderr", "K"]
-    columns = [ms, est.mean, est.stderr, [str(est.trials)] * (M + 1)]
-    bound = _bound_evaluator(config, model, meta, block) if config.data["bounds"] else None
+    columns = [ms, est.mean, est.stderr, np.full(M + 1, est.trials)]
+    bound = _bound_values(config, model, meta, block, ms) if config.data["bounds"] else None
+    vals = limit = None
     if bound is not None:
-        name, fn = bound
-        vals = fn(ms)
-        header.append(name)
+        vals, limit = bound[1], bound[1] + 3.0 * est.stderr
+        header.append(bound[0])
         columns.append(vals)
     # oracle columns for the orthonormal model under a fixed distribution
-    exact_vals = None
     if (
         isinstance(model, DiagonalModel)
         and isinstance(selection, RandomRule)
@@ -241,9 +234,8 @@ def _cmd_expect(config, args):
         and not callable(selection.schedule)
     ):
         pi = selection.schedule
-        exact_vals = exact_expected_error(model, pi, ms)
         header.append("exact")
-        columns.append(exact_vals)
+        columns.append(exact_expected_error(model, pi, ms))
         n = pi.support_bound()
         if n is not None and n <= 4:
             header.append("bruteforce")
@@ -253,41 +245,19 @@ def _cmd_expect(config, args):
                     for m in range(M + 1)
                 ]
             )
-    trace_path, summary_path = _out_paths(config, args, "expect.csv")
-    _write_csv(trace_path, header, columns)
-    _write_summary(summary_path, meta, {"trials": est.trials})
-    print(f"wrote {trace_path}")
-    print(f"wrote {summary_path}")
-    if args.assert_bounds:
-        if bound is None:
-            print("expect: --assert-bounds set but no bound applies", file=sys.stderr)
-            return EXIT_CONFIG
-        bad = np.nonzero(est.mean > vals + 3.0 * est.stderr + BOUND_SLACK)[0]
-        if bad.size:
-            m = int(bad[0])
-            print(
-                f"expect: bound violated at m={m}: "
-                f"mean={est.mean[m]!r} > bound={vals[m]!r} + 3*stderr",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
-    return EXIT_OK
+    _write_outputs(config, args, meta, "expect.csv", header, columns, {"trials": est.trials})
+    return _assert_bound(args, vals, est.mean, limit, "mean={!r} > bound={!r} + 3*stderr")
 
 
 def _cmd_bounds(config, args):
     model = config.build_model()
     meta, block = _model_metadata(config, model)
-    bound = _bound_evaluator(config, model, meta, block)
+    ms = np.arange(config.data["steps"] + 1)
+    bound = _bound_values(config, model, meta, block, ms)
     if bound is None:
         print("bounds: no a-priori bound for deterministic selection", file=sys.stderr)
         return EXIT_CONFIG
-    name, fn = bound
-    ms = np.arange(config.data["steps"] + 1)
-    trace_path, summary_path = _out_paths(config, args, "bounds.csv")
-    _write_csv(trace_path, ["m", name], [ms, fn(ms)])
-    _write_summary(summary_path, meta)
-    print(f"wrote {trace_path}")
-    print(f"wrote {summary_path}")
+    _write_outputs(config, args, meta, "bounds.csv", ["m", bound[0]], [ms, bound[1]])
     return EXIT_OK
 
 
@@ -298,54 +268,32 @@ def _cmd_rate(config, args):
     m_range = (window["lo"], window["hi"]) if window else None
     fit = fit_rate(trace.error, m_range)
     meta, _ = _model_metadata(config, model)
-    _, summary_path = _out_paths(config, args, "rate.csv")
-    _write_summary(
-        summary_path,
-        meta,
-        {
-            "rate_fit": {
-                "slope": None if np.isnan(fit.slope) else fit.slope,
-                "intercept": None if np.isnan(fit.intercept) else fit.intercept,
-                "residual": fit.residual,
-                "converged_exactly": fit.converged_exactly,
-            }
-        },
-    )
     if fit.converged_exactly:
         print("slope: converged exactly (zero error in fit window)")
     else:
         print(f"slope {_fmt(fit.slope)}")
-    print(f"wrote {summary_path}")
+    rate_fit = {
+        "slope": None if np.isnan(fit.slope) else fit.slope,
+        "intercept": None if np.isnan(fit.intercept) else fit.intercept,
+        "residual": fit.residual,
+        "converged_exactly": fit.converged_exactly,
+    }
+    _write_outputs(config, args, meta, "rate.csv", extra={"rate_fit": rate_fit})
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # invariant suite (`check`)
 
-def _clone_state(model, state):
+def _error_after(model, state, res, alpha, omega):
+    """The error after one step applied to a copy of ``state``."""
     clone = model.new_state()
     clone.u = state.u.copy()
     if hasattr(state, "w"):
         clone.w = state.w.copy()
     clone.steps = state.steps
-    return clone
-
-
-def _error_after(model, state, res, alpha, omega):
-    clone = _clone_state(model, state)
     model.apply_update(clone, res, alpha, omega)
     return model.error(clone)
-
-
-def _check_omega_optimality(model, selection, relaxation, steps, seed):
-    """Three-point test: perturbing omega can only increase the step error."""
-    for _, state, res, a, w in iterate(model, selection, relaxation, steps, seed):
-        base = _error_after(model, state, res, a, w)
-        delta = max(abs(w), 1.0) * 1e-3
-        for wp in (w - delta, w + delta):
-            if _error_after(model, state, res, a, wp) < base - 1e-10 * (1 + base):
-                return False
-    return True
 
 
 def _fresh_local_norms(model, state, indices):
@@ -359,13 +307,32 @@ def _fresh_local_norms(model, state, indices):
     return np.array([model.local_residual(state, i).local_norm for i in indices])
 
 
-def _check_greedy_compliance(model, rule, relaxation, steps, seed):
-    for m, state, res, _, _ in iterate(model, rule, relaxation, steps, seed):
-        indices = np.asarray(rule.pool.indices(model, state, m))
-        norms = _fresh_local_norms(model, state, indices)
-        if res.local_norm < rule.beta * norms.max() - 1e-12 * (1 + norms.max()):
-            return False
-    return True
+def _check_steps(model, selection, relaxation, short, seed):
+    """The per-step checks on one run: omega optimality over the first 25
+    steps, and for a greedy rule greedy compliance over the first 50.
+
+    Omega optimality is a three-point test (perturbing omega can only
+    increase the step error); greedy compliance compares the pick with the
+    pool's norms from per-component solves.  A NaN comparison passes.
+    Returns (omega_ok, greedy_ok), greedy_ok None for other rules.
+    """
+    greedy = isinstance(selection, GreedyRule)
+    omega_ok, greedy_ok = True, True if greedy else None
+    steps = min(short, 50 if greedy else 25)
+    for m, state, res, a, w in iterate(model, selection, relaxation, steps, seed):
+        if omega_ok and m < 25:
+            base = _error_after(model, state, res, a, w)
+            delta = max(abs(w), 1.0) * 1e-3
+            omega_ok = not any(_error_after(model, state, res, a, wp) < base - 1e-10 * (1 + base)
+                               for wp in (w - delta, w + delta))
+        if greedy_ok:
+            indices = np.asarray(selection.pool.indices(model, state, m))
+            norms = _fresh_local_norms(model, state, indices)
+            greedy_ok = not (res.local_norm
+                             < selection.beta * norms.max() - 1e-12 * (1 + norms.max()))
+        if not omega_ok and not greedy_ok:
+            break
+    return omega_ok, greedy_ok
 
 
 def _cmd_check(config, args):
@@ -379,25 +346,16 @@ def _cmd_check(config, args):
 
     t1 = run(model, selection, relaxation, short, seed)
     t2 = run(config.build_model(), config.build_selection(model), relaxation, short, seed)
-    results.append(
-        (
-            "determinism",
-            bool(
-                np.array_equal(t1.index, t2.index)
-                and np.array_equal(t1.error, t2.error)
-            ),
-        )
-    )
+    same = np.array_equal(t1.index, t2.index) and np.array_equal(t1.error, t2.error)
+    results.append(("determinism", bool(same)))
 
     if isinstance(relaxation, PureRelaxation):
         mono = bool(np.all(np.diff(t1.error) <= 1e-10 * (t1.error[0] + 1.0)))
         results.append(("pure-step monotonicity", mono))
 
-    omega_ok = _check_omega_optimality(model, selection, relaxation, min(short, 25), seed)
+    omega_ok, greedy_ok = _check_steps(model, selection, relaxation, short, seed)
     results.append(("omega optimality", omega_ok))
-
-    if isinstance(selection, GreedyRule):
-        greedy_ok = _check_greedy_compliance(model, selection, relaxation, min(short, 50), seed)
+    if greedy_ok is not None:
         results.append(("greedy compliance", greedy_ok))
 
     metadata = _model_metadata(config, model) if config.data["bounds"] else None
@@ -417,12 +375,10 @@ def _cmd_check(config, args):
         results.append(("uniform bound certificate", ok))
 
     if metadata is not None:
-        bound = _bound_evaluator(config, model, *metadata)
+        bound = _bound_values(config, model, *metadata, np.arange(short + 1))
         if bound is not None:
-            _, fn = bound
-            vals = fn(np.arange(short + 1))
             results.append(
-                ("bound compliance", bool(np.all(t1.error_sq <= vals + BOUND_SLACK)))
+                ("bound compliance", bool(np.all(t1.error_sq <= bound[1] + BOUND_SLACK)))
             )
 
     failed = [name for name, ok in results if not ok]

@@ -144,14 +144,20 @@ def a1_norm(model):
     return float(np.abs(model.coefficients).sum())
 
 
-def ainfty_pi_norm(model, pi):
-    """sup_i |c_i| / pi_i; infinite when c has mass where pi has none."""
+def sup_norm_over_pi(pairs, pi):
+    """sup_i norm_i / pi_i over (index, norm >= 0) pairs, skipping zero
+    norms; infinite when a nonzero norm sits where pi has no mass."""
     worst = 0.0
-    for i, c in zip(model.support_indices, model.coefficients):
-        if c == 0.0:
+    for i, nrm in pairs:
+        if nrm == 0.0:
             continue
         p = pi.prob(int(i))
         if p == 0.0:
             return math.inf
-        worst = max(worst, abs(c) / p)
+        worst = max(worst, nrm / p)
     return worst
+
+
+def ainfty_pi_norm(model, pi):
+    """sup_i |c_i| / pi_i; infinite when c has mass where pi has none."""
+    return sup_norm_over_pi(zip(model.support_indices, np.abs(model.coefficients)), pi)

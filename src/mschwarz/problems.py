@@ -401,9 +401,6 @@ def uniform_bound_lambda(problem, splitting):
     (Galerkin block, local form) pair: the overlapping blocks of a uniform
     grid share one, and equal inputs give equal eigenvalues.
     """
-    stored = getattr(splitting, "uniform_bound", None)
-    if stored is not None:
-        return float(stored)
     if splitting._lambda is None:
         lams = {}
         for c in splitting:
@@ -566,7 +563,9 @@ def image_tiles(A_csr, lo, hi):
     out to multiples of TILE_COLUMN_ALIGN (or to n), and to all columns when
     they cross a multiple of DGEMV_COLUMN_PIECE.  Then, row by row,
     ``A[rows, cols] @ d[cols]`` has the bits of ``A @ d``, on a strided view
-    of A as on a contiguous copy of the tile.  The tiles of all rows,
+    of A as on a contiguous copy of the tile.  ``A @ d`` here is the
+    one-thread product: a BLAS thread whose share ends on fewer than 4 rows
+    rounds them with another kernel.  The tiles of all rows,
     ``image_tiles(A_csr, 0, n)``, are the band a :class:`Problem` stores.
     """
     n = A_csr.shape[1]
@@ -616,13 +615,13 @@ class MatrixSchwarzModel:
     component from the problem's CSR pattern, ``Ad[rows] = tile @ d[cols]``;
     every other row, and every row of those tiles that R_i does not reach,
     is the +0.0 the full product gives.  Each tiled row is the same BLAS
-    ``dgemv`` over the same nonzero terms as in A @ d, so the same bits, by
-    three properties of the BLAS and numpy that tests pin: the columns start
-    and end on multiples of TILE_COLUMN_ALIGN (or at n), so every term keeps
-    its SIMD lane; a tile whose columns would cross a multiple of
-    DGEMV_COLUMN_PIECE, where the full product starts a new piece of its row
-    sums, spans all columns; and no tile has a single row, which numpy would
-    hand to ``ddot``.  The two-level coarse component reaches every row but
+    ``dgemv`` over the same nonzero terms as in the one-thread A @ d (see
+    :func:`image_tiles`), so the same bits, by three properties of the BLAS
+    and numpy that tests pin: the columns start and end on multiples of
+    TILE_COLUMN_ALIGN (or at n), so every term keeps its SIMD lane; a tile
+    whose columns would cross a multiple of DGEMV_COLUMN_PIECE, where the
+    full product starts a new piece of its row sums, spans all columns; and
+    no tile has a single row, which numpy would hand to ``ddot``.  The two-level coarse component reaches every row but
     is multiplied on little more than the band of A.  The refresh of w is
     the product with the whole band: still a recompute of A u from scratch.
     The reported error uses the problem's CSR copy of A: ``A e`` is scipy's

@@ -167,9 +167,6 @@ class TwoParamRelaxation(Relaxation):
 
     name = "two_param"
 
-    def alpha(self, m):  # fallback value for degenerate directions
-        return 1.0 - 1.0 / (m + 2)
-
     def parameters(self, model, state, res, m):
         return two_param_update(model, state, res, m)
 

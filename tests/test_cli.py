@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.linalg
 
 import mschwarz.cli as cli_module
 import mschwarz.problems as problems_module
+import mschwarz.solver as solver_module
 from mschwarz import DiagonalModel
 from mschwarz.cli import main
 
@@ -54,6 +56,16 @@ def read_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def read_columns(path, *names):
+    """The named CSV columns as float arrays (17 digits read back exactly)."""
+    header, rows = read_csv(path)
+    return [np.array([float(r[header.index(name)]) for r in rows]) for name in names]
+
+
+def first_violation(observed, limit):
+    return int(np.nonzero(observed > limit + cli_module.BOUND_SLACK)[0][0])
 
 
 class TestRunCommand:
@@ -120,7 +132,10 @@ bounds: true
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path),
                      "--assert-bounds"]) == 1
-        assert "bound violated" in capsys.readouterr().err
+        err_sq, bound = read_columns(tmp_path / "trace.csv", "error_a_sq", "random_bound")
+        m = first_violation(err_sq, bound)
+        assert capsys.readouterr().err == (
+            f"run: bound violated at m={m}: error_sq={err_sq[m]!r} > bound={bound[m]!r}\n")
 
     def test_seed_override_changes_random_trace(self, tmp_path):
         cfg = write_config(tmp_path, ORACLE_EXPECT)
@@ -149,6 +164,22 @@ class TestExpectCommand:
     def test_trials_must_exceed_one(self, tmp_path):
         cfg = write_config(tmp_path, ORACLE_EXPECT.replace("trials: 400", "trials: 1"))
         assert main(["expect", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_assert_bounds_violation_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a bound far below the mean from m = 3 on; the check allows the mean
+        # three standard errors above it
+        monkeypatch.setattr(cli_module, "random_bound",
+                            lambda m, spec: np.where(m < 3, 10.0, 0.0))
+        cfg = write_config(tmp_path, ORACLE_EXPECT + "bounds: true\n")
+        assert main(["expect", "--config", cfg, "--out", str(tmp_path),
+                     "--assert-bounds"]) == 1
+        mean, stderr, bound = read_columns(
+            tmp_path / "expect.csv", "mean_err_sq", "stderr", "random_bound")
+        m = first_violation(mean, bound + 3.0 * stderr)
+        assert m == 3
+        assert capsys.readouterr().err == (
+            f"expect: bound violated at m={m}: mean={mean[m]!r} > bound={bound[m]!r}"
+            " + 3*stderr\n")
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, ORACLE_EXPECT)
@@ -447,25 +478,81 @@ class TestGreedyComplianceCheck:
     """`check` compares the picks with per-component solves, so a scan that
     misreports a norm fails it even when a second scan would agree."""
 
-    @pytest.mark.parametrize("model_class, text", [
-        (problems_module.MatrixSchwarzModel, POISSON_GREEDY_FIXED),
-        (DiagonalModel, DIAG_GREEDY),
-    ], ids=["poisson", "diagonal"])
+    # from step 30 on, the check must reach past the 25 steps of the omega test
+    @pytest.mark.parametrize("model_class, text, from_step", [
+        (problems_module.MatrixSchwarzModel, POISSON_GREEDY_FIXED, 0),
+        (DiagonalModel, DIAG_GREEDY, 0),
+        (problems_module.MatrixSchwarzModel, POISSON_GREEDY_FIXED, 30),
+        (DiagonalModel, DIAG_GREEDY, 30),
+    ], ids=["poisson", "diagonal", "poisson-from-step-30", "diagonal-from-step-30"])
     def test_scan_that_shrinks_the_largest_norm_fails(self, tmp_path, capsys, monkeypatch,
-                                                      model_class, text):
+                                                      model_class, text, from_step):
         cfg = write_config(tmp_path, text)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         scan = model_class.pool_local_norms
 
         def shrunk(self, state, indices):
             norms, residual = scan(self, state, indices)
-            norms[np.argmax(norms)] *= 0.5
+            if state.steps >= from_step:
+                norms[np.argmax(norms)] *= 0.5
             return norms, residual
 
         monkeypatch.setattr(model_class, "pool_local_norms", shrunk)
         capsys.readouterr()
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "FAIL greedy compliance" in capsys.readouterr().out.splitlines()
+
+
+def _reference_csv(header, columns):
+    """The CSV text one cell at a time: the writer's format, spelled out."""
+    rows = [",".join(v if isinstance(v, str) else cli_module._fmt(v) for v in row)
+            for row in zip(*columns)]
+    return "\n".join([",".join(header)] + rows) + "\n"
+
+
+class TestCsvWriter:
+    def test_blocks_match_the_cell_by_cell_text(self, tmp_path):
+        rows = 2 * cli_module.CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 301, rows)
+        floats[:6] = [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e-300]
+        floats[-1] = np.nan
+        ints = rng.integers(-2 ** 62, 2 ** 62, rows, dtype=np.int64)
+        ints[:2] = [-1, 0]
+        strings = ["" if k % 3 else cli_module._fmt(v) for k, v in enumerate(floats)]
+        header = ["m", "index", "value", "text"]
+        columns = [np.arange(rows), ints, floats, strings]
+        path = tmp_path / "t.csv"
+        cli_module._write_csv(path, header, columns)
+        assert path.read_text() == _reference_csv(header, columns)
+
+    def test_peak_memory_is_a_few_blocks(self, tmp_path):
+        # seven trace columns of 1e5 rows; the text alone is about 11 MiB
+        rows = 100_000
+        rng = np.random.default_rng(0)
+        columns = [np.arange(rows), rng.integers(0, 50, rows)]
+        columns += [rng.standard_normal(rows) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            cli_module._write_csv(tmp_path / "t.csv", list("abcdefg"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
+class TestOmegaOptimalityCheck:
+    def test_relaxation_off_the_optimal_omega_fails(self, tmp_path, capsys, monkeypatch):
+        parameters = solver_module.Relaxation.parameters
+
+        def overshoot(self, model, state, res, m):
+            alpha, omega = parameters(self, model, state, res, m)
+            return alpha, 1.5 * omega
+
+        monkeypatch.setattr(solver_module.Relaxation, "parameters", overshoot)
+        cfg = write_config(tmp_path, DIAG_GREEDY)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "FAIL omega optimality" in capsys.readouterr().out.splitlines()
 
 
 class TestNonFiniteAndHugeInput:

@@ -1,6 +1,10 @@
 import collections
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +577,43 @@ class TestImageTilesPinnedToDenseProduct:
                 for rows, cols, tile in band:
                     np.dot(tile, d[cols], out=Bd[rows])
                 assert_same_bits(Bd, B @ d)
+
+    def test_random_banded_rows_equal_the_one_thread_product(self):
+        """The reference for the tiled A d is the one-thread dense product.
+
+        A multi-threaded ``dgemv`` that ends a thread's share of rows on a
+        remainder of fewer than 4 computes those rows with another kernel,
+        which on random rows (not on the Poisson band) rounds differently:
+        with 2 OpenBLAS threads, n = 1025 mismatched rows 512 and 1024.  So
+        the comparison runs in a process limited to one BLAS thread, at n
+        that are not multiples of TILE_ROWS."""
+        code = """
+import numpy as np
+from scipy.sparse import csr_array
+from mschwarz.problems import image_tiles
+
+for n in (1025, 1100, 2100):
+    rng = np.random.default_rng(n)
+    A = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = max(i - 40, 0), min(i + 41, n)
+        A[i, lo:hi] = rng.standard_normal(hi - lo)
+    band = [(rows, cols, A[rows, cols].copy())
+            for rows, cols in image_tiles(csr_array(A), 0, n)]
+    for _ in range(12):
+        d = rng.standard_normal(n)
+        Ad = np.zeros(n)
+        for rows, cols, tile in band:
+            np.dot(tile, d[cols], out=Ad[rows])
+        want = A @ d
+        same = (Ad == want) & (np.signbit(Ad) == np.signbit(want))
+        assert same.all(), (n, np.flatnonzero(~same))
+"""
+        src = Path(problems_module.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=300)
+        assert result.returncode == 0, result.stderr + blas_note()
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 64, 65])
     @pytest.mark.parametrize("width", [1, 2, 16, 31, 48, 1024, 2100])
