@@ -32,7 +32,6 @@ from .diagonal import DiagonalModel, a1_norm, ainfty_pi_norm, sup_norm_over_pi
 from .problems import (
     MatrixSchwarzModel,
     energy_norm,
-    local_solve,
     representation_block_norms,
     stability_constants,
     uniform_bound_lambda,
@@ -300,10 +299,6 @@ def _fresh_local_norms(model, state, indices):
     """The pool's local norms one component at a time, not through the
     model's pool scan, so that the scan is checked against an independent
     computation."""
-    if isinstance(model, MatrixSchwarzModel):
-        g = model.problem.b - state.w
-        return np.array([local_solve(model.problem, model.splitting[i], g).local_norm
-                         for i in indices])
     return np.array([model.local_residual(state, i).local_norm for i in indices])
 
 

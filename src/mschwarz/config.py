@@ -48,6 +48,11 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _join(path, key):
+    """The path of ``key`` under ``path`` ("" is the root)."""
+    return f"{path}.{key}" if path else str(key)
+
+
 class _Checker:
     def __init__(self):
         self.errors = []
@@ -63,45 +68,47 @@ class _Checker:
         for key in node:
             if key not in allowed:
                 # recorded but not fatal: the known keys still get validated
-                self.fail(f"{path}.{key}" if path else str(key), "unknown key")
+                self.fail(_join(path, key), "unknown key")
         for key in required:
             if key not in node:
-                self.fail(f"{path}.{key}" if path else str(key), "missing required key")
+                self.fail(_join(path, key), "missing required key")
                 ok = False
         return ok
 
     def number(self, node, path, key, lo=None, hi=None, integer=False, required=True, lo_open=False):
+        where = _join(path, key)
         if key not in node:
             if required:
-                self.fail(f"{path}.{key}", "missing required key")
+                self.fail(where, "missing required key")
             return None
         val = node[key]
         if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {val!r}")
+            self.fail(where, f"expected a number, got {val!r}")
             return None
         if integer and not isinstance(val, int):
-            self.fail(f"{path}.{key}", f"expected an integer, got {val!r}")
+            self.fail(where, f"expected an integer, got {val!r}")
             return None
         if not _is_finite_number(val):
-            self.fail(f"{path}.{key}", f"expected a finite number, got {val!r}")
+            self.fail(where, f"expected a finite number, got {val!r}")
             return None
         if lo is not None and (val <= lo if lo_open else val < lo):
             cmp = ">" if lo_open else ">="
-            self.fail(f"{path}.{key}", f"must be {cmp} {lo}, got {val}")
+            self.fail(where, f"must be {cmp} {lo}, got {val}")
             return None
         if hi is not None and val > hi:
-            self.fail(f"{path}.{key}", f"must be <= {hi}, got {val}")
+            self.fail(where, f"must be <= {hi}, got {val}")
             return None
         return val
 
     def choice(self, node, path, key, options, required=True):
+        where = _join(path, key)
         if key not in node:
             if required:
-                self.fail(f"{path}.{key}", f"missing required key (one of {sorted(options)})")
+                self.fail(where, f"missing required key (one of {sorted(options)})")
             return None
         val = node[key]
         if val not in options:
-            self.fail(f"{path}.{key}", f"must be one of {sorted(options)}, got {val!r}")
+            self.fail(where, f"must be one of {sorted(options)}, got {val!r}")
             return None
         return val
 
@@ -242,8 +249,10 @@ def _validate_problem(ck, node):
 def _validate_family(ck, node):
     if not ck.require_keys(node, "selection.family", _FAMILY_KEYS, required=("kind",)):
         return
-    kind = ck.choice(node, "selection.family", "kind",
-                     {"explicit", "uniform", "power_law", "log"})
+    own_keys = {"explicit": {"probs"}, "uniform": {"n"}, "power_law": {"s"}, "log": set()}
+    kind = ck.choice(node, "selection.family", "kind", set(own_keys))
+    if kind is None:
+        return  # no kind to check the other keys against
     if kind == "explicit":
         probs = node.get("probs")
         if not isinstance(probs, list) or not probs:
@@ -260,9 +269,7 @@ def _validate_family(ck, node):
     elif kind == "power_law":
         ck.number(node, "selection.family", "s", lo=0, lo_open=True)
     for key in ("probs", "s", "n"):
-        if key in node and key not in {
-            "explicit": {"probs"}, "uniform": {"n"}, "power_law": {"s"}, "log": set(),
-        }.get(kind, set()):
+        if key in node and key not in own_keys[kind]:
             ck.fail(f"selection.family.{key}", f"not valid for family kind {kind!r}")
 
 
@@ -339,7 +346,7 @@ def _find_duplicate_keys(loader, node, path, out, seen):
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue  # merged keys may be overridden by design
             key = loader.construct_object(key_node, deep=True)
-            sub = f"{path}.{key}" if path else str(key)
+            sub = _join(path, key)
             try:
                 if key in keys:
                     out.append(f"{sub}: duplicated key")
@@ -371,9 +378,10 @@ def parse_config(text):
         _validate_selection(ck, raw["selection"])
     if "relaxation" in raw and raw["relaxation"] not in {"gawr", "pure", "two_param"}:
         ck.fail("relaxation", f"must be one of ['gawr', 'pure', 'two_param'], got {raw.get('relaxation')!r}")
-    ck.number(raw, "", "steps", lo=0, integer=True)
+    # steps and seed are required above
+    ck.number(raw, "", "steps", lo=0, integer=True, required=False)
     ck.number(raw, "", "trials", lo=1, integer=True, required=False)
-    ck.number(raw, "", "seed", lo=0, hi=MAX_SEED, integer=True)
+    ck.number(raw, "", "seed", lo=0, hi=MAX_SEED, integer=True, required=False)
     if "outputs" in raw and ck.require_keys(raw["outputs"], "outputs", {"trace", "summary"}):
         for key, val in raw["outputs"].items():
             if not isinstance(val, str):

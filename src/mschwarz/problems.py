@@ -57,6 +57,10 @@ SLAB_MIN = 64
 # any other n is one slab: the full product.
 SLAB_N_MULTIPLE = 8
 
+# stability_constants reports kappa = inf when lam_min is at most this
+# fraction of max(lam_max, 1): the splitting is numerically rank-deficient.
+RANK_TOL = 1e-10
+
 
 class UnstableSplittingError(ValueError):
     """Raised when a finite splitting fails to span the full space."""
@@ -80,7 +84,7 @@ class Problem:
     """An SPD form A, functional b, and the direct-solve reference solution.
 
     A is stored as its band: the contiguous copies of the row tiles
-    ``image_tiles(A_csr, 0, n)``, with the CSR copy ``_A_csr`` they were
+    ``image_tiles(A_csr)``, with the CSR copy ``_A_csr`` they were
     found from.  Every product with A is a band product (:meth:`_matvec`),
     which has the bits of the dense ``A @ v`` row by row (see
     :func:`image_tiles`), so the dense n x n A exists only while the
@@ -122,7 +126,7 @@ class Problem:
         # copies, never views: a view of a full-width tile would keep the
         # whole dense A alive
         self._band = [(rows, cols, A[rows, cols].copy())
-                      for rows, cols in image_tiles(self._A_csr, 0, n)]
+                      for rows, cols in image_tiles(self._A_csr)]
         self.b = b
         self.n = n
         # b and the solution are checked here, so that the solves skip
@@ -323,6 +327,12 @@ class CoordinateBlock(SplittingComponent):
 class FiniteSplitting:
     """A finite family of components whose stacked ranges span the full space.
 
+    The components are numbered 1..N in order: component i is
+    ``components[i - 1]``, and any other numbering is a ``ValueError``.  So
+    is asking for a component outside 1..N, which the CLI reports with exit
+    code 2 (a random rule's draw from a distribution on all of N can land
+    there).
+
     A splitting belongs to the problem it was built for: Lambda and the
     stability spectrum computed from the pair are cached on it.  No n x n
     array is: each set-up function builds the additive Schwarz sum it needs
@@ -334,13 +344,10 @@ class FiniteSplitting:
             raise ValueError("splitting needs at least one component")
         self.components = list(components)
         self.N = len(components)
-        self._by_index = {}
-        for c in self.components:
-            if c.index in self._by_index:
-                # duplicated indices are allowed (redundant splittings); keep
-                # them addressable positionally through iteration only
-                continue
-            self._by_index[c.index] = c
+        for k, c in enumerate(self.components, 1):
+            if c.index != k:
+                raise ValueError(f"component {k} of the splitting has index {c.index}: "
+                                 f"components must be numbered 1..{self.N} in order")
         covered = np.zeros(problem.n, dtype=bool)
         for c in self.components:
             if c.n != problem.n:
@@ -362,10 +369,12 @@ class FiniteSplitting:
         return iter(self.components)
 
     def __getitem__(self, i):
-        return self._by_index[i]
+        if not 1 <= i <= self.N:
+            raise ValueError(f"no component {i}: the splitting has components 1..{self.N}")
+        return self.components[i - 1]
 
     def indices(self):
-        return np.array([c.index for c in self.components], dtype=np.int64)
+        return np.arange(1, self.N + 1)
 
 
 def local_solve(problem, component, g):
@@ -501,7 +510,7 @@ def _symmetrize_in_place(M):
     return M
 
 
-def stability_constants(problem, splitting, rank_tol=1e-10):
+def stability_constants(problem, splitting):
     """Stability constants (lam_min, lam_max, kappa) of a finite splitting.
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
@@ -510,7 +519,8 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
     The whole computation lives in one n x n buffer beyond A and L: S is
     built, overwritten with the form in slabs (:func:`_congruence_in_place`,
     :func:`_symmetrize_in_place`) and handed to ``eigh`` to overwrite.  A
-    rank-deficient splitting is reported with kappa = inf rather than raised.
+    rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
+    rather than raised.
     """
     if splitting._spectrum is None:
         from scipy.linalg import eigh
@@ -522,7 +532,7 @@ def stability_constants(problem, splitting, rank_tol=1e-10):
         w = eigh(M.T, eigvals_only=True, overwrite_a=True)
         splitting._spectrum = (float(w[0]), float(w[-1]))
     lam_min, lam_max = splitting._spectrum
-    if lam_min <= rank_tol * max(lam_max, 1.0):
+    if lam_min <= RANK_TOL * max(lam_max, 1.0):
         return StabilityConstants(lam_min, lam_max, float("inf"))
     return StabilityConstants(lam_min, lam_max, lam_max / lam_min)
 
@@ -554,8 +564,8 @@ def representation_block_norms(problem, splitting, u):
     return np.array(norms)
 
 
-def image_tiles(A_csr, lo, hi):
-    """The tiles ``(rows, cols)`` of the rows [lo, hi) of A for a tiled A @ d.
+def image_tiles(A_csr):
+    """The tiles ``(rows, cols)`` of the rows of A for a tiled A @ d.
 
     Rows go in tiles of TILE_ROWS; a one-row remainder joins the tile
     before it, because numpy computes a one-row product with ``ddot``, not
@@ -565,16 +575,16 @@ def image_tiles(A_csr, lo, hi):
     ``A[rows, cols] @ d[cols]`` has the bits of ``A @ d``, on a strided view
     of A as on a contiguous copy of the tile.  ``A @ d`` here is the
     one-thread product: a BLAS thread whose share ends on fewer than 4 rows
-    rounds them with another kernel.  The tiles of all rows,
-    ``image_tiles(A_csr, 0, n)``, are the band a :class:`Problem` stores.
+    rounds them with another kernel.  The tiles are the band a
+    :class:`Problem` stores.
     """
     n = A_csr.shape[1]
     indptr, indices = A_csr.indptr, A_csr.indices
-    starts = list(range(lo, hi, TILE_ROWS))
-    if len(starts) > 1 and hi - starts[-1] == 1:
+    starts = list(range(0, n, TILE_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
         del starts[-1]
     tiles = []
-    for start, stop in zip(starts, starts[1:] + [hi]):
+    for start, stop in zip(starts, starts[1:] + [n]):
         cols = indices[indptr[start]:indptr[stop]]
         first = int(cols.min()) // TILE_COLUMN_ALIGN * TILE_COLUMN_ALIGN
         last = min(-(-(int(cols.max()) + 1) // TILE_COLUMN_ALIGN) * TILE_COLUMN_ALIGN, n)
@@ -630,13 +640,13 @@ class MatrixSchwarzModel:
     go into two buffers the model owns, which hold nothing between calls,
     so one model can still drive several runs at once.
 
-    The greedy pool scan works on factor groups: components whose local
-    forms and stored Cholesky factors are byte-equal (all overlapping
-    blocks of a uniform Poisson grid) share one.  Per group a scan gathers
-    the local right-hand sides as the columns of one matrix, solves them
-    with one ``potrs`` call per column block of fewer than
-    SOLVE_BLOCK_ENTRIES entries and takes the local norms with two stacked
-    ``matmul`` calls.  Column by column this is the computation of
+    The greedy pool scan works on factor groups: components that restrict
+    alike (all coordinate blocks or all dense R) and whose local forms and
+    stored Cholesky factors are byte-equal (all overlapping blocks of a
+    uniform Poisson grid) share one.  Per group a scan gathers the local
+    right-hand sides as the columns of one matrix, solves them with one
+    ``potrs`` call per column block of fewer than SOLVE_BLOCK_ENTRIES
+    entries and takes the local norms with two stacked ``matmul`` calls.  Column by column this is the computation of
     :func:`local_solve`: that a multi-column ``potrs`` and a stacked
     ``matmul`` round each column as the single-column calls do is a
     property of the BLAS, which the tests pin against the per-component
@@ -647,8 +657,9 @@ class MatrixSchwarzModel:
     relaxation parameters and :meth:`apply_update` read them there.  The
     scan hands back, with the norms, a function that builds the winner's
     record from the scan's own solution, so the winner is not solved again.
-    The model keeps only the scan plan of the last pool, keyed by the
-    pool's bytes, so one model can drive several runs at once.
+    The scan plan is fixed when the model is built, for all N components,
+    and a run changes no attribute of the model, so one model can drive
+    several runs at once.
     """
 
     refresh_every = 1000
@@ -658,59 +669,33 @@ class MatrixSchwarzModel:
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
-        self._tiles = {int(i): problem._band_tiles(*self._reached_rows(splitting[i]))
-                       for i in splitting.indices()}
-        self._group_of = self._factor_groups()
-        # (pool indices as bytes, scan plan) of the last pool
-        self._last_plan = (None, None)
+        self._tiles = [problem._band_tiles(*self._reached_rows(c)) for c in splitting]
+        # the scan plan of all components: per column block of a factor
+        # group its component positions, its components and the coordinate
+        # gather array (None for dense R); per component its (block, row)
+        groups = {}
+        for k, c in enumerate(splitting):
+            key = (c.span is None, c.A_local.tobytes(), c._chol[0].tobytes(), c._chol[1])
+            groups.setdefault(key, []).append(k)
+        self._blocks, self._where = [], [None] * splitting.N
+        for ks in groups.values():
+            dim = splitting.components[ks[0]].dim
+            width = max(1, SOLVE_BLOCK_ENTRIES // dim)
+            for b in range(0, len(ks), width):
+                block = ks[b:b + width]
+                comps = [splitting.components[k] for k in block]
+                gather = None
+                if comps[0].span is not None:
+                    gather = np.array([c.span.start for c in comps])[:, None] + np.arange(dim)
+                for j, k in enumerate(block):
+                    self._where[k] = (len(self._blocks), j)
+                self._blocks.append((np.array(block), comps, gather))
         # the work buffers of error(), e and A e, and its CSR kernel
         from scipy.sparse._sparsetools import csr_matvec
 
         self._e = np.empty(problem.n)
         self._Ae = np.empty(problem.n)
         self._csr_matvec = csr_matvec
-
-    def _factor_groups(self):
-        """Group number of each component index.  Components share a group
-        when they restrict alike (all coordinate blocks or all dense R) and
-        their local forms and stored factors are byte-equal."""
-        keys = {}
-        group_of = {}
-        for i in self.splitting.indices().tolist():
-            c = self.splitting[i]
-            key = (c.span is None, c.A_local.tobytes(), c._chol[0].tobytes(), c._chol[1])
-            group_of[i] = keys.setdefault(key, len(keys))
-        return group_of
-
-    def _scan_plan(self, indices):
-        """The groups of a pool, computed once per pool.
-
-        Returns ``(groups, where)``: per column block of a group (see
-        SOLVE_BLOCK_ENTRIES) its pool positions, its components in pool
-        order and the coordinate gather array (None for dense R), and each
-        index's first (block, row) in the scan's solutions.
-        """
-        key = indices.tobytes()
-        if self._last_plan[0] != key:
-            members = {}
-            for k, i in enumerate(indices.tolist()):
-                members.setdefault(self._group_of[i], []).append((k, i))
-            groups, where = [], {}
-            for pairs in members.values():
-                dim = self.splitting[pairs[0][1]].dim
-                width = max(1, SOLVE_BLOCK_ENTRIES // dim)
-                for b in range(0, len(pairs), width):
-                    block = pairs[b:b + width]
-                    comps = [self.splitting[i] for _, i in block]
-                    gather = None
-                    if comps[0].span is not None:
-                        starts = np.array([c.span.start for c in comps])
-                        gather = starts[:, None] + np.arange(dim)
-                    for j, (_, i) in enumerate(block):
-                        where.setdefault(i, (len(groups), j))
-                    groups.append((np.array([k for k, _ in block]), comps, gather))
-            self._last_plan = (key, (groups, where))
-        return self._last_plan[1]
 
     def _reached_rows(self, component):
         """The rows [lo, hi) of A on which A R_i r can be nonzero.
@@ -740,15 +725,19 @@ class MatrixSchwarzModel:
     def pool_local_norms(self, state, indices):
         """The local norms of the pool ``indices`` at ``state``, and a
         function that builds the step record of one of them from the
-        scan's solution (valid until ``state`` changes)."""
+        scan's solution (valid until ``state`` changes).  The scan solves
+        every component and returns the pool's entries."""
         indices = np.asarray(indices, dtype=np.int64)
+        if indices.size:
+            # the pool lies in 1..N when its extremes do
+            self.splitting[int(indices.min())]
+            self.splitting[int(indices.max())]
         g = self.problem.b - state.w
         if g.shape != (self.problem.n,):
             raise ValueError(f"residual has shape {g.shape}, expected ({self.problem.n},)")
-        groups, where = self._scan_plan(indices)
-        out = np.empty(indices.size)
+        out = np.empty(self.splitting.N)
         solved = []
-        for ks, comps, gather in groups:
+        for ks, comps, gather in self._blocks:
             # one column per member: its local right-hand side R_i^T g
             if gather is not None:
                 rhs = g[gather].T
@@ -764,16 +753,16 @@ class MatrixSchwarzModel:
             solved.append((xs, norms, energies))
 
         def residual(i):
-            p, j = where[int(i)]
+            p, j = self._where[int(i) - 1]
             xs, norms, energies = solved[p]
             return self.step(BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j])))
 
-        return out, residual
+        return out[indices - 1], residual
 
     def step(self, res):
         """Fill the record's direction d = R_i r and its tiled image A d."""
         res.d = self.splitting[res.index].prolong(res.r)
-        res.Ad = self.problem._matvec(res.d, self._tiles[res.index])
+        res.Ad = self.problem._matvec(res.d, self._tiles[res.index - 1])
         return res
 
     def dir_energy_sq(self, res):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -291,6 +292,31 @@ class TestLibraryErrors:
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS ") for line in lines)
+
+
+class TestComponentOutsideTheSplitting:
+    """A pick past the N = 5 blocks of POISSON_SMALL exits 2 with one line."""
+
+    SELECTIONS = {
+        "sequence": "kind: sequence\n  sequence: [1, 99]",
+        "uniform-50": "kind: random\n  family: {kind: uniform, n: 50}",
+        "power-law": "kind: random\n  family: {kind: power_law, s: 0.5}",
+    }
+
+    @pytest.mark.parametrize("command", ["run", "expect", "check"])
+    @pytest.mark.parametrize("selection", sorted(SELECTIONS))
+    def test_exits_two_naming_the_index_and_n(self, tmp_path, capsys, command, selection):
+        text = POISSON_SMALL.replace(
+            "kind: greedy\n  beta: 1.0\n  pool: growing", self.SELECTIONS[selection])
+        cfg = write_config(tmp_path, text + "trials: 2\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        match = re.fullmatch(rf"{command}: no component (\d+): the splitting has components 1\.\.5",
+                             lines[0])
+        assert match, lines[0]
+        index = int(match.group(1))
+        assert index == 99 if selection == "sequence" else index > 5
 
 
 class TestDuplicatedKeys:

@@ -120,6 +120,35 @@ class TestParsing:
         assert any("selection.beta" in e for e in exc.value.errors)
 
 
+class TestErrorPaths:
+    """Exact error lists: top-level paths, missing keys, invalid family kinds."""
+
+    @staticmethod
+    def errors(text):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        return exc.value.errors
+
+    def test_top_level_numbers_have_no_leading_dot(self):
+        assert self.errors(MINIMAL.replace("steps: 100", "steps: x")) == [
+            "steps: expected a number, got 'x'"]
+        assert self.errors(MINIMAL.replace("seed: 1", "seed: -1")) == [
+            "seed: must be >= 0, got -1"]
+        assert self.errors(MINIMAL + "trials: 0\n") == ["trials: must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("key", ["steps", "seed"])
+    def test_missing_key_is_reported_once(self, key):
+        text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(key))
+        assert self.errors(text) == [f"{key}: missing required key"]
+
+    def test_invalid_family_kind_is_the_one_family_error(self):
+        text = MINIMAL.replace("kind: greedy\n  beta: 1.0",
+                               "kind: random\n  family: {kind: zipf, s: 2}")
+        assert self.errors(text) == [
+            "selection.family.kind: must be one of ['explicit', 'log', 'power_law', "
+            "'uniform'], got 'zipf'"]
+
+
 class TestRoundTrip:
     def test_serialize_reparses_equal(self):
         config = parse_config(MINIMAL)
