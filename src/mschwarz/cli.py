@@ -295,13 +295,6 @@ def _error_after(model, state, res, alpha, omega):
     return model.error(clone)
 
 
-def _fresh_local_norms(model, state, indices):
-    """The pool's local norms one component at a time, not through the
-    model's pool scan, so that the scan is checked against an independent
-    computation."""
-    return np.array([model.local_residual(state, i).local_norm for i in indices])
-
-
 def _check_steps(model, selection, relaxation, short, seed):
     """The per-step checks on one run: omega optimality over the first 25
     steps, and for a greedy rule greedy compliance over the first 50.
@@ -321,8 +314,9 @@ def _check_steps(model, selection, relaxation, short, seed):
             omega_ok = not any(_error_after(model, state, res, a, wp) < base - 1e-10 * (1 + base)
                                for wp in (w - delta, w + delta))
         if greedy_ok:
-            indices = np.asarray(selection.pool.indices(model, state, m))
-            norms = _fresh_local_norms(model, state, indices)
+            # one solve per component, not the model's pool scan, which this checks
+            pool = model.default_pool_indices()[:selection.pool.size(model, m)]
+            norms = np.array([model.local_residual(state, i).local_norm for i in pool])
             greedy_ok = not (res.local_norm
                              < selection.beta * norms.max() - 1e-12 * (1 + norms.max()))
         if not omega_ok and not greedy_ok:
@@ -331,16 +325,18 @@ def _check_steps(model, selection, relaxation, short, seed):
 
 
 def _cmd_check(config, args):
-    model, selection, relaxation = _build(config)
     short = min(config.data["steps"], 100)
     seed = config.data["seed"]
+    # the determinism check's second run, on a build of its own; it runs
+    # first, so that its model is freed before the checked one is built
+    t2 = run(*_build(config), short, seed)
+    model, selection, relaxation = _build(config)
     results = []
 
     reparsed = parse_config(serialize(config))
     results.append(("config round-trip", reparsed == config))
 
     t1 = run(model, selection, relaxation, short, seed)
-    t2 = run(config.build_model(), config.build_selection(model), relaxation, short, seed)
     same = np.array_equal(t1.index, t2.index) and np.array_equal(t1.error, t2.error)
     results.append(("determinism", bool(same)))
 

@@ -20,6 +20,7 @@ from .distributions import (
     LogFamilyDistribution,
     PowerLawDistribution,
     TruncatedSchedule,
+    cutoff_exceeds,
     uniform_distribution,
 )
 from .poisson import MAX_GRID, make_poisson_1d
@@ -154,28 +155,50 @@ class ExperimentConfig:
 
     def build_selection(self, model):
         sel = self.data["selection"]
-        kind = sel["kind"]
-        if kind == "cyclic":
-            n = model.component_count()
-            if n is None:
-                raise ConfigError(["selection.kind: cyclic needs a finite splitting"])
+        n = model.component_count()
+        refused = self._refusal(model, n)
+        if refused:
+            raise ConfigError([refused])
+        if sel["kind"] == "cyclic":
             return cyclic_rule(n)
-        if kind == "sequence":
+        if sel["kind"] == "sequence":
             return DeterministicRule(sel["sequence"])
-        if kind == "greedy":
-            pool_name = sel.get("pool", "fixed" if model.component_count() else "support_union")
-            if model.component_count() is None and pool_name != "support_union":
-                raise ConfigError(
-                    ["selection.pool: lazy splittings support only support_union pools"]
-                )
-            pool = {
-                "fixed": FixedPool,
-                "support_union": SupportPool,
-                "growing": GrowingPool,
-            }[pool_name]()
-            return GreedyRule(sel["beta"], pool)
-        schedule, _ = self.build_distribution(model)
-        return RandomRule(schedule)
+        if sel["kind"] == "greedy":
+            pool = {"fixed": FixedPool, "support_union": SupportPool, "growing": GrowingPool}[
+                sel.get("pool", "fixed" if n else "support_union")]
+            return GreedyRule(sel["beta"], pool())
+        return RandomRule(self.build_distribution(model)[0])
+
+    def _refusal(self, model, n):
+        """The "path: message" of a selection ``model`` cannot run, else None;
+        on ``n`` components, one that can pick past n within ``steps``, so
+        that no run's outcome depends on its seed (N_{steps-1} is the
+        largest cutoff of a truncation)."""
+        sel, steps = self.data["selection"], self.data["steps"]
+        kind, pool = sel["kind"], sel.get("pool")  # only greedy rules have a pool
+        if n is None:
+            if kind == "cyclic":
+                return "selection.kind: cyclic needs a finite splitting"
+            if pool not in (None, "support_union"):
+                return "selection.pool: lazy splittings support only support_union pools"
+            return None
+        past = f"; the splitting has components 1..{n}"
+        if kind == "sequence" and max(sel["sequence"]) > n:
+            return f"selection.sequence: picks component {max(sel['sequence'])}{past}"
+        if pool == "support_union":
+            return f"selection.pool: support_union pools need the diagonal model{past}"
+        if kind != "random":
+            return None
+        _, base = self.build_distribution(model)  # a base of its own: the check grows its table
+        if "truncation" in sel:
+            if steps and cutoff_exceeds(base, steps - 1, sel["truncation"]["D"], n):
+                return f"selection.truncation: the cutoff N_{steps - 1} exceeds {n}{past}"
+        elif base.support_bound() is None:
+            return f"selection.family: an untruncated series puts mass past {n}{past}"
+        elif np.flatnonzero(base.probs)[-1] >= n:
+            top = np.flatnonzero(base.probs)[-1] + 1
+            return f"selection.family: puts mass on component {top}{past}"
+        return None
 
     def build_relaxation(self):
         return {

@@ -77,13 +77,9 @@ class DiagonalModel:
         pos = np.minimum(np.searchsorted(support, indices), support.size - 1)
         return np.where(support[pos] == indices, pos, -1)
 
-    def pool_local_norms(self, state, indices):
-        # an index off the support keeps a zero norm
-        pos = self.support_positions(indices)
-        hit = pos >= 0
-        out = np.zeros(pos.size)
-        out[hit] = np.abs(self.coefficients[pos[hit]] - state.u[pos[hit]])
-        return out, lambda i: self.local_residual(state, i)
+    def pool_local_norms(self, state):
+        # the local norms over the support, in the order of support_indices
+        return np.abs(self.coefficients - state.u), lambda i: self.local_residual(state, i)
 
     def dir_energy_sq(self, res):
         return res.local_energy

@@ -329,9 +329,8 @@ class FiniteSplitting:
 
     The components are numbered 1..N in order: component i is
     ``components[i - 1]``, and any other numbering is a ``ValueError``.  So
-    is asking for a component outside 1..N, which the CLI reports with exit
-    code 2 (a random rule's draw from a distribution on all of N can land
-    there).
+    is asking for a component outside 1..N; a config whose rule could ask
+    is refused when it is built (see ``ExperimentConfig.build_selection``).
 
     A splitting belongs to the problem it was built for: Lambda and the
     stability spectrum computed from the pair are cached on it.  No n x n
@@ -722,16 +721,11 @@ class MatrixSchwarzModel:
     def local_residual(self, state, i):
         return self.step(local_solve(self.problem, self.splitting[i], self.problem.b - state.w))
 
-    def pool_local_norms(self, state, indices):
-        """The local norms of the pool ``indices`` at ``state``, and a
-        function that builds the step record of one of them from the
-        scan's solution (valid until ``state`` changes).  The scan solves
-        every component and returns the pool's entries."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size:
-            # the pool lies in 1..N when its extremes do
-            self.splitting[int(indices.min())]
-            self.splitting[int(indices.max())]
+    def pool_local_norms(self, state):
+        """The local norms of components 1..N at ``state``, in that order,
+        and a function that builds the step record of component i from the
+        scan's solution (valid until ``state`` changes).  A greedy pool of
+        the first k components reads the first k norms."""
         g = self.problem.b - state.w
         if g.shape != (self.problem.n,):
             raise ValueError(f"residual has shape {g.shape}, expected ({self.problem.n},)")
@@ -757,7 +751,7 @@ class MatrixSchwarzModel:
             xs, norms, energies = solved[p]
             return self.step(BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j])))
 
-        return out[indices - 1], residual
+        return out, residual
 
     def step(self, res):
         """Fill the record's direction d = R_i r and its tiled image A d."""

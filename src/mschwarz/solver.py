@@ -23,24 +23,17 @@ import numpy.random  # noqa: F401
 class FixedPool:
     """All components of a finite splitting, at every step."""
 
-    def indices(self, model, state, m):
-        return model.default_pool_indices()
+    def size(self, model, m):
+        return None
 
 
 class GrowingPool:
-    """Nested finite pools I_m given by a nondecreasing size schedule."""
+    """The nested finite pools I_m = {1, ..., m+1} of a finite splitting."""
 
-    def __init__(self, size_fn=None):
-        self.size_fn = size_fn or (lambda m: m + 1)
-
-    def indices(self, model, state, m):
-        n = model.component_count()
-        if n is None:
+    def size(self, model, m):
+        if model.component_count() is None:
             raise ValueError("growing pools need a finite splitting")
-        size = min(int(self.size_fn(m)), n)
-        if m > 0 and size < min(int(self.size_fn(m - 1)), n):
-            raise ValueError("growing pool schedule must be nondecreasing")
-        return model.default_pool_indices()[: max(size, 1)]
+        return m + 1
 
 
 class SupportPool:
@@ -50,11 +43,10 @@ class SupportPool:
     exact supremum over the whole countable index set.
     """
 
-    def indices(self, model, state, m):
-        indices = getattr(model, "support_indices", None)
-        if indices is None:
+    def size(self, model, m):
+        if getattr(model, "support_indices", None) is None:
             raise ValueError("support pools are only available on the diagonal model")
-        return indices
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +104,19 @@ class RandomRule:
 def select_greedy(model, state, rule, m):
     """Pick an index satisfying the weak greedy criterion over the pool.
 
-    Returns the smallest pool index whose squared local norm reaches
-    beta^2 times the pool maximum; for beta = 1 this is the exact maximizer
-    with smallest-index tie-breaking.  The winner's record comes from the
-    scan, which has solved it already.
+    The pool is the first ``rule.pool.size(model, m)`` (None: all) entries
+    of the model's ascending pool order.  Returns the first, so smallest,
+    pool index whose squared local norm reaches beta^2 times the pool
+    maximum; for beta = 1 the exact maximizer with smallest-index
+    tie-breaking.  The winner's record comes from the scan, which solved it.
     """
-    indices = np.asarray(rule.pool.indices(model, state, m))
-    if indices.size == 0:
+    size = rule.pool.size(model, m)
+    norms, residual = model.pool_local_norms(state)
+    norms_sq = norms[:size] ** 2
+    if norms_sq.size == 0:
         raise ValueError("empty greedy pool")
-    norms, residual = model.pool_local_norms(state, indices)
-    norms_sq = norms ** 2
-    threshold = rule.beta ** 2 * norms_sq.max()
-    hit = np.nonzero(norms_sq >= threshold)[0]
-    k = hit[np.argmin(indices[hit])]
-    return residual(int(indices[k]))
+    k = int(np.argmax(norms_sq >= rule.beta ** 2 * norms_sq.max()))
+    return residual(int(model.default_pool_indices()[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -294,29 +294,104 @@ class TestLibraryErrors:
         assert lines and all(line.startswith("PASS ") for line in lines)
 
 
+def count_steps(monkeypatch):
+    """A list that gets one entry per local solve, scan or update of a
+    matrix model."""
+    calls = []
+    model_class = problems_module.MatrixSchwarzModel
+    for name in ("local_residual", "pool_local_norms", "apply_update"):
+        method = getattr(model_class, name)
+        monkeypatch.setattr(model_class, name,
+                            lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+    return calls
+
+
+FIVE_BLOCKS = POISSON_SMALL.replace("n: 31", "n: 64").replace(
+    "block_size: 8", "block_size: 16").replace("overlap: 2", "overlap: 4").replace(
+    "steps: 60", "steps: 3")
+
+
 class TestComponentOutsideTheSplitting:
-    """A pick past the N = 5 blocks of POISSON_SMALL exits 2 with one line."""
+    """A selection that could pick past the N = 5 blocks is refused before
+    the first step, exit 2 with one line that names the config key and N,
+    so that whether a config runs does not depend on its seed."""
 
     SELECTIONS = {
-        "sequence": "kind: sequence\n  sequence: [1, 99]",
-        "uniform-50": "kind: random\n  family: {kind: uniform, n: 50}",
-        "power-law": "kind: random\n  family: {kind: power_law, s: 0.5}",
+        "sequence": ("selection.sequence", "kind: sequence\n  sequence: [1, 99]"),
+        "uniform-50": ("selection.family", "kind: random\n  family: {kind: uniform, n: 50}"),
+        "power-law": ("selection.family", "kind: random\n  family: {kind: power_law, s: 0.5}"),
+        "log": ("selection.family", "kind: random\n  family: {kind: log}"),
+        "explicit-mass-on-6": ("selection.family", "kind: random\n  family: {kind: explicit, "
+                                                   "probs: [0.5, 0, 0, 0, 0, 0.5]}"),
+        "truncation": ("selection.truncation", "kind: random\n  family: {kind: power_law, "
+                                               "s: 0.5}\n  truncation: {D: 1.0}"),
+        "support-union": ("selection.pool", "kind: greedy\n  beta: 1.0\n  pool: support_union"),
     }
+    ACCEPTED = {
+        "uniform-5": "kind: random\n  family: {kind: uniform, n: 5}",
+        "explicit-zero-tail": "kind: random\n  family: {kind: explicit, "
+                              "probs: [0.5, 0.5, 0, 0, 0, 0]}",
+        "truncation-within-5": "kind: random\n  family: {kind: power_law, s: 0.5}\n"
+                               "  truncation: {D: 4.0}",
+        "sequence-5": "kind: sequence\n  sequence: [1, 5]",
+    }
+
+    @staticmethod
+    def config(tmp_path, text, selection, seed=3, steps=None):
+        text = text.replace("kind: greedy\n  beta: 1.0\n  pool: growing", selection)
+        text = text.replace("seed: 3", f"seed: {seed}")
+        if steps is not None:
+            text = text.replace("steps: 3", f"steps: {steps}")
+        return write_config(tmp_path, text + "trials: 2\n")
 
     @pytest.mark.parametrize("command", ["run", "expect", "check"])
     @pytest.mark.parametrize("selection", sorted(SELECTIONS))
-    def test_exits_two_naming_the_index_and_n(self, tmp_path, capsys, command, selection):
-        text = POISSON_SMALL.replace(
-            "kind: greedy\n  beta: 1.0\n  pool: growing", self.SELECTIONS[selection])
-        cfg = write_config(tmp_path, text + "trials: 2\n")
+    def test_exits_two_naming_the_index_and_n(self, tmp_path, capsys, monkeypatch, command,
+                                             selection):
+        calls = count_steps(monkeypatch)
+        key, text = self.SELECTIONS[selection]
+        cfg = self.config(tmp_path, POISSON_SMALL, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines
-        match = re.fullmatch(rf"{command}: no component (\d+): the splitting has components 1\.\.5",
-                             lines[0])
-        assert match, lines[0]
-        index = int(match.group(1))
-        assert index == 99 if selection == "sequence" else index > 5
+        match = re.fullmatch(r"config error: (selection\.\w+): (.*); "
+                             r"the splitting has components 1\.\.5", lines[0])
+        assert match and match.group(1) == key, lines[0]
+        index = {"sequence": "99", "uniform-50": "50", "explicit-mass-on-6": "6"}.get(selection)
+        assert index is None or re.search(rf"\b{index}\b", match.group(2)), lines[0]
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "expect", "check"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_uniform_6_is_refused_on_every_seed(self, tmp_path, capsys, monkeypatch,
+                                                seed, command):
+        # before the check at build time, seeds 2, 3, 5 and 6 ran all three
+        # steps and exited 0, the others exited 2 at their first draw of 6
+        calls = count_steps(monkeypatch)
+        cfg = self.config(tmp_path, FIVE_BLOCKS,
+                          "kind: random\n  family: {kind: uniform, n: 6}", seed)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: selection.family: puts mass on component 6; "
+            "the splitting has components 1..5"]
+        assert calls == []
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_accepted_within_n(self, tmp_path, monkeypatch, name):
+        calls = count_steps(monkeypatch)
+        cfg = self.config(tmp_path, FIVE_BLOCKS, self.ACCEPTED[name])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls.count("apply_update") == 3
+
+    def test_truncation_checked_at_the_last_step(self, tmp_path, capsys):
+        # N_m grows with m: N_0 = 5 and N_1 = 7, so one step stays within 1..5
+        _, selection = self.SELECTIONS["truncation"]
+        for steps, code in ((0, 0), (1, 0), (2, 2), (3, 2)):
+            cfg = self.config(tmp_path, FIVE_BLOCKS, selection, steps=steps)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == code, steps
+        err = capsys.readouterr().err
+        assert "the cutoff N_1 exceeds 5" in err and "the cutoff N_2 exceeds 5" in err
 
 
 class TestDuplicatedKeys:
@@ -346,6 +421,19 @@ class TestCheckSetupWork:
                             lambda *a, **k: calls.append(len(a)) or eigh(*a, **k))
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert calls.count(1) == 1
+
+    @pytest.mark.parametrize("text", [POISSON_SMALL, DIAG_GREEDY], ids=["poisson", "diagonal"])
+    def test_determinism_run_builds_everything_again(self, tmp_path, monkeypatch, text):
+        cfg = write_config(tmp_path, text)
+        built = []
+        build = cli_module._build
+        monkeypatch.setattr(cli_module, "_build",
+                            lambda config: built.append(build(config)) or built[-1])
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # model, selection and relaxation of the second run are all new
+        assert len(built) == 2
+        assert all(a is not b for a, b in zip(*built))
+        assert built[0][1].pool is not built[1][1].pool
 
 
 POWER_LAW_EXPECT = DIAG_GREEDY.replace(
@@ -517,8 +605,8 @@ class TestGreedyComplianceCheck:
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
         scan = model_class.pool_local_norms
 
-        def shrunk(self, state, indices):
-            norms, residual = scan(self, state, indices)
+        def shrunk(self, state):
+            norms, residual = scan(self, state)
             if state.steps >= from_step:
                 norms[np.argmax(norms)] *= 0.5
             return norms, residual

@@ -83,35 +83,22 @@ class TestDenseLazyEquivalence:
             assert np.abs(lazy.error - ref.error).max() < 1e-10
 
 
-def loop_pool_local_norms(model, state, indices):
-    """The per-index dictionary loop the vectorized scan replaced."""
-    res = np.abs(model.coefficients - state.u)
-    out = np.zeros(len(indices))
-    for k, i in enumerate(indices):
-        pos = model._pos.get(int(i))
-        if pos is not None:
-            out[k] = res[pos]
-    return out
-
-
 class TestPoolScan:
     def test_vectorized_scan_equals_loop(self):
+        """The scan over the support equals a per-index local_residual loop."""
         rng = np.random.default_rng(23)
         support = np.sort(rng.choice(np.arange(2, 400), size=60, replace=False))
-        model = DiagonalModel(dict(zip(support.tolist(), rng.standard_normal(60))))
-        state = model.new_state()
-        state.u = rng.standard_normal(60)
-        state.u[::7] = model.coefficients[::7]  # exact zeros on the support
-        off = np.array([1, 400, 401, 10**9])
-        pools = [support[:size] for size in (1, 2, 5, 30, 60)]  # a growing pool
-        pools += [np.arange(1, 405), off, rng.permutation(np.concatenate([support, off])),
-                  np.array([], dtype=np.int64)]
-        for indices in pools:
-            got, _ = model.pool_local_norms(state, indices)
-            assert got.tobytes() == loop_pool_local_norms(model, state, indices).tobytes()
-        empty = DiagonalModel({})
-        assert np.array_equal(empty.pool_local_norms(empty.new_state(), np.array([1, 5]))[0],
-                              [0.0, 0.0])
+        models = [DiagonalModel(dict(zip(support.tolist(), rng.standard_normal(60)))),
+                  DiagonalModel({2: 0.5, 40: -0.125, 10**9: 1.0}), DiagonalModel({})]
+        for model in models:
+            state = model.new_state()
+            state.u = rng.standard_normal(state.u.size)
+            state.u[::7] = model.coefficients[::7]  # exact zeros on the support
+            got, residual = model.pool_local_norms(state)
+            want = [model.local_residual(state, i).local_norm for i in model.support_indices]
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+            for i in model.support_indices:
+                assert residual(i) == model.local_residual(state, i)
 
     def test_support_positions_equal_dictionary_lookup(self):
         model = DiagonalModel({2: 0.5, 3: 0.25, 40: -0.125, 10**9: 1.0})

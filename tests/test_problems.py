@@ -35,6 +35,7 @@ from mschwarz import (
     make_poisson_1d,
     representation_block_norms,
     run,
+    select_greedy,
     stability_constants,
     uniform_bound_lambda,
     uniform_distribution,
@@ -401,8 +402,7 @@ class TestComponentNumbering:
         for k, c in enumerate(splitting.components):
             assert splitting[k + 1] is c
 
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_index_outside_raises(self, where):
+    def test_index_outside_raises(self):
         problem, splitting = make_poisson_1d(64, TWO_LEVEL)
         model = MatrixSchwarzModel(problem, splitting)
         state = model.new_state()
@@ -413,21 +413,21 @@ class TestComponentNumbering:
                 splitting[i]
             with pytest.raises(ValueError, match=message.format(i)):
                 model.local_residual(state, i)
-            pool = np.arange(1, N + 1)
-            pool[0 if where == "first" else -1] = i
-            with pytest.raises(ValueError, match=message.format(i)):
-                model.pool_local_norms(state, pool)
 
-    def test_pool_picks_its_entries_from_the_full_scan(self):
+    def test_growing_pool_norms_are_a_prefix_of_the_full_scan(self):
+        """A growing pool's greedy pick is the pick over the first m + 1
+        entries of the full scan, with that entry's own record."""
         problem, splitting = make_poisson_1d(64, TWO_LEVEL)
         model = MatrixSchwarzModel(problem, splitting)
         state = model.new_state()
         state.w = problem._matvec(np.random.default_rng(2).standard_normal(problem.n))
-        full, _ = model.pool_local_norms(state, splitting.indices())
-        for pool in ([3], [splitting.N, 1, 3], [2, 2]):
-            norms, residual = model.pool_local_norms(state, pool)
-            assert norms.tobytes() == full[np.array(pool) - 1].tobytes()
-            assert residual(pool[0]).index == pool[0]
+        full, residual = model.pool_local_norms(state)
+        assert full.shape == (splitting.N,)
+        for m in range(splitting.N + 2):
+            res = select_greedy(model, state, GreedyRule(1.0, GrowingPool()), m)
+            head = full[:m + 1]
+            assert res.index == int(np.argmax(head)) + 1
+            assert res.local_norm == head.max() == residual(res.index).local_norm
 
 
 
@@ -816,16 +816,13 @@ class TestModelServesInterleavedRuns:
 
 
 class LoopScanModel(MatrixSchwarzModel):
-    """The per-component pool scan the factor-group scan replaced, verbatim."""
+    """The per-component pool scan the factor-group scan replaced."""
 
-    def pool_local_norms(self, state, indices):
+    def pool_local_norms(self, state):
         g = self.problem.b - state.w
-        solved = {}
-        out = np.empty(len(indices))
-        for k, i in enumerate(indices):
-            res = solved[int(i)] = local_solve(self.problem, self.splitting[i], g)
-            out[k] = res.local_norm
-        return out, lambda i: self.step(solved[i])
+        solved = [local_solve(self.problem, c, g) for c in self.splitting]
+        out = np.array([res.local_norm for res in solved])
+        return out, lambda i: self.step(solved[i - 1])
 
 
 def mixed_splitting():
@@ -887,8 +884,8 @@ class TestGroupedScanPinnedToLoop:
         indices = splitting.indices()
         assert list(indices) == [1, 2, 3, 4, 5, 6, 7]
         state = model.new_state()
-        norms, residual = model.pool_local_norms(state, indices)
-        assert norms.tobytes() == loop.pool_local_norms(state, indices)[0].tobytes(), blas_note()
+        norms, residual = model.pool_local_norms(state)
+        assert norms.tobytes() == loop.pool_local_norms(state)[0].tobytes(), blas_note()
         assert norms[0] == 0.0 and np.all(norms[1:] > 0.0)
         for i in indices:
             got = residual(i)

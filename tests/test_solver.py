@@ -73,24 +73,28 @@ class TestGreedySelection:
 
 
 class TestPools:
-    def test_growing_pool_monotone_schedule_enforced(self):
+    def test_pools_are_prefixes_of_the_model_pool(self):
         rng = np.random.default_rng(1)
         model = identity_model(rng, 4)
-        pool = GrowingPool(size_fn=lambda m: 3 - m)
-        pool.indices(model, model.new_state(), 0)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            pool.indices(model, model.new_state(), 1)
+        assert FixedPool().size(model, 7) is None
+        assert [GrowingPool().size(model, m) for m in range(6)] == [1, 2, 3, 4, 5, 6]
+        assert SupportPool().size(DiagonalModel([1.0, 2.0]), 3) is None
 
     def test_support_pool_rejects_matrix_model(self):
         rng = np.random.default_rng(2)
         model = identity_model(rng, 3)
         with pytest.raises(ValueError, match="diagonal"):
-            SupportPool().indices(model, model.new_state(), 0)
+            SupportPool().size(model, 0)
 
     def test_growing_pool_rejects_lazy_model(self):
         model = DiagonalModel([1.0])
         with pytest.raises(ValueError, match="finite"):
-            GrowingPool().indices(model, model.new_state(), 0)
+            GrowingPool().size(model, 0)
+
+    def test_empty_pool_raises(self):
+        model = DiagonalModel({})
+        with pytest.raises(ValueError, match="empty greedy pool"):
+            select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
 
 
 class TestOmegaOptimal:
