@@ -20,7 +20,7 @@ from .distributions import (
     LogFamilyDistribution,
     PowerLawDistribution,
     TruncatedSchedule,
-    cutoff_exceeds,
+    truncation_cutoff,
     uniform_distribution,
 )
 from .poisson import MAX_GRID, make_poisson_1d
@@ -156,48 +156,53 @@ class ExperimentConfig:
     def build_selection(self, model):
         sel = self.data["selection"]
         n = model.component_count()
-        refused = self._refusal(model, n)
+        pool = {"fixed": FixedPool, "support_union": SupportPool, "growing": GrowingPool}[
+            sel.get("pool", "fixed" if n else "support_union")]()
+        refused = self._refusal(model, n, pool)
         if refused:
-            raise ConfigError([refused])
+            raise ConfigError([refused + (f"; the splitting has components 1..{n}" if n else "")])
         if sel["kind"] == "cyclic":
             return cyclic_rule(n)
         if sel["kind"] == "sequence":
             return DeterministicRule(sel["sequence"])
         if sel["kind"] == "greedy":
-            pool = {"fixed": FixedPool, "support_union": SupportPool, "growing": GrowingPool}[
-                sel.get("pool", "fixed" if n else "support_union")]
-            return GreedyRule(sel["beta"], pool())
+            return GreedyRule(sel["beta"], pool)
         return RandomRule(self.build_distribution(model)[0])
 
-    def _refusal(self, model, n):
-        """The "path: message" of a selection ``model`` cannot run, else None;
-        on ``n`` components, one that can pick past n within ``steps``, so
-        that no run's outcome depends on its seed (N_{steps-1} is the
-        largest cutoff of a truncation)."""
+    def _refusal(self, model, n, pool):
+        """The "path: message" of a selection ``model`` cannot run, else None.
+        On n components a sequence entry or a family with mass past n is
+        refused whatever ``steps`` is, a truncation by its last cutoff
+        N_{steps-1}: so no run's outcome depends on its seed."""
         sel, steps = self.data["selection"], self.data["steps"]
-        kind, pool = sel["kind"], sel.get("pool")  # only greedy rules have a pool
+        kind = sel["kind"]
+        if kind == "greedy":
+            try:
+                pool.size(model, 0)  # each pool refuses the models it cannot scan
+            except ValueError as exc:
+                return f"selection.pool: {exc}"
         if n is None:
             if kind == "cyclic":
                 return "selection.kind: cyclic needs a finite splitting"
-            if pool not in (None, "support_union"):
+            if sel.get("pool") == "fixed":
                 return "selection.pool: lazy splittings support only support_union pools"
             return None
-        past = f"; the splitting has components 1..{n}"
         if kind == "sequence" and max(sel["sequence"]) > n:
-            return f"selection.sequence: picks component {max(sel['sequence'])}{past}"
-        if pool == "support_union":
-            return f"selection.pool: support_union pools need the diagonal model{past}"
+            return f"selection.sequence: picks component {max(sel['sequence'])}"
         if kind != "random":
             return None
         _, base = self.build_distribution(model)  # a base of its own: the check grows its table
         if "truncation" in sel:
-            if steps and cutoff_exceeds(base, steps - 1, sel["truncation"]["D"], n):
-                return f"selection.truncation: the cutoff N_{steps - 1} exceeds {n}{past}"
+            try:
+                cut = steps and truncation_cutoff(base, steps - 1, sel["truncation"]["D"])
+            except ValueError:  # past the table limit, so past any splitting
+                cut = math.inf
+            if cut > n:
+                return f"selection.truncation: the cutoff N_{steps - 1} exceeds {n}"
         elif base.support_bound() is None:
-            return f"selection.family: an untruncated series puts mass past {n}{past}"
+            return f"selection.family: an untruncated series puts mass past {n}"
         elif np.flatnonzero(base.probs)[-1] >= n:
-            top = np.flatnonzero(base.probs)[-1] + 1
-            return f"selection.family: puts mass on component {top}{past}"
+            return f"selection.family: puts mass on component {np.flatnonzero(base.probs)[-1] + 1}"
         return None
 
     def build_relaxation(self):

@@ -330,20 +330,6 @@ def truncation_cutoff(base, m, D):
     return _search_cutoff(base, _cutoff_budget(m, D), 1)
 
 
-def cutoff_exceeds(base, m, D, N):
-    """Whether the cutoff N_m of ``truncation_cutoff`` exceeds N: exactly
-    when the (nonincreasing) tail beyond N is above the budget.  A series
-    base grows its table by doubling first, as the search grows it, so the
-    tail has the bits the search would read."""
-    bound = base.support_bound()
-    if bound is None:
-        while base._cum.size < N:
-            base.head_mass(2 * base._cum.size)
-    elif bound <= N:
-        return False
-    return base.tail_mass(N) > _cutoff_budget(m, D)
-
-
 def _search_cutoff(base, budget, start):
     """The smallest N >= ``start`` with tail(N) <= budget, capped at the
     support bound of a finite base.

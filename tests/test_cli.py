@@ -385,13 +385,15 @@ class TestComponentOutsideTheSplitting:
         assert calls.count("apply_update") == 3
 
     def test_truncation_checked_at_the_last_step(self, tmp_path, capsys):
-        # N_m grows with m: N_0 = 5 and N_1 = 7, so one step stays within 1..5
+        # N_m grows with m: N_0 = 5 and N_1 = 7, so one step stays within 1..5;
+        # a cutoff past the partial-sum table's limit is past N too
         _, selection = self.SELECTIONS["truncation"]
-        for steps, code in ((0, 0), (1, 0), (2, 2), (3, 2)):
+        for steps, code in ((0, 0), (1, 0), (2, 2), (3, 2), (10 ** 9, 2)):
             cfg = self.config(tmp_path, FIVE_BLOCKS, selection, steps=steps)
             assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == code, steps
         err = capsys.readouterr().err
         assert "the cutoff N_1 exceeds 5" in err and "the cutoff N_2 exceeds 5" in err
+        assert "the cutoff N_999999999 exceeds 5; the splitting has components 1..5" in err
 
 
 class TestDuplicatedKeys:

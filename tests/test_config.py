@@ -217,6 +217,19 @@ seed: 0
         assert isinstance(model, MatrixSchwarzModel)
         config.build_selection(model)  # cyclic needs the component count
 
+    @pytest.mark.parametrize("selection, error", [
+        ("kind: cyclic", "selection.kind: cyclic needs a finite splitting"),
+        ("kind: greedy\n  beta: 1.0\n  pool: fixed",
+         "selection.pool: lazy splittings support only support_union pools"),
+        ("kind: greedy\n  beta: 1.0\n  pool: growing",
+         "selection.pool: growing pools need a finite splitting"),
+    ], ids=["cyclic", "fixed", "growing"])
+    def test_lazy_model_refuses_finite_rules(self, selection, error):
+        config = parse_config(MINIMAL.replace("kind: greedy\n  beta: 1.0", selection))
+        with pytest.raises(ConfigError) as exc:
+            config.build_selection(config.build_model())
+        assert exc.value.errors == [error]
+
     def test_random_selection_with_truncation(self):
         text = MINIMAL.replace(
             "kind: greedy\n  beta: 1.0",

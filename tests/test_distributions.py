@@ -17,7 +17,7 @@ from mschwarz import (
     uniform_distribution,
 )
 from mschwarz import distributions
-from mschwarz.distributions import _zeta, cutoff_exceeds, truncation_cutoff
+from mschwarz.distributions import _zeta, truncation_cutoff
 
 
 class Replay:
@@ -385,27 +385,6 @@ class TestGallopingCutoff:
         assert max(per_call) <= 4
         reference_cutoff(base, 3000, 1.0)
         assert len(probes) >= 20
-
-
-class TestCutoffExceeds:
-    """cutoff_exceeds(base, m, D, N) answers N_m > N as the search does,
-    and grows a series base's table to a prefix of the search's table."""
-
-    @pytest.mark.parametrize("case", sorted(GALLOP_BASES))
-    def test_equals_the_searched_cutoff(self, case):
-        make, D, top = GALLOP_BASES[case]
-        scratch = make()
-        for m in sorted({0, 1, 2, top} | set(range(3, top, 97))):
-            cut = truncation_cutoff(scratch, m, D)
-            for N in {1, cut - 1, cut, cut + 1, 2 * cut, 63, 64, 65, 127, 128, 129}:
-                if N < 1:
-                    continue
-                fresh = make()
-                assert cutoff_exceeds(fresh, m, D, N) == (cut > N), (m, N, cut)
-                if hasattr(fresh, "_cum"):
-                    assert fresh._cum.size < max(2 * N, 65)
-                    k = min(fresh._cum.size, scratch._cum.size)
-                    assert fresh._cum[:k].tobytes() == scratch._cum[:k].tobytes()
 
 
 def _per_index_truncation(base, m, D):
