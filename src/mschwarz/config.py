@@ -194,7 +194,7 @@ class ExperimentConfig:
         _, base = self.build_distribution(model)  # a base of its own: the check grows its table
         if "truncation" in sel:
             try:
-                cut = steps and truncation_cutoff(base, steps - 1, sel["truncation"]["D"])
+                cut = steps and truncation_cutoff(base, steps - 1, sel["truncation"]["D"], past=n)
             except ValueError:  # past the table limit, so past any splitting
                 cut = math.inf
             if cut > n:

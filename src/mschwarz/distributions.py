@@ -320,17 +320,20 @@ def _cutoff_budget(m, D):
     return 0.5 * D / math.sqrt(m + 2)
 
 
-def truncation_cutoff(base, m, D):
+def truncation_cutoff(base, m, D, past=None):
     """The smallest head size N_m with ||pi^{(m)} - pi||_1 <= D (m+2)^{-1/2},
     capped at the support of a finite base.
 
     The ell^1 distance of truncate-and-renormalize equals exactly twice the
-    tail mass of the base distribution beyond the cutoff.
+    tail mass of the base distribution beyond the cutoff.  With ``past``,
+    a cutoff beyond ``past`` may be returned as a smaller N that is still
+    beyond it (see ``_search_cutoff``), so whether N_m > past is decided
+    without a table much larger than ``past``.
     """
-    return _search_cutoff(base, _cutoff_budget(m, D), 1)
+    return _search_cutoff(base, _cutoff_budget(m, D), 1, past)
 
 
-def _search_cutoff(base, budget, start):
+def _search_cutoff(base, budget, start, past=None):
     """The smallest N >= ``start`` with tail(N) <= budget, capped at the
     support bound of a finite base.
 
@@ -345,6 +348,12 @@ def _search_cutoff(base, budget, start):
     on that order.  A series base first checks that the cutoff fits under
     its table limit, so that an unreachable budget fails before any table
     grows.
+
+    With ``past``, the doubling stops at the first probe hi >= ``past``
+    whose tail is above the budget and returns hi + 1: the result is then
+    beyond ``past`` exactly when the cutoff is, and the table grows no
+    further than the smallest power of two >= ``past``, in the order of
+    the full search, so the tails it compares have the same bits.
     """
     bound = base.support_bound()
     if bound is None:
@@ -362,6 +371,8 @@ def _search_cutoff(base, budget, start):
         while base.tail_mass(hi) > budget:
             if bound is not None and hi >= bound:
                 break
+            if past is not None and hi >= past:
+                return hi + 1
             lo, hi = hi, 2 * hi
     while lo + 1 < hi:
         mid = (lo + hi) // 2

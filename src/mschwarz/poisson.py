@@ -10,8 +10,9 @@ import numpy as np
 
 from .problems import CoordinateBlock, FiniteSplitting, Problem, SplittingComponent
 
-# largest grid: the set-up's Cholesky factor L and additive Schwarz sum S
-# are dense, so n = 4096 already takes 128 MB for each
+# largest grid: the set-up holds one dense n x n array at a time (A while
+# the problem factors it in place, then the additive Schwarz sum S), so
+# n = 4096 already takes 128 MB for it
 MAX_GRID = 4096
 
 
@@ -68,14 +69,14 @@ def make_poisson_1d(n, splitting_spec):
     """
     if n < 1 or n > MAX_GRID:
         raise ValueError(f"grid size n={n} outside 1..{MAX_GRID}")
-    A = poisson_matrix(n)
-    b = np.ones(n)
-    problem = Problem(A, b)
+    from scipy.sparse import csr_array
+
     kind = splitting_spec.get("kind")
     if kind not in ("overlapping_blocks", "two_level"):
         raise ValueError(f"unknown splitting kind {kind!r}")
     block_size = int(splitting_spec.get("block_size", n))
     overlap = int(splitting_spec.get("overlap", 0))
+    A = poisson_matrix(n)
     components = []
     for start, extent in overlapping_blocks(n, block_size, overlap):
         stop = start + extent
@@ -85,4 +86,8 @@ def make_poisson_1d(n, splitting_spec):
     if kind == "two_level":
         R = coarse_interpolation(n, int(splitting_spec["coarse_stride"]))
         components.append(SplittingComponent(len(components) + 1, R, R.T @ A @ R))
+    # the local forms are copies, so the dense A goes before the problem
+    # builds and factors its own: one n x n array at a time
+    A = csr_array(A)
+    problem = Problem(A, np.ones(n))
     return problem, FiniteSplitting(problem, components)

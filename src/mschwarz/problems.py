@@ -73,67 +73,88 @@ def _as_matrix(A):
     return A
 
 
-def _is_symmetric(A):
-    """Whether A == A.T exactly, compared over pairs of slabs (I, J >= I) so
-    that no n x n temporary exists."""
+def _symmetry_defect(A):
+    """max |A - A.T| (nan if A holds one), over pairs of slabs (I, J >= I)
+    so that no n x n temporary exists."""
     slabs = _slabs(A.shape[0])
-    return all(np.array_equal(A[I, J], A[J, I].T) for k, I in enumerate(slabs) for J in slabs[k:])
+    return np.max([np.abs(A[I, J] - A[J, I].T).max() for k, I in enumerate(slabs) for J in slabs[k:]])
+
+
+def _band_block(band, r, c):
+    """The rows ``r`` and columns ``c`` (slices) of the banded matrix whose
+    tiles ``(rows, cols, tile)`` are ``band``, as a dense array: zero off the
+    tiles."""
+    out = np.zeros((r.stop - r.start, c.stop - c.start))
+    for rows, cols, tile in band:
+        lo, hi = max(rows.start, r.start), min(rows.stop, r.stop)
+        left, right = max(cols.start, c.start), min(cols.stop, c.stop)
+        if lo < hi and left < right:
+            out[lo - r.start:hi - r.start, left - c.start:right - c.start] = \
+                tile[lo - rows.start:hi - rows.start, left - cols.start:right - cols.start]
+    return out
 
 
 class Problem:
     """An SPD form A, functional b, and the direct-solve reference solution.
 
-    A is stored as its band: the contiguous copies of the row tiles
-    ``image_tiles(A_csr)``, with the CSR copy ``_A_csr`` they were
-    found from.  Every product with A is a band product (:meth:`_matvec`),
-    which has the bits of the dense ``A @ v`` row by row (see
-    :func:`image_tiles`), so the dense n x n A exists only while the
-    problem is built.  An exactly symmetric input is taken as it is; any
-    other is checked and symmetrized, ``0.5 * (A + A.T)``, first.  The
-    band, b and the solution are copies: the problem never aliases the
-    caller's arrays.  ``A`` builds a dense copy on each access, for tests
-    and outside callers; no library path reads it.
+    A is given dense or as a scipy sparse matrix, and stored as its band:
+    the contiguous copies of the row tiles ``image_tiles(A_csr)``, with the
+    CSR copy ``_A_csr`` they were found from.  Every product with A is a
+    band product (:meth:`_matvec`), which has the bits of the dense
+    ``A @ v`` row by row (see :func:`image_tiles`).  ``A`` builds a dense
+    copy on each access, for tests and outside callers; no library path
+    reads it.
 
-    ``_chol`` is ``(L, True)`` with the clean lower Cholesky factor
-    L = cholesky(A, lower=True), in the form ``cho_solve`` takes: ``potrs``
-    reads only the lower triangle, so the solves have the bits they have on
-    ``cho_factor``'s factor, and :func:`stability_constants` multiplies with
-    L instead of factoring A again.
+    The build holds one n x n array: its own C-ordered copy of A.  An
+    exactly symmetric input is taken as it is; any other is checked and
+    symmetrized in place, with the bits of ``0.5 * (A + A.T)``.  The band
+    is cut from the copy, and then the copy is factored in place,
+    ``cholesky(buf.T, lower=True, overwrite_a=True)``: A is exactly
+    symmetric, so ``buf.T`` is the Fortran-ordered matrix ``potrf`` would
+    get as the copy ``cholesky(A, lower=True)`` makes, and the factor has
+    its bits.  The solution and the residual check are solved with it;
+    ``potrs`` reads only its lower triangle, so the solves have the bits
+    they have on ``cho_factor``'s factor.  Then the clean lower factor L
+    is kept as tiles ``_L_band`` over the tiles of A's band (Cholesky adds
+    no fill outside the profile of A, and a tile spans its rows' profile
+    and diagonal) and the copy is freed.  :func:`stability_constants`
+    multiplies with L's column slabs rebuilt from those tiles instead of
+    factoring A again.  The band, b and the solution are copies: the
+    problem never aliases the caller's arrays.
     """
 
     def __init__(self, A, b, exact_solution=None):
         from scipy.linalg import cho_solve, cholesky
-        from scipy.sparse import csr_array
+        from scipy.sparse import csr_array, issparse
 
-        A = _as_matrix(A)
+        buf = _as_matrix(A.toarray() if issparse(A) else np.array(A, dtype=float, order="C"))
         b = np.array(b, dtype=float)
-        n = A.shape[0]
+        n = buf.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if not np.isfinite(b).all():
             raise ValueError("b must be finite")
-        if not _is_symmetric(A):
-            sym_defect = np.abs(A - A.T).max()
-            scale = max(np.abs(A).max(), 1e-300)
+        sym_defect = _symmetry_defect(buf)
+        if sym_defect != 0.0:
+            scale = max(-buf.min(), buf.max(), 1e-300)
             if sym_defect > 1e-12 * scale:
                 raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
-            A = 0.5 * (A + A.T)
+            _symmetrize_in_place(buf)
+        self._A_csr = csr_array(buf)
+        tiles = image_tiles(self._A_csr)
+        # copies, never views: a view would keep the whole n x n buffer alive
+        self._band = [(rows, cols, buf[rows, cols].copy()) for rows, cols in tiles]
         try:
-            self._chol = (cholesky(A, lower=True), True)
+            L = cholesky(buf.T, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
-        self._A_csr = csr_array(A)
-        # copies, never views: a view of a full-width tile would keep the
-        # whole dense A alive
-        self._band = [(rows, cols, A[rows, cols].copy())
-                      for rows, cols in image_tiles(self._A_csr)]
         self.b = b
         self.n = n
         # b and the solution are checked here, so that the solves skip
         # cho_solve's check, which would also scan L with an n x n boolean
         # temporary
         if exact_solution is None:
-            exact_solution = cho_solve(self._chol, b, check_finite=False)
+            exact_solution = cho_solve((L, True), b, check_finite=False)
         else:
             exact_solution = np.array(exact_solution, dtype=float)
         if not np.isfinite(exact_solution).all():
@@ -146,8 +167,9 @@ class Problem:
         res = self._matvec(exact_solution) - b
         sol_norm = energy_norm(self, exact_solution)
         if not np.isfinite(res).all() or energy_norm(
-                self, cho_solve(self._chol, res, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
+                self, cho_solve((L, True), res, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
             raise ValueError("supplied exact solution does not solve A u = b")
+        self._L_band = [(rows, cols, L[rows, cols].copy()) for rows, cols in tiles]
 
     @property
     def A(self):
@@ -172,16 +194,12 @@ class Problem:
 
     def _rows(self, r):
         """The rows ``r`` (a slice) of A as a dense array."""
-        out = np.zeros((r.stop - r.start, self.n))
-        for rows, cols, tile in self._band_tiles(r.start, r.stop):
-            lo, hi = max(rows.start, r.start), min(rows.stop, r.stop)
-            out[lo - r.start:hi - r.start, cols] = tile[lo - rows.start:hi - rows.start]
-        return out
+        return _band_block(self._band_tiles(r.start, r.stop), r, slice(0, self.n))
 
-    def solve(self, rhs):
-        from scipy.linalg import cho_solve
-
-        return cho_solve(self._chol, rhs)
+    def _factor_columns(self, c):
+        """The columns ``c`` (a slice) of the clean lower Cholesky factor L
+        of A as a dense array, rebuilt from its tiles."""
+        return _band_block(self._L_band, slice(0, self.n), c)
 
 
 def energy_norm(problem, v):
@@ -332,6 +350,9 @@ class FiniteSplitting:
     is asking for a component outside 1..N; a config whose rule could ask
     is refused when it is built (see ``ExperimentConfig.build_selection``).
 
+    Components whose local forms are byte-equal (the overlapping blocks of
+    a uniform grid) are given one shared copy of the form and its factor.
+
     A splitting belongs to the problem it was built for: Lambda and the
     stability spectrum computed from the pair are cached on it.  No n x n
     array is: each set-up function builds the additive Schwarz sum it needs
@@ -347,6 +368,10 @@ class FiniteSplitting:
             if c.index != k:
                 raise ValueError(f"component {k} of the splitting has index {c.index}: "
                                  f"components must be numbered 1..{self.N} in order")
+        # equal forms factor alike, so one copy of each serves them all
+        forms = {}
+        for c in self.components:
+            c.A_local, c._chol = forms.setdefault(c.A_local.tobytes(), (c.A_local, c._chol))
         covered = np.zeros(problem.n, dtype=bool)
         for c in self.components:
             if c.n != problem.n:
@@ -470,15 +495,40 @@ def additive_schwarz_sum(problem, splitting):
     return S
 
 
-def _congruence_in_place(L, S):
-    """Overwrite S with M = L^T S L: L^T S in column slabs, then (L^T S) L
-    in row slabs, each slab product written back into S, so that no second
-    n x n array exists."""
-    slabs = _slabs(S.shape[0])
-    for c in slabs:
-        S[:, c] = L.T @ S[:, c]
+def _congruence_in_place(L_band, S):
+    """Overwrite S with M = L^T S L for the lower triangular L whose tiles
+    are ``L_band`` (see :func:`_band_block`), with one column slab of L
+    rebuilt at a time: no second n x n array exists unless n is one slab
+    (see :func:`_slabs`).
+
+    L^T S goes in row slabs r of the result in increasing order, each
+    written back into S: ``S[r] = L[:, r].T @ S``.  L^T is upper
+    triangular, so the rows of S a later slab reads once they were
+    overwritten meet only the exact zeros of L's clean upper triangle, and
+    0 x changes no sum of finite values.  (L^T S) L goes in column slabs c
+    in increasing order, ``M[:, c] = M @ L[:, c]``, by the same argument.
+    Each slab product is taken in the two halves of its other dimension,
+    runs of about half the slabs, so the temporary is half a slab; every
+    piece is a block of the full product on slab boundaries, so it has its
+    bits.  Smaller pieces cost time, as OpenBLAS packs both factors again
+    on every call: at n = 4096 with one thread, pieces one slab wide took
+    the congruence 9.6 s, halves 6.0 s, whole slabs 6.1 s and the two full
+    products 5.6 s.
+    """
+    n = S.shape[0]
+    slabs, whole = _slabs(n), slice(0, n)
+    k = -(-len(slabs) // 2)
+    halves = [slice(g[0].start, g[-1].stop) for g in (slabs[:k], slabs[k:]) if g]
     for r in slabs:
-        S[r] = S[r] @ L
+        Lr = _band_block(L_band, whole, r)
+        for c in halves:
+            S[r, c] = Lr.T @ S[:, c]
+        del Lr  # freed before the next slab is rebuilt
+    for c in slabs:
+        Lc = _band_block(L_band, whole, c)
+        for r in halves:
+            S[r, c] = S[r] @ Lc
+        del Lc
     return S
 
 
@@ -514,17 +564,18 @@ def stability_constants(problem, splitting):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T, once per splitting.  L is the factor the problem stores.
-    The whole computation lives in one n x n buffer beyond A and L: S is
-    built, overwritten with the form in slabs (:func:`_congruence_in_place`,
-    :func:`_symmetrize_in_place`) and handed to ``eigh`` to overwrite.  A
+    with A = L L^T, once per splitting.  L is the factor the problem stores
+    as tiles; its column slabs are rebuilt one at a time.  The whole
+    computation lives in one n x n buffer: S is built, overwritten with the
+    form in slabs (:func:`_congruence_in_place`, :func:`_symmetrize_in_place`)
+    and handed to ``eigh`` to overwrite.  A
     rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
     rather than raised.
     """
     if splitting._spectrum is None:
         from scipy.linalg import eigh
 
-        M = _congruence_in_place(problem._chol[0], additive_schwarz_sum(problem, splitting))
+        M = _congruence_in_place(problem._L_band, additive_schwarz_sum(problem, splitting))
         _symmetrize_in_place(M)
         # M is exactly symmetric, so its Fortran-ordered view M.T is the
         # same matrix, and eigh works on it in place instead of on a copy
@@ -547,7 +598,7 @@ def representation_block_norms(problem, splitting, u):
     replaces the KKT system of size sum_i d_i + n.
 
     S is transposed in place, so that its Fortran-ordered view is S, and
-    factored in place: it is the one n x n array this adds beyond A and L,
+    factored in place: it is the one n x n array of the computation,
     and ``potrf`` gets the matrix it would get as the copy ``cho_factor``
     makes of a C-ordered S.  (Building S Fortran-ordered costs more than
     the transposition: numpy adds the C-ordered products into it slowly.)

@@ -125,8 +125,6 @@ def select_greedy(model, state, rule, m):
 class Relaxation:
     """Base relaxation; subclasses fix how (alpha_m, omega_m) are chosen."""
 
-    name = "base"
-
     def alpha(self, m):
         raise NotImplementedError
 
@@ -138,8 +136,6 @@ class Relaxation:
 class GAWRRelaxation(Relaxation):
     """alpha_m = 1 - (m+2)^{-1} with omega minimizing the step error."""
 
-    name = "gawr"
-
     def alpha(self, m):
         return 1.0 - 1.0 / (m + 2)
 
@@ -147,16 +143,12 @@ class GAWRRelaxation(Relaxation):
 class PureRelaxation(Relaxation):
     """alpha_m = 1 with omega optimal (pure greedy / exact local step)."""
 
-    name = "pure"
-
     def alpha(self, m):
         return 1.0
 
 
 class TwoParamRelaxation(Relaxation):
     """Joint minimization over alpha >= 0 and omega."""
-
-    name = "two_param"
 
     def parameters(self, model, state, res, m):
         return two_param_update(model, state, res, m)
@@ -219,8 +211,6 @@ class IterationTrace:
     omega: np.ndarray
     local_norm: np.ndarray
     error: np.ndarray
-    seed: object = None
-    rule: str = ""
 
     @property
     def steps(self):
@@ -279,6 +269,4 @@ def run(model, selection, relaxation, steps, seed=None):
         omega=omega,
         local_norm=local_norm,
         error=error,
-        seed=seed,
-        rule=type(selection).__name__ + "/" + relaxation.name,
     )

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import mschwarz.cli as cli_module
+import mschwarz.distributions as distributions_module
 import mschwarz.problems as problems_module
 import mschwarz.solver as solver_module
 from mschwarz import DiagonalModel
@@ -394,6 +395,21 @@ class TestComponentOutsideTheSplitting:
         err = capsys.readouterr().err
         assert "the cutoff N_1 exceeds 5" in err and "the cutoff N_2 exceeds 5" in err
         assert "the cutoff N_999999999 exceeds 5; the splitting has components 1..5" in err
+
+    def test_long_truncation_is_refused_with_a_small_table(self, tmp_path, capsys, monkeypatch):
+        # deciding N_m > 5 needs the table only up to the first power of two
+        # >= 5, not up to N_{steps-1} (about 2.3 steps entries)
+        sizes = []
+        extend = distributions_module._SeriesDistribution._extend_to
+        monkeypatch.setattr(distributions_module._SeriesDistribution, "_extend_to",
+                            lambda self, N: sizes.append(N) or extend(self, N))
+        _, selection = self.SELECTIONS["truncation"]
+        cfg = self.config(tmp_path, FIVE_BLOCKS, selection, steps=10 ** 7)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: selection.truncation: the cutoff N_9999999 exceeds 5; "
+            "the splitting has components 1..5"]
+        assert max(sizes, default=0) <= 64
 
 
 class TestDuplicatedKeys:

@@ -339,6 +339,43 @@ GALLOP_BASES = {
 }
 
 
+def cutoff_or_inf(search):
+    """The cutoff ``search()`` returns, or inf where it fails at the table
+    limit (as the config's refusal reads it)."""
+    try:
+        return search()
+    except ValueError:
+        return math.inf
+
+
+class TestCutoffPast:
+    """``truncation_cutoff(..., past=N)`` decides N_m > N as the full
+    search does, with a table no larger than the first power of two >= N."""
+
+    @pytest.mark.parametrize("name", sorted(GALLOP_BASES))
+    def test_decides_like_the_full_search(self, name):
+        make, _, _ = GALLOP_BASES[name]
+        for D in (0.25, 1.0, 4.0):
+            for m in (0, 1, 2, 7, 100, 1000):
+                full = cutoff_or_inf(lambda: truncation_cutoff(make(), m, D))
+                for N in (1, 2, 5, 63, 64, 65, 100, 1000, 4096):
+                    base = make()
+                    got = cutoff_or_inf(lambda: truncation_cutoff(base, m, D, past=N))
+                    assert (got > N) == (full > N), (D, m, N)
+                    if full <= N:
+                        assert got == full, (D, m, N)
+                    if base.support_bound() is None:
+                        assert base._cum.size <= max(64, 1 << (N - 1).bit_length()), (D, m, N)
+
+    def test_table_bits_match_the_full_search(self):
+        """The doubling order is the full search's, so a cutoff it finds
+        within ``past`` compares tails of the same bits."""
+        full, capped = PowerLawDistribution(0.5), PowerLawDistribution(0.5)
+        want = truncation_cutoff(full, 3000, 1.0)
+        assert truncation_cutoff(capped, 3000, 1.0, past=want) == want
+        assert capped._cum.tobytes() == full._cum[:capped._cum.size].tobytes()
+
+
 class TestGallopingCutoff:
     """The schedule's cutoff searched up from the last one is the integer of
     a search from scratch, and a series base grows its partial-sum table to

@@ -169,6 +169,51 @@ class TestBandStorage:
         assert p._matvec(d).tobytes() == Ad.tobytes()
         assert energy_norm(p, d) == float(np.sqrt(d @ Ad))
 
+    @pytest.mark.parametrize("near", [False, True])
+    def test_caller_a_is_left_unmodified(self, near):
+        """The build factors and, for a nearly symmetric A, symmetrizes its
+        own copy in place, never the caller's array."""
+        rng = np.random.default_rng(8)
+        A = random_spd(rng, 136)
+        if near:
+            A[3, 100] += 1e-14
+        before = A.tobytes()
+        Problem(A, np.ones(136))
+        assert A.tobytes() == before
+
+    @pytest.mark.parametrize("case", ["poisson-1024", "random-136", "near-symmetric-70"])
+    def test_csr_and_dense_input_store_the_same_bytes(self, case):
+        rng = np.random.default_rng(12)
+        if case == "poisson-1024":
+            A = poisson_matrix(1024)
+        elif case == "random-136":
+            A = random_spd(rng, 136)
+        else:
+            A = random_spd(rng, 70)
+            A[3, 60] += 1e-14
+        n = A.shape[0]
+        b = rng.standard_normal(n)
+        dense, sparse = Problem(A, b), Problem(csr_array(A), b)
+        for p in (dense, sparse):
+            assert p.exact_solution.tobytes() == dense.exact_solution.tobytes()
+            for band in ("_band", "_L_band"):
+                assert [(rows, cols, tile.tobytes()) for rows, cols, tile in getattr(p, band)] == \
+                    [(rows, cols, tile.tobytes()) for rows, cols, tile in getattr(dense, band)]
+            assert p._A_csr.indptr.tobytes() == dense._A_csr.indptr.tobytes()
+            assert p._A_csr.indices.tobytes() == dense._A_csr.indices.tobytes()
+            assert p._A_csr.data.tobytes() == dense._A_csr.data.tobytes()
+
+    def test_the_copy_of_a_is_factored_in_place(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.cholesky
+        monkeypatch.setattr(scipy.linalg, "cholesky",
+                            lambda a, **k: calls.append((a, real(a, **k))) or calls[-1][1])
+        Problem(poisson_matrix(136), np.ones(136))
+        [(buf, L)] = calls
+        # LAPACK factors a Fortran-ordered array in place; a C-ordered one
+        # it would receive as a copy
+        assert buf.flags.f_contiguous and np.shares_memory(L, buf)
+
 
 class TestLocalSolve:
     def test_zero_residual(self):
@@ -1151,10 +1196,10 @@ class TestSlabsPinnedToFullProducts:
     @pytest.mark.parametrize("case", sorted(SLAB_CASES))
     def test_form_equals_the_full_products(self, case):
         problem, splitting = SLAB_CASES[case]()
-        L = problem._chol[0]
+        L = cholesky(problem.A, lower=True)
         S = additive_schwarz_sum(problem, splitting)
         M = L.T @ S @ L
-        form = problems_module._congruence_in_place(L, S)
+        form = problems_module._congruence_in_place(problem._L_band, S)
         assert_same_bits(form, M)
         assert_same_bits(problems_module._symmetrize_in_place(form), 0.5 * (M + M.T))
 
@@ -1180,7 +1225,8 @@ class TestSlabsPinnedToFullProducts:
         for scale in SCALES:
             S = rng.standard_normal((n, n)) * scale
             M = L.T @ S @ L
-            form = problems_module._congruence_in_place(L, S)
+            # L as the one tile of a dense problem's band
+            form = problems_module._congruence_in_place([(slice(0, n), slice(0, n), L)], S)
             assert_same_bits(form, M)
             assert_same_bits(problems_module._symmetrize_in_place(form), 0.5 * (M + M.T))
         for d in (1, 5, 32):
@@ -1197,17 +1243,19 @@ class TestLeanSetup:
     """The stored clean factor, the in-place stability form and the
     deduplicated Lambda keep the bits of the straightforward computations."""
 
-    @pytest.mark.parametrize("case", ["two-level-128", "two-level-1024", "mixed-dense-R",
-                                      "diagonal-dense"])
+    @pytest.mark.parametrize("case", sorted(SETUP_CASES))
     def test_problem_keeps_the_clean_lower_factor(self, case):
+        """L rebuilt from its tiles, whole and slab by slab, is a fresh
+        factor of A, bit for bit."""
         problem, _ = SETUP_CASES[case]()
-        L, lower = problem._chol
-        assert lower is True
-        assert np.array_equal(L, cholesky(problem.A, lower=True))
+        n = problem.n
+        L = cholesky(problem.A, lower=True)
+        assert_same_bits(problem._factor_columns(slice(0, n)), L)
+        for c in problems_module._slabs(n):
+            assert_same_bits(problem._factor_columns(c), L[:, c])
         # the solve on cho_factor's factor, whose upper triangle holds A
         want = cho_solve(cho_factor(problem.A, lower=True), problem.b)
         assert np.array_equal(problem.exact_solution, want)
-        assert np.array_equal(problem.solve(problem.b), want)
 
     @pytest.mark.parametrize("case", sorted(SETUP_CASES))
     def test_stability_spectrum_has_the_reference_bits(self, case):
@@ -1246,7 +1294,8 @@ class TestLeanSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the one buffer, plus a slab product and eigh's workspace
+        # the one buffer, plus a column slab of L, half a slab product and
+        # eigh's workspace
         assert peak <= 1.25 * n * n * 8
 
     def test_metadata_peak_memory_is_one_matrix(self):
@@ -1266,7 +1315,7 @@ class TestLeanSetup:
         # workspace
         assert peak <= 1.25 * n * n * 8
 
-    def test_build_peak_memory_is_two_matrices(self):
+    def test_build_peak_memory_is_one_matrix(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
         make_poisson_1d(128, spec)
         tracemalloc.start()
@@ -1275,9 +1324,10 @@ class TestLeanSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the caller's A and L, no symmetrized copy; the band, the finiteness
+        # one n x n array at a time: the builder's A, then the problem's copy
+        # factored in place; the band, the tiles of L, the finiteness
         # check's boolean copy and the splitting's forms
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= 1.5 * n * n * 8
 
     def test_problem_and_model_keep_one_matrix(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
@@ -1289,9 +1339,21 @@ class TestLeanSetup:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # L, the band (about 0.18 n^2 at n = 1024) and the local forms and
-        # factors; a dense A would be one n^2 more
-        assert retained <= 1.4 * n * n * 8
+        # the bands of A and L (about 0.18 n^2 at n = 1024), the coarse R and
+        # the two distinct local forms and factors; a dense A or L would be
+        # one n^2 more
+        assert retained <= 0.45 * n * n * 8
+
+    def test_byte_equal_local_forms_are_stored_once(self):
+        problem, splitting = SETUP_CASES["two-level-1024"]()
+        forms = {id(c.A_local) for c in splitting}
+        factors = {id(c._chol[0]) for c in splitting}
+        # 21 equal blocks and the coarse component
+        assert len(forms) == len(factors) == 2
+        A = problem.A
+        for c in splitting:
+            want = A[c.span, c.span] if c.span is not None else c.R.T @ A @ c.R
+            assert c.A_local.tobytes() == want.tobytes()
 
     def test_lambda_peak_memory_is_a_slab(self):
         n, spec = POISSON_SPLITTINGS["two-level-1024"]
