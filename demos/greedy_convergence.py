@@ -8,10 +8,10 @@ error against its a-priori O(1/m) bound, and fits the observed rate.
 import numpy as np
 
 from mschwarz import (
+    FixedPool,
     GAWRRelaxation,
     GreedyBoundSpec,
     GreedyRule,
-    SupportPool,
     a1_norm,
     fit_rate,
     greedy_bound,
@@ -26,7 +26,7 @@ def main():
     print(f"target: 30 geometric coefficients, ||u||_a = {model.solution_norm():.6f}, "
           f"||u||_A1 = {a1_norm(model):.6f}")
     for beta in (1.0, 0.5):
-        trace = run(model, GreedyRule(beta, SupportPool()), GAWRRelaxation(), M)
+        trace = run(model, GreedyRule(beta, FixedPool()), GAWRRelaxation(), M)
         spec = GreedyBoundSpec(
             norm_a=model.solution_norm(), lam=1.0, beta=beta, a1=a1_norm(model)
         )

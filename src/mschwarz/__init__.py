@@ -55,7 +55,6 @@ from .solver import (
     IterationTrace,
     PureRelaxation,
     RandomRule,
-    SupportPool,
     TwoParamRelaxation,
     cyclic_rule,
     iterate,

@@ -33,7 +33,6 @@ from .solver import (
     GrowingPool,
     PureRelaxation,
     RandomRule,
-    SupportPool,
     TwoParamRelaxation,
     cyclic_rule,
 )
@@ -156,8 +155,7 @@ class ExperimentConfig:
     def build_selection(self, model):
         sel = self.data["selection"]
         n = model.component_count()
-        pool = {"fixed": FixedPool, "support_union": SupportPool, "growing": GrowingPool}[
-            sel.get("pool", "fixed" if n else "support_union")]()
+        pool = GrowingPool() if sel.get("pool") == "growing" else FixedPool()
         refused = self._refusal(model, n, pool)
         if refused:
             raise ConfigError([refused + (f"; the splitting has components 1..{n}" if n else "")])
@@ -177,8 +175,10 @@ class ExperimentConfig:
         sel, steps = self.data["selection"], self.data["steps"]
         kind = sel["kind"]
         if kind == "greedy":
+            if sel.get("pool") == "support_union" and not isinstance(model, DiagonalModel):
+                return "selection.pool: support pools are only available on the diagonal model"
             try:
-                pool.size(model, 0)  # each pool refuses the models it cannot scan
+                pool.size(model, 0)  # a growing pool refuses a lazy model
             except ValueError as exc:
                 return f"selection.pool: {exc}"
         if n is None:

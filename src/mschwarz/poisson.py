@@ -6,6 +6,8 @@ coordinate blocks (exact local forms A_i = R_i^T A R_i, stored by their index
 range), optionally augmented with a coarse linear-interpolation component.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .problems import CoordinateBlock, FiniteSplitting, Problem, SplittingComponent
@@ -69,8 +71,6 @@ def make_poisson_1d(n, splitting_spec):
     """
     if n < 1 or n > MAX_GRID:
         raise ValueError(f"grid size n={n} outside 1..{MAX_GRID}")
-    from scipy.sparse import csr_array
-
     kind = splitting_spec.get("kind")
     if kind not in ("overlapping_blocks", "two_level"):
         raise ValueError(f"unknown splitting kind {kind!r}")
@@ -87,7 +87,8 @@ def make_poisson_1d(n, splitting_spec):
         R = coarse_interpolation(n, int(splitting_spec["coarse_stride"]))
         components.append(SplittingComponent(len(components) + 1, R, R.T @ A @ R))
     # the local forms are copies, so the dense A goes before the problem
-    # builds and factors its own: one n x n array at a time
-    A = csr_array(A)
-    problem = Problem(A, np.ones(n))
+    # builds and factors its own, which toarray hands over without a copy:
+    # one n x n array at a time
+    del A
+    problem = Problem(SimpleNamespace(toarray=lambda: poisson_matrix(n)), np.ones(n))
     return problem, FiniteSplitting(problem, components)

@@ -11,9 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.linalg is imported inside the set-up functions that use it, never in
-# a per-step one, so that a run loads it only when its config needs it (the
-# diagonal model never does)
+# The LAPACK and CSR kernels come from _kernels, which loads the two
+# compiled modules of scipy that hold them, scipy.linalg._flapack and
+# scipy.sparse._sparsetools, without importing the scipy.linalg and
+# scipy.sparse packages: their __init__ costs about 0.3 s and 30 MB, a
+# third of a Poisson run's wall time at n = 1024.  _kernels is imported
+# inside the set-up functions that use it, never in a per-step one, so
+# that a run loads it only when its config needs it (the diagonal model
+# never does)
 
 
 # Right-hand-side entries per multi-column local solve in the greedy scan.
@@ -74,10 +79,12 @@ def _as_matrix(A):
 
 
 def _symmetry_defect(A):
-    """max |A - A.T| (nan if A holds one), over pairs of slabs (I, J >= I)
-    so that no n x n temporary exists."""
+    """max |A - A.T| (nan or inf if an entry of A is not finite), over
+    pairs of slabs (I, J >= I) so that no n x n temporary exists.  The
+    caller tells a non-finite entry from an overflow, so neither warns."""
     slabs = _slabs(A.shape[0])
-    return np.max([np.abs(A[I, J] - A[J, I].T).max() for k, I in enumerate(slabs) for J in slabs[k:]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.max([np.abs(A[I, J] - A[J, I].T).max() for k, I in enumerate(slabs) for J in slabs[k:]])
 
 
 def _band_block(band, r, c):
@@ -97,64 +104,74 @@ def _band_block(band, r, c):
 class Problem:
     """An SPD form A, functional b, and the direct-solve reference solution.
 
-    A is given dense or as a scipy sparse matrix, and stored as its band:
-    the contiguous copies of the row tiles ``image_tiles(A_csr)``, with the
-    CSR copy ``_A_csr`` they were found from.  Every product with A is a
+    A is given dense or as an object whose ``toarray()`` returns a new
+    dense array (a scipy sparse matrix), and stored as its band: the
+    contiguous copies of the row tiles :func:`image_tiles` finds from the
+    CSR arrays ``_A_csr = (indptr, indices, data)`` of A, which are kept
+    too (the bytes of scipy's ``csr_array(A)``, see
+    :func:`mschwarz._kernels.csr_arrays`).  Every product with A is a
     band product (:meth:`_matvec`), which has the bits of the dense
     ``A @ v`` row by row (see :func:`image_tiles`).  ``A`` builds a dense
     copy on each access, for tests and outside callers; no library path
     reads it.
 
-    The build holds one n x n array: its own C-ordered copy of A.  An
-    exactly symmetric input is taken as it is; any other is checked and
-    symmetrized in place, with the bits of ``0.5 * (A + A.T)``.  The band
-    is cut from the copy, and then the copy is factored in place,
-    ``cholesky(buf.T, lower=True, overwrite_a=True)``: A is exactly
-    symmetric, so ``buf.T`` is the Fortran-ordered matrix ``potrf`` would
-    get as the copy ``cholesky(A, lower=True)`` makes, and the factor has
-    its bits.  The solution and the residual check are solved with it;
-    ``potrs`` reads only its lower triangle, so the solves have the bits
-    they have on ``cho_factor``'s factor.  Then the clean lower factor L
-    is kept as tiles ``_L_band`` over the tiles of A's band (Cholesky adds
-    no fill outside the profile of A, and a tile spans its rows' profile
-    and diagonal) and the copy is freed.  :func:`stability_constants`
+    The build holds one n x n array: its own C-ordered copy of A.  A
+    non-finite entry is refused.  An exactly symmetric input is taken as
+    it is; any other is checked and symmetrized in place, with the bits of
+    ``0.5 * (A + A.T)``.  The band is cut from the copy, and then the copy
+    is factored in place, ``potrf(buf.T, lower=True, overwrite_a=True)``:
+    A is exactly symmetric, so ``buf.T`` is the Fortran-ordered matrix
+    ``dpotrf`` would get as the copy ``cholesky(A, lower=True)`` makes, and
+    the factor has its bits.  The solution and the residual check are
+    solved with it; ``dpotrs`` reads only its lower triangle, so the solves
+    have the bits they have on ``cho_factor``'s factor.  Then the clean
+    lower factor L is kept as tiles ``_L_band`` over the tiles of A's band
+    (Cholesky adds no fill outside the profile of A, and a tile spans its
+    rows' profile and diagonal) and the copy is freed.  :func:`stability_constants`
     multiplies with L's column slabs rebuilt from those tiles instead of
     factoring A again.  The band, b and the solution are copies: the
     problem never aliases the caller's arrays.
     """
 
     def __init__(self, A, b, exact_solution=None):
-        from scipy.linalg import cho_solve, cholesky
-        from scipy.sparse import csr_array, issparse
+        from ._kernels import csr_arrays, potrf, potrs
 
-        buf = _as_matrix(A.toarray() if issparse(A) else np.array(A, dtype=float, order="C"))
+        buf = _as_matrix(A.toarray() if hasattr(A, "toarray") else np.array(A, dtype=float, order="C"))
         b = np.array(b, dtype=float)
         n = buf.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if not np.isfinite(b).all():
             raise ValueError("b must be finite")
+        # the defect is nan or inf if an entry is; it is inf too if a
+        # difference of finite entries overflows, which is no symmetric A
         sym_defect = _symmetry_defect(buf)
+        if not np.isfinite(sym_defect) and not all(np.isfinite(buf[r]).all() for r in _slabs(n)):
+            raise ValueError("A must be finite")
         if sym_defect != 0.0:
             scale = max(-buf.min(), buf.max(), 1e-300)
             if sym_defect > 1e-12 * scale:
                 raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
             _symmetrize_in_place(buf)
-        self._A_csr = csr_array(buf)
-        tiles = image_tiles(self._A_csr)
+        self._A_csr = csr_arrays(buf)
+        tiles = image_tiles(*self._A_csr[:2])
         # copies, never views: a view would keep the whole n x n buffer alive
         self._band = [(rows, cols, buf[rows, cols].copy()) for rows, cols in tiles]
+        # A is finite (checked above), so potrf skips the check that would
+        # scan it again with an n x n boolean temporary.  Symmetrizing can
+        # overflow only on entries above 8.9e307; the inf then fails the
+        # factorization or the solution check below
         try:
-            L = cholesky(buf.T, lower=True, overwrite_a=True)
+            L = potrf(buf.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
         self.b = b
         self.n = n
         # b and the solution are checked here, so that the solves skip
-        # cho_solve's check, which would also scan L with an n x n boolean
+        # potrs' check, which would also scan L with an n x n boolean
         # temporary
         if exact_solution is None:
-            exact_solution = cho_solve((L, True), b, check_finite=False)
+            exact_solution = potrs(L, b, lower=True, check_finite=False)
         else:
             exact_solution = np.array(exact_solution, dtype=float)
         if not np.isfinite(exact_solution).all():
@@ -167,7 +184,7 @@ class Problem:
         res = self._matvec(exact_solution) - b
         sol_norm = energy_norm(self, exact_solution)
         if not np.isfinite(res).all() or energy_norm(
-                self, cho_solve((L, True), res, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
+                self, potrs(L, res, lower=True, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
             raise ValueError("supplied exact solution does not solve A u = b")
         self._L_band = [(rows, cols, L[rows, cols].copy()) for rows, cols in tiles]
 
@@ -252,16 +269,16 @@ class SplittingComponent:
         self._set_local_form(index, A_local)
 
     def _set_local_form(self, index, A_local):
-        from scipy.linalg import cho_factor, get_lapack_funcs
+        from ._kernels import flapack, potrf
 
         A_local = 0.5 * (A_local + A_local.T)
         try:
-            self._chol = cho_factor(A_local, lower=True)
+            self._chol = (potrf(A_local, lower=True, clean=False), True)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"component {index}: A_i is not positive definite") from exc
-        # the LAPACK routine cho_solve calls, looked up once: a local solve is
-        # then one direct call instead of cho_solve's checks and batch wrapper
-        (self._potrs,) = get_lapack_funcs(("potrs",), (self._chol[0],))
+        # the LAPACK routine cho_solve calls: a local solve is one direct
+        # call instead of the checks of cho_solve or _kernels.potrs
+        self._potrs = flapack.dpotrs
         self.index = index
         self.A_local = A_local
         self.dim = A_local.shape[0]
@@ -421,9 +438,9 @@ def local_solve(problem, component, g):
 
 def _component_lambda(G, A_local):
     """sqrt of the largest eigenvalue of the pencil (sym(G), A_local)."""
-    from scipy.linalg import eigh
+    from ._kernels import eigvalsh_pencil
 
-    w = eigh(0.5 * (G + G.T), A_local, eigvals_only=True)
+    w = eigvalsh_pencil(0.5 * (G + G.T), A_local)
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
@@ -568,18 +585,18 @@ def stability_constants(problem, splitting):
     as tiles; its column slabs are rebuilt one at a time.  The whole
     computation lives in one n x n buffer: S is built, overwritten with the
     form in slabs (:func:`_congruence_in_place`, :func:`_symmetrize_in_place`)
-    and handed to ``eigh`` to overwrite.  A
+    and handed to ``eigvalsh`` to overwrite.  A
     rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
     rather than raised.
     """
     if splitting._spectrum is None:
-        from scipy.linalg import eigh
+        from ._kernels import eigvalsh
 
         M = _congruence_in_place(problem._L_band, additive_schwarz_sum(problem, splitting))
         _symmetrize_in_place(M)
         # M is exactly symmetric, so its Fortran-ordered view M.T is the
-        # same matrix, and eigh works on it in place instead of on a copy
-        w = eigh(M.T, eigvals_only=True, overwrite_a=True)
+        # same matrix, and dsyevr works on it in place instead of on a copy
+        w = eigvalsh(M.T, overwrite_a=True)
         splitting._spectrum = (float(w[0]), float(w[-1]))
     lam_min, lam_max = splitting._spectrum
     if lam_min <= RANK_TOL * max(lam_max, 1.0):
@@ -599,14 +616,15 @@ def representation_block_norms(problem, splitting, u):
 
     S is transposed in place, so that its Fortran-ordered view is S, and
     factored in place: it is the one n x n array of the computation,
-    and ``potrf`` gets the matrix it would get as the copy ``cho_factor``
+    and ``dpotrf`` gets the matrix it would get as the copy ``cho_factor``
     makes of a C-ordered S.  (Building S Fortran-ordered costs more than
     the transposition: numpy adds the C-ordered products into it slowly.)
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from ._kernels import potrf, potrs
 
     S = _transpose_in_place(additive_schwarz_sum(problem, splitting)).T
-    y = cho_solve(cho_factor(S, lower=True, overwrite_a=True), np.asarray(u, dtype=float))
+    y = potrs(potrf(S, lower=True, overwrite_a=True, clean=False), np.asarray(u, dtype=float),
+              lower=True)
     norms = []
     for c in splitting:
         v = c.solve_local(c.restrict(y))
@@ -614,8 +632,9 @@ def representation_block_norms(problem, splitting, u):
     return np.array(norms)
 
 
-def image_tiles(A_csr):
-    """The tiles ``(rows, cols)`` of the rows of A for a tiled A @ d.
+def image_tiles(indptr, indices):
+    """The tiles ``(rows, cols)`` of the rows of the n x n matrix A, whose
+    CSR pattern is ``indptr`` and ``indices``, for a tiled A @ d.
 
     Rows go in tiles of TILE_ROWS; a one-row remainder joins the tile
     before it, because numpy computes a one-row product with ``ddot``, not
@@ -628,8 +647,7 @@ def image_tiles(A_csr):
     rounds them with another kernel.  The tiles are the band a
     :class:`Problem` stores.
     """
-    n = A_csr.shape[1]
-    indptr, indices = A_csr.indptr, A_csr.indices
+    n = len(indptr) - 1
     starts = list(range(0, n, TILE_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
         del starts[-1]
@@ -684,11 +702,12 @@ class MatrixSchwarzModel:
     no tile has a single row, which numpy would hand to ``ddot``.  The two-level coarse component reaches every row but
     is multiplied on little more than the band of A.  The refresh of w is
     the product with the whole band: still a recompute of A u from scratch.
-    The reported error uses the problem's CSR copy of A: ``A e`` is scipy's
-    ``csr_matvec`` kernel called directly on a zeroed output, which is what
-    ``A_csr @ e`` runs after its dispatch (a test pins the two).  e and A e
-    go into two buffers the model owns, which hold nothing between calls,
-    so one model can still drive several runs at once.
+    The reported error uses the problem's CSR arrays of A: ``A e`` is
+    scipy's ``csr_matvec`` kernel called directly on a zeroed output, which
+    is what scipy's ``csr_array @ e`` runs after its dispatch (a test pins
+    the two).  e and A e go into two buffers the model owns, which hold
+    nothing between calls, so one model can still drive several runs at
+    once.
 
     The greedy pool scan works on factor groups: components that restrict
     alike (all coordinate blocks or all dense R) and whose local forms and
@@ -741,7 +760,7 @@ class MatrixSchwarzModel:
                     self._where[k] = (len(self._blocks), j)
                 self._blocks.append((np.array(block), comps, gather))
         # the work buffers of error(), e and A e, and its CSR kernel
-        from scipy.sparse._sparsetools import csr_matvec
+        from ._kernels import csr_matvec
 
         self._e = np.empty(problem.n)
         self._Ae = np.empty(problem.n)
@@ -753,7 +772,7 @@ class MatrixSchwarzModel:
         R_i r vanishes off the nonzero rows of R_i and A is symmetric, so
         the stored columns of those rows of A are the rows reached: O(nnz).
         """
-        indptr, indices = self.problem._A_csr.indptr, self.problem._A_csr.indices
+        indptr, indices, _ = self.problem._A_csr
         if component.span is not None:
             cols = indices[indptr[component.span.start]:indptr[component.span.stop]]
         else:
@@ -838,10 +857,10 @@ class MatrixSchwarzModel:
             state.w += omega * res.Ad
 
     def error(self, state):
-        A, e, Ae = self.problem._A_csr, self._e, self._Ae
+        e, Ae = self._e, self._Ae
         np.subtract(self.problem.exact_solution, state.u, out=e)
         Ae.fill(0.0)
-        self._csr_matvec(self.problem.n, self.problem.n, A.indptr, A.indices, A.data, e, Ae)
+        self._csr_matvec(self.problem.n, self.problem.n, *self.problem._A_csr, e, Ae)
         return float(np.sqrt(max(e @ Ae, 0.0)))
 
     def solution_norm(self):

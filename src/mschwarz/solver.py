@@ -21,7 +21,12 @@ import numpy.random  # noqa: F401
 # pool policies for greedy selection
 
 class FixedPool:
-    """All components of a finite splitting, at every step."""
+    """The model's whole pool at every step: all components of a finite
+    splitting, the support of the target coefficients on the diagonal
+    model.  Off the support the residual coefficients vanish, so there the
+    finite scan realizes the exact supremum over the whole countable index
+    set.  (A config spells it ``fixed`` or ``support_union``.)
+    """
 
     def size(self, model, m):
         return None
@@ -34,19 +39,6 @@ class GrowingPool:
         if model.component_count() is None:
             raise ValueError("growing pools need a finite splitting")
         return m + 1
-
-
-class SupportPool:
-    """Support of the target coefficients; diagonal model only.
-
-    Off-support residual coefficients vanish, so the finite scan realizes the
-    exact supremum over the whole countable index set.
-    """
-
-    def size(self, model, m):
-        if getattr(model, "support_indices", None) is None:
-            raise ValueError("support pools are only available on the diagonal model")
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from mschwarz import (
     RandomBoundSpec,
     RandomRule,
     SplittingComponent,
-    SupportPool,
     TruncatedSchedule,
     a1_norm,
     bruteforce_expected_error,
@@ -60,7 +59,7 @@ def geometric_greedy_runs():
     model = make_diagonal({i: 2.0 ** -i for i in range(1, 51)})
     traces = {}
     for beta in (1.0, 0.5):
-        rule = GreedyRule(beta, SupportPool())
+        rule = GreedyRule(beta, FixedPool())
         traces[beta] = run(model, rule, GAWRRelaxation(), 10_000)
     return model, traces
 
@@ -235,7 +234,7 @@ def test_criterion_10_solver_micro_invariants():
     # (Egreedy2) one-sided recursion for GAWR runs
     for _ in range(100):
         model = make_diagonal(rng.standard_normal(5))
-        trace = run(model, GreedyRule(1.0, SupportPool()), GAWRRelaxation(), 30)
+        trace = run(model, GreedyRule(1.0, FixedPool()), GAWRRelaxation(), 30)
         norm_a = model.solution_norm()
         for m in range(30):
             am = 1.0 - 1.0 / (m + 2)
@@ -247,7 +246,7 @@ def test_criterion_10_solver_micro_invariants():
         state = model.new_state()
         state.u = rng.standard_normal(6)
         beta = float(rng.uniform(0.1, 1.0))
-        res = select_greedy(model, state, GreedyRule(beta, SupportPool()), 0)
+        res = select_greedy(model, state, GreedyRule(beta, FixedPool()), 0)
         pool_max = np.abs(model.coefficients - state.u).max()
         assert res.local_norm >= beta * pool_max - 1e-12 * (1 + pool_max)
 

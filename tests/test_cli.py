@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
-
+import mschwarz._kernels as kernels_module
 import mschwarz.cli as cli_module
 import mschwarz.distributions as distributions_module
 import mschwarz.problems as problems_module
@@ -431,14 +430,15 @@ class TestCheckSetupWork:
     def test_check_solves_the_stability_eigenproblem_once(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, POISSON_SMALL + "bounds: true\n")
         calls = []
-        eigh = scipy.linalg.eigh
-        # the stability spectrum is the one eigh call with a single matrix;
-        # Lambda's per-form calls pass a second (local) matrix.  The library
-        # imports eigh inside its set-up functions, so it calls the patched one
-        monkeypatch.setattr(scipy.linalg, "eigh",
-                            lambda *a, **k: calls.append(len(a)) or eigh(*a, **k))
+        eigvalsh = kernels_module.eigvalsh
+        # the stability spectrum is the one eigensolve of a single matrix;
+        # Lambda's per-form solves are of pencils (eigvalsh_pencil).  The
+        # library imports the wrapper inside its set-up functions, so it
+        # calls the patched one
+        monkeypatch.setattr(kernels_module, "eigvalsh",
+                            lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls.count(1) == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [POISSON_SMALL, DIAG_GREEDY], ids=["poisson", "diagonal"])
     def test_determinism_run_builds_everything_again(self, tmp_path, monkeypatch, text):
@@ -571,21 +571,33 @@ def _subpackages(modules):
 POWER_LAW_ABOVE_NINE = POWER_LAW_EXPECT.replace("s: 0.5", "s: 9.5")
 
 
+# The compiled modules of scipy a Poisson config calls (see _kernels), and
+# what importing them through their packages would load besides.
+POISSON_MODULES = ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+NOT_IMPORTED_BY_POISSON = ["scipy", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api"]
+
+
 # A power law with s <= 9 takes its constant from the Cephes port in
-# distributions._zeta; only s > 9 asks scipy.special for it.
-@pytest.mark.parametrize("command, text, loaded, not_loaded", [
-    (None, None, [], ["scipy"]),
-    ("expect", POWER_LAW_EXPECT, [], ["scipy"]),
-    ("run", POWER_LAW_EXPECT, [], ["scipy"]),
-    ("check", POWER_LAW_EXPECT, [], ["scipy"]),
-    ("expect", POWER_LAW_ABOVE_NINE, ["scipy.special"], ["scipy.linalg", "scipy.sparse"]),
-    ("expect", ORACLE_EXPECT, [], ["scipy"]),
-    ("run", POISSON_UNIFORM_RUN, ["scipy.linalg", "scipy.sparse"], ["scipy.special"]),
+# distributions._zeta; only s > 9 asks scipy.special for it.  ``loaded``
+# names modules or packages that must be loaded, ``not_loaded`` packages of
+# which nothing may be, and ``not_imported`` modules that may not be
+# although a module under them is.
+@pytest.mark.parametrize("command, text, loaded, not_loaded, not_imported", [
+    (None, None, [], ["scipy"], []),
+    ("expect", POWER_LAW_EXPECT, [], ["scipy"], []),
+    ("run", POWER_LAW_EXPECT, [], ["scipy"], []),
+    ("check", POWER_LAW_EXPECT, [], ["scipy"], []),
+    ("expect", POWER_LAW_ABOVE_NINE, ["scipy.special"], ["scipy.linalg", "scipy.sparse"], []),
+    ("expect", ORACLE_EXPECT, [], ["scipy"], []),
+    ("run", POISSON_UNIFORM_RUN, POISSON_MODULES, ["scipy.special"], NOT_IMPORTED_BY_POISSON),
+    ("expect", POISSON_UNIFORM_RUN + "trials: 4\n", POISSON_MODULES, ["scipy.special"],
+     NOT_IMPORTED_BY_POISSON),
+    ("check", POISSON_UNIFORM_RUN, POISSON_MODULES, ["scipy.special"], NOT_IMPORTED_BY_POISSON),
 ], ids=["import-cli", "diagonal-power-law", "diagonal-power-law-run",
         "diagonal-power-law-check", "diagonal-power-law-above-nine", "diagonal-explicit",
-        "poisson-uniform"])
+        "poisson-uniform", "poisson-uniform-expect", "poisson-uniform-check"])
 def test_scipy_modules_loaded_only_where_the_config_needs_them(
-        tmp_path, command, text, loaded, not_loaded):
+        tmp_path, command, text, loaded, not_loaded, not_imported):
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys\nfrom mschwarz.cli import main\n"
     if command is not None:
@@ -598,9 +610,42 @@ def test_scipy_modules_loaded_only_where_the_config_needs_them(
     modules = out.splitlines()[-1].split() if out.strip() else []
     for name in loaded:
         assert _loaded(modules, name), name
-    assert _subpackages(modules) <= set(loaded), modules
+    assert _subpackages(modules) <= _subpackages(loaded), modules
     for name in not_loaded:
         assert not _loaded(modules, name), name
+    for name in not_imported:
+        assert name not in modules, name
+
+
+def test_scipy_linalg_imports_after_a_poisson_run(tmp_path):
+    """A process that imports ``scipy.linalg`` after a Poisson run gets a
+    working package, built on the compiled module the run loaded, with
+    the bits of the run's wrappers; only the package's private attribute
+    ``_flapack`` is missing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = write_config(tmp_path, POISSON_UNIFORM_RUN)
+    code = f"""
+import sys
+import numpy as np
+from mschwarz.cli import main
+assert main(['run', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0
+from mschwarz import _kernels
+import scipy.linalg
+from scipy.linalg import _flapack
+assert _flapack is _kernels.flapack is scipy.linalg.lapack._flapack
+assert not hasattr(scipy.linalg, "_flapack")
+rng = np.random.default_rng(4)
+Q = rng.standard_normal((136, 136))
+A = Q @ Q.T + 136 * np.eye(136)
+w = scipy.linalg.eigh(A, eigvals_only=True)
+assert w.tobytes() == _kernels.eigvalsh(A).tobytes()
+assert scipy.linalg.cholesky(A, lower=True).tobytes() == _kernels.potrf(A, lower=True).tobytes()
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout.splitlines()[-1] == "ok", out.stderr
 
 
 POISSON_GREEDY_FIXED = POISSON_SMALL.replace("pool: growing", "pool: fixed")

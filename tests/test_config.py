@@ -4,7 +4,7 @@ from mschwarz import ConfigError, parse_config, serialize
 from mschwarz.config import ExperimentConfig
 from mschwarz.diagonal import DiagonalModel
 from mschwarz.problems import MatrixSchwarzModel
-from mschwarz.solver import GreedyRule, RandomRule
+from mschwarz.solver import FixedPool, GreedyRule, RandomRule
 
 MINIMAL = """
 problem:
@@ -16,6 +16,23 @@ selection:
 relaxation: gawr
 steps: 100
 seed: 1
+"""
+
+POISSON_GREEDY = """
+problem:
+  kind: poisson_1d
+  n: 15
+  splitting:
+    kind: overlapping_blocks
+    block_size: 8
+    overlap: 2
+selection:
+  kind: greedy
+  beta: 1.0
+  pool: fixed
+relaxation: gawr
+steps: 10
+seed: 0
 """
 
 
@@ -229,6 +246,26 @@ seed: 0
         with pytest.raises(ConfigError) as exc:
             config.build_selection(config.build_model())
         assert exc.value.errors == [error]
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL,
+        MINIMAL.replace("beta: 1.0", "beta: 1.0\n  pool: support_union"),
+        POISSON_GREEDY,
+        POISSON_GREEDY.replace("  pool: fixed\n", ""),
+    ], ids=["diagonal-default", "support-union", "fixed", "poisson-default"])
+    def test_whole_pool_spellings_build_one_pool(self, text):
+        config = parse_config(text)
+        rule = config.build_selection(config.build_model())
+        assert type(rule.pool) is FixedPool
+
+    def test_finite_model_refuses_support_union_pool(self):
+        """The diagonal-only refusal of support_union is the config's: the
+        pool it builds scans any model."""
+        config = parse_config(POISSON_GREEDY.replace("pool: fixed", "pool: support_union"))
+        with pytest.raises(ConfigError) as exc:
+            config.build_selection(config.build_model())
+        assert exc.value.errors == ["selection.pool: support pools are only available on the "
+                                    "diagonal model; the splitting has components 1..3"]
 
     def test_random_selection_with_truncation(self):
         text = MINIMAL.replace(

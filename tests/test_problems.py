@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 from scipy.sparse import csr_array
 
+import mschwarz._kernels as kernels_module
 import mschwarz.problems as problems_module
 from mschwarz import (
     BlockResidual,
@@ -129,6 +129,36 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="exact solution must be finite"):
             Problem(np.eye(3), np.ones(3), exact_solution=u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(5, 5), (3, 100), (100, 3)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_rejects_non_finite_a(self, monkeypatch, bad, where, sparse):
+        """Refused as such before A is symmetrized or converted: the
+        symmetry defect is not finite then."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-finite A got past the check")
+        monkeypatch.setattr(problems_module, "_symmetrize_in_place", refuse)
+        monkeypatch.setattr(kernels_module, "csr_arrays", refuse)
+        A = random_spd(np.random.default_rng(13), 136)
+        A[where] = bad
+        with pytest.raises(ValueError, match="A must be finite"):
+            Problem(csr_array(A) if sparse else A, np.ones(136))
+        A[where[::-1]] = bad  # symmetric again
+        with pytest.raises(ValueError, match="A must be finite"):
+            Problem(csr_array(A) if sparse else A, np.ones(136))
+
+    def test_overflowing_symmetry_defect_is_no_finiteness_failure(self):
+        A = np.diag([1e308, 1e308])
+        A[0, 1], A[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="not symmetric"):
+            Problem(A, np.ones(2))
+
+    def test_symmetrization_that_overflows_is_refused(self):
+        A = np.full((2, 2), 1.7e308)
+        A[0, 1], A[1, 0] = 1e308, np.nextafter(1e308, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            Problem(A, np.ones(2))
+
     def test_rejects_exact_solution_whose_residual_overflows(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="exact solution"):
             Problem(np.diag([4.0, 4.0]), np.ones(2), exact_solution=np.array([1e308, -1e308]))
@@ -199,14 +229,12 @@ class TestBandStorage:
             for band in ("_band", "_L_band"):
                 assert [(rows, cols, tile.tobytes()) for rows, cols, tile in getattr(p, band)] == \
                     [(rows, cols, tile.tobytes()) for rows, cols, tile in getattr(dense, band)]
-            assert p._A_csr.indptr.tobytes() == dense._A_csr.indptr.tobytes()
-            assert p._A_csr.indices.tobytes() == dense._A_csr.indices.tobytes()
-            assert p._A_csr.data.tobytes() == dense._A_csr.data.tobytes()
+            assert [a.tobytes() for a in p._A_csr] == [a.tobytes() for a in dense._A_csr]
 
     def test_the_copy_of_a_is_factored_in_place(self, monkeypatch):
         calls = []
-        real = scipy.linalg.cholesky
-        monkeypatch.setattr(scipy.linalg, "cholesky",
+        real = kernels_module.potrf
+        monkeypatch.setattr(kernels_module, "potrf",
                             lambda a, **k: calls.append((a, real(a, **k))) or calls[-1][1])
         Problem(poisson_matrix(136), np.ones(136))
         [(buf, L)] = calls
@@ -594,6 +622,12 @@ def assert_same_bits(got, want):
 SCALES = (1e-8, 1.0, 1e8)
 
 
+def csr_pattern(A):
+    """``indptr`` and ``indices`` of scipy's CSR array of A."""
+    csr = csr_array(A)
+    return csr.indptr, csr.indices
+
+
 class TestImageTilesPinnedToDenseProduct:
     """A d tile by tile is the full dense A @ d, bit for bit."""
 
@@ -601,7 +635,7 @@ class TestImageTilesPinnedToDenseProduct:
     def test_tiles_of_all_rows(self, n):
         """The strided views of A and the problem's stored band copies."""
         A = poisson_matrix(n)
-        tiles = problems_module.image_tiles(csr_array(A))
+        tiles = problems_module.image_tiles(*csr_pattern(A))
         band = Problem(A, np.ones(n))._band
         assert [(rows, cols) for rows, cols, _ in band] == tiles
         assert_tile_rules(band, 0, n, n)
@@ -658,7 +692,7 @@ class TestImageTilesPinnedToDenseProduct:
             width = int(rng.integers(1, 400))
             first = int(rng.integers(0, n - width + 1))
             B[start:stop, first:first + width] = rng.standard_normal((stop - start, width))
-        tiles = problems_module.image_tiles(csr_array(B))
+        tiles = problems_module.image_tiles(*csr_pattern(B))
         band = [(rows, cols, B[rows, cols].copy()) for rows, cols in tiles]
         assert_tile_rules(band, 0, n, n)
         assert any(cols != slice(0, n) for _, cols, _ in band)
@@ -690,8 +724,9 @@ for n in (1025, 1100, 2100):
     for i in range(n):
         lo, hi = max(i - 40, 0), min(i + 41, n)
         A[i, lo:hi] = rng.standard_normal(hi - lo)
+    csr = csr_array(A)
     band = [(rows, cols, A[rows, cols].copy())
-            for rows, cols in image_tiles(csr_array(A))]
+            for rows, cols in image_tiles(csr.indptr, csr.indices)]
     for _ in range(12):
         d = rng.standard_normal(n)
         Ad = np.zeros(n)
@@ -998,13 +1033,15 @@ def scipy_note():
 
 
 class TestErrorKernel:
-    """The error's direct ``csr_matvec`` call is ``A_csr @ e``, bit for bit."""
+    """The error's direct ``csr_matvec`` call is ``csr_array @ e`` on the
+    problem's CSR arrays, bit for bit."""
 
     @staticmethod
     def assert_error_is_the_dispatched_product(model, state):
         got = model.error(state)
         e = model.problem.exact_solution - state.u
-        Ae = model.problem._A_csr @ e
+        indptr, indices, data = model.problem._A_csr
+        Ae = csr_array((data, indices, indptr), shape=(model.problem.n,) * 2) @ e
         assert np.array_equal(model._Ae, Ae), scipy_note()
         assert np.array_equal(np.signbit(model._Ae), np.signbit(Ae)), scipy_note()
         assert got == float(np.sqrt(max(e @ Ae, 0.0))), scipy_note()
@@ -1043,14 +1080,18 @@ class TestErrorKernel:
 
 
 def count_eigh_calls(monkeypatch):
-    """Record the positional arguments of every scipy.linalg.eigh call.
+    """Record the positional arguments of every eigensolve: the calls of
+    ``_kernels.eigvalsh`` (one matrix) and ``eigvalsh_pencil`` (two).
 
-    The library imports eigh inside the set-up functions, so the patched
-    module attribute is the one it calls.
+    The library imports the wrappers inside the set-up functions, so the
+    patched module attributes are the ones it calls.
     """
     calls = []
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    for name in ("eigvalsh", "eigvalsh_pencil"):
+        real = getattr(kernels_module, name)
+        monkeypatch.setattr(kernels_module, name,
+                            functools.partial(lambda real, *a, **k: calls.append(a) or real(*a, **k),
+                                              real))
     return calls
 
 
@@ -1276,13 +1317,14 @@ class TestLeanSetup:
     def test_block_norms_factor_a_fortran_ordered_sum_in_place(self, monkeypatch):
         problem, splitting = SETUP_CASES["two-level-128"]()
         calls = []
-        monkeypatch.setattr(scipy.linalg, "cho_factor",
-                            lambda a, **k: calls.append((a, cho_factor(a, **k))) or calls[-1][1])
+        real = kernels_module.potrf
+        monkeypatch.setattr(kernels_module, "potrf",
+                            lambda a, **k: calls.append((a, k, real(a, **k))) or calls[-1][2])
         representation_block_norms(problem, splitting, problem.exact_solution)
-        [(S, (factor, lower))] = calls
+        [(S, kwargs, factor)] = calls
         # LAPACK factors a Fortran-ordered array in place; a C-ordered one
         # it would receive as a copy
-        assert S.flags.f_contiguous and lower is True
+        assert S.flags.f_contiguous and kwargs["lower"] is True
         assert np.shares_memory(factor, S)
 
     def test_stability_peak_memory_is_one_matrix(self):
@@ -1325,8 +1367,8 @@ class TestLeanSetup:
         finally:
             tracemalloc.stop()
         # one n x n array at a time: the builder's A, then the problem's copy
-        # factored in place; the band, the tiles of L, the finiteness
-        # check's boolean copy and the splitting's forms
+        # factored in place; the band, the tiles of L and the splitting's
+        # forms
         assert peak <= 1.5 * n * n * 8
 
     def test_problem_and_model_keep_one_matrix(self):

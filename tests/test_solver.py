@@ -15,7 +15,6 @@ from mschwarz import (
     PureRelaxation,
     RandomRule,
     SplittingComponent,
-    SupportPool,
     TruncatedSchedule,
     TwoParamRelaxation,
     cyclic_rule,
@@ -45,18 +44,18 @@ def identity_model(rng, n):
 class TestGreedySelection:
     def test_largest_coefficient_wins(self):
         model = DiagonalModel([3.0, 2.0, 1.0])
-        res = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
+        res = select_greedy(model, model.new_state(), GreedyRule(1.0, FixedPool()), 0)
         assert res.index == 1
         assert res.local_norm == 3.0
 
     def test_tie_breaks_to_smallest_index(self):
         model = DiagonalModel([1.0, 1.0])
-        res = select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
+        res = select_greedy(model, model.new_state(), GreedyRule(1.0, FixedPool()), 0)
         assert res.index == 1
 
     def test_weak_greedy_compliance(self):
         rng = np.random.default_rng(0)
-        rule = GreedyRule(0.5, SupportPool())
+        rule = GreedyRule(0.5, FixedPool())
         for _ in range(100):
             model = DiagonalModel(rng.standard_normal(6))
             state = model.new_state()
@@ -78,13 +77,7 @@ class TestPools:
         model = identity_model(rng, 4)
         assert FixedPool().size(model, 7) is None
         assert [GrowingPool().size(model, m) for m in range(6)] == [1, 2, 3, 4, 5, 6]
-        assert SupportPool().size(DiagonalModel([1.0, 2.0]), 3) is None
-
-    def test_support_pool_rejects_matrix_model(self):
-        rng = np.random.default_rng(2)
-        model = identity_model(rng, 3)
-        with pytest.raises(ValueError, match="diagonal"):
-            SupportPool().size(model, 0)
+        assert FixedPool().size(DiagonalModel([1.0, 2.0]), 3) is None
 
     def test_growing_pool_rejects_lazy_model(self):
         model = DiagonalModel([1.0])
@@ -94,7 +87,7 @@ class TestPools:
     def test_empty_pool_raises(self):
         model = DiagonalModel({})
         with pytest.raises(ValueError, match="empty greedy pool"):
-            select_greedy(model, model.new_state(), GreedyRule(1.0, SupportPool()), 0)
+            select_greedy(model, model.new_state(), GreedyRule(1.0, FixedPool()), 0)
 
 
 class TestOmegaOptimal:
@@ -195,7 +188,7 @@ class TestRun:
 
     def test_greedy_pure_eliminates_largest_first(self):
         model = DiagonalModel([1.0, 0.5, 0.25])
-        trace = run(model, GreedyRule(1.0, SupportPool()), PureRelaxation(), 3)
+        trace = run(model, GreedyRule(1.0, FixedPool()), PureRelaxation(), 3)
         c = np.array([1.0, 0.5, 0.25])
         for m in range(4):
             assert trace.error_sq[m] == pytest.approx((c[m:] ** 2).sum(), abs=1e-14)
@@ -236,7 +229,7 @@ class TestRun:
 
     def test_fixed_pool_matches_support_pool_on_dense_embedding(self):
         model = DiagonalModel([0.8, -0.4, 0.2])
-        lazy = run(model, GreedyRule(1.0, SupportPool()), GAWRRelaxation(), 40)
+        lazy = run(model, GreedyRule(1.0, FixedPool()), GAWRRelaxation(), 40)
         problem, splitting = model.to_dense()
         dense_model = MatrixSchwarzModel(problem, splitting)
         dense = run(dense_model, GreedyRule(1.0, FixedPool()), GAWRRelaxation(), 40)
