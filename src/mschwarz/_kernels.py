@@ -8,8 +8,18 @@ packages' ``__init__``: 0.26-0.34 s and 30 MB of RSS (numpy 2.4, scipy
 which loads ``numpy.f2py``.  So this module loads only the two compiled
 modules the kernels live in (8 ms, 2.7 MB), ``scipy.linalg._flapack`` and
 ``scipy.sparse._sparsetools``, from scipy's install directory, and
-registers them in ``sys.modules`` under their own names.  A module already there (the process imported ``scipy.linalg``) is
-used as it is.
+registers them in ``sys.modules`` under their own names.  A module already
+there (the process imported ``scipy.linalg``) is used as it is.
+
+This needs an install in which each compiled module sits next to its
+package's ``__init__.py`` (``<scipy>/linalg/_flapack...so``) and loads with
+nothing set up by ``scipy/__init__``: the Linux wheels (tested: scipy
+1.17.1) and, by the same layout, the macOS wheels and conda packages.
+Windows wheels are not supported: their ``scipy/__init__`` adds the DLL
+directory ``_flapack`` links against.  Neither are meson-python editable
+installs, whose compiled modules live in the build directory.  There the
+loader raises ``ImportError`` saying so; there is no fallback to the
+scipy packages.
 
 A process that imports ``scipy.linalg`` afterwards gets a working package:
 its ``from scipy.linalg import _flapack`` finds this module in
@@ -41,10 +51,17 @@ def _load(name):
     package = name.split(".")[1]
     spec = scipy and importlib.machinery.PathFinder.find_spec(
         name, [os.path.join(d, package) for d in scipy.submodule_search_locations])
+    unsupported = (f"cannot load {name} on its own from this scipy install; "
+                   "mschwarz needs the compiled module next to its package's "
+                   "__init__.py, loadable without scipy/__init__ (Linux or macOS "
+                   "wheels, conda)")
     if spec is None:
-        raise ImportError(f"no module named {name!r}", name=name)
+        raise ImportError(f"{unsupported}: no such file", name=name)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise ImportError(f"{unsupported}: {exc}", name=name) from exc
     sys.modules[name] = module
     return module
 
@@ -59,11 +76,12 @@ def _validated(a, check_finite):
     return np.asarray_chkfinite(a) if check_finite else np.asarray(a)
 
 
-def potrf(a, lower=False, overwrite_a=False, clean=True, check_finite=True):
-    """The Cholesky factor of ``a``: ``scipy.linalg.cholesky(a, lower,
-    overwrite_a)`` for ``clean``, else the factor of ``cho_factor(a, lower,
-    overwrite_a)``, whose other triangle holds what ``a`` held there."""
-    c, info = flapack.dpotrf(_validated(a, check_finite), lower=lower, clean=clean,
+def potrf(a, overwrite_a=False, clean=True, check_finite=True):
+    """The lower Cholesky factor of ``a``: ``scipy.linalg.cholesky(a,
+    lower=True, overwrite_a)`` for ``clean``, else the factor of
+    ``cho_factor(a, lower=True, overwrite_a)``, whose upper triangle holds
+    what ``a`` held there."""
+    c, info = flapack.dpotrf(_validated(a, check_finite), lower=1, clean=clean,
                              overwrite_a=overwrite_a)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -73,11 +91,11 @@ def potrf(a, lower=False, overwrite_a=False, clean=True, check_finite=True):
     return c
 
 
-def potrs(c, b, lower=False, check_finite=True):
-    """``scipy.linalg.cho_solve((c, lower), b)``: the solution of A x = b
-    from the Cholesky factor ``c`` of A."""
+def potrs(c, b, check_finite=True):
+    """``scipy.linalg.cho_solve((c, True), b)``: the solution of A x = b
+    from the lower Cholesky factor ``c`` of A."""
     x, info = flapack.dpotrs(_validated(c, check_finite), _validated(b, check_finite),
-                             lower=lower)
+                             lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
@@ -95,10 +113,12 @@ def _check_eigen_info(info, n, routine, failed):
     raise LinAlgError(failed)
 
 
-def eigvalsh(a, overwrite_a=False):
+def eigvalsh(a):
     """The ascending eigenvalues of the symmetric ``a`` from its lower
-    triangle: ``scipy.linalg.eigh(a, eigvals_only=True, overwrite_a)``,
-    which asks ``dsyevr`` for its work sizes and then calls it."""
+    triangle: ``scipy.linalg.eigh(a, eigvals_only=True,
+    overwrite_a=True)``, which asks ``dsyevr`` for its work sizes and then
+    calls it.  LAPACK works in a Fortran-ordered float64 ``a`` itself
+    and destroys it."""
     a = np.asarray_chkfinite(a)
     n = a.shape[0]
     *sizes, info = flapack.dsyevr_lwork(n=n, lower=1)
@@ -109,7 +129,7 @@ def eigvalsh(a, overwrite_a=False):
         raise ValueError("Too large work array required -- computation cannot be "
                          "performed with standard 32-bit LAPACK.")
     w, _, _, _, info = flapack.dsyevr(a, compute_v=0, lower=1, lwork=lwork, liwork=liwork,
-                                      overwrite_a=overwrite_a)
+                                      overwrite_a=True)
     _check_eigen_info(info, n, "dsyevr", "Internal Error.")
     return w
 

@@ -118,8 +118,8 @@ class Problem:
     The build holds one n x n array: its own C-ordered copy of A.  A
     non-finite entry is refused.  An exactly symmetric input is taken as
     it is; any other is checked and symmetrized in place, with the bits of
-    ``0.5 * (A + A.T)``.  The band is cut from the copy, and then the copy
-    is factored in place, ``potrf(buf.T, lower=True, overwrite_a=True)``:
+    ``0.5 * (A + A.T)``, and refused if that overflows.  The band is cut from the copy, and then the copy
+    is factored in place, ``potrf(buf.T, overwrite_a=True)``:
     A is exactly symmetric, so ``buf.T`` is the Fortran-ordered matrix
     ``dpotrf`` would get as the copy ``cholesky(A, lower=True)`` makes, and
     the factor has its bits.  The solution and the residual check are
@@ -153,16 +153,17 @@ class Problem:
             if sym_defect > 1e-12 * scale:
                 raise ValueError(f"A is not symmetric: defect {sym_defect:.3e}")
             _symmetrize_in_place(buf)
+            # 0.5 * (a + b) overflows if a + b does (entries above 8.9e307)
+            if not all(np.isfinite(buf[r]).all() for r in _slabs(n)):
+                raise ValueError("A is too large: symmetrizing it overflows")
         self._A_csr = csr_arrays(buf)
         tiles = image_tiles(*self._A_csr[:2])
         # copies, never views: a view would keep the whole n x n buffer alive
         self._band = [(rows, cols, buf[rows, cols].copy()) for rows, cols in tiles]
         # A is finite (checked above), so potrf skips the check that would
-        # scan it again with an n x n boolean temporary.  Symmetrizing can
-        # overflow only on entries above 8.9e307; the inf then fails the
-        # factorization or the solution check below
+        # scan it again with an n x n boolean temporary
         try:
-            L = potrf(buf.T, lower=True, overwrite_a=True, check_finite=False)
+            L = potrf(buf.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
         self.b = b
@@ -171,7 +172,7 @@ class Problem:
         # potrs' check, which would also scan L with an n x n boolean
         # temporary
         if exact_solution is None:
-            exact_solution = potrs(L, b, lower=True, check_finite=False)
+            exact_solution = potrs(L, b, check_finite=False)
         else:
             exact_solution = np.array(exact_solution, dtype=float)
         if not np.isfinite(exact_solution).all():
@@ -184,7 +185,7 @@ class Problem:
         res = self._matvec(exact_solution) - b
         sol_norm = energy_norm(self, exact_solution)
         if not np.isfinite(res).all() or energy_norm(
-                self, potrs(L, res, lower=True, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
+                self, potrs(L, res, check_finite=False)) > 1e-10 * max(sol_norm, 1e-300):
             raise ValueError("supplied exact solution does not solve A u = b")
         self._L_band = [(rows, cols, L[rows, cols].copy()) for rows, cols in tiles]
 
@@ -273,7 +274,7 @@ class SplittingComponent:
 
         A_local = 0.5 * (A_local + A_local.T)
         try:
-            self._chol = (potrf(A_local, lower=True, clean=False), True)
+            self._chol = potrf(A_local, clean=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"component {index}: A_i is not positive definite") from exc
         # the LAPACK routine cho_solve calls: a local solve is one direct
@@ -301,7 +302,7 @@ class SplittingComponent:
         return self.R.T @ AR
 
     def solve_local(self, rhs):
-        x, info = self._potrs(self._chol[0], rhs, lower=self._chol[1])
+        x, info = self._potrs(self._chol, rhs, lower=1)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return x
@@ -596,7 +597,7 @@ def stability_constants(problem, splitting):
         _symmetrize_in_place(M)
         # M is exactly symmetric, so its Fortran-ordered view M.T is the
         # same matrix, and dsyevr works on it in place instead of on a copy
-        w = eigvalsh(M.T, overwrite_a=True)
+        w = eigvalsh(M.T)
         splitting._spectrum = (float(w[0]), float(w[-1]))
     lam_min, lam_max = splitting._spectrum
     if lam_min <= RANK_TOL * max(lam_max, 1.0):
@@ -623,8 +624,7 @@ def representation_block_norms(problem, splitting, u):
     from ._kernels import potrf, potrs
 
     S = _transpose_in_place(additive_schwarz_sum(problem, splitting)).T
-    y = potrs(potrf(S, lower=True, overwrite_a=True, clean=False), np.asarray(u, dtype=float),
-              lower=True)
+    y = potrs(potrf(S, overwrite_a=True, clean=False), np.asarray(u, dtype=float))
     norms = []
     for c in splitting:
         v = c.solve_local(c.restrict(y))
@@ -744,7 +744,7 @@ class MatrixSchwarzModel:
         # gather array (None for dense R); per component its (block, row)
         groups = {}
         for k, c in enumerate(splitting):
-            key = (c.span is None, c.A_local.tobytes(), c._chol[0].tobytes(), c._chol[1])
+            key = (c.span is None, c.A_local.tobytes(), c._chol.tobytes())
             groups.setdefault(key, []).append(k)
         self._blocks, self._where = [], [None] * splitting.N
         for ks in groups.values():
