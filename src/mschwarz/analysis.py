@@ -349,17 +349,18 @@ def _diagonal_recursion(c, pos, alphas, zero_tol, errs, block):
         state[:] = 0.0
         e = errs[r0:r0 + R]
         for m in range(M + 1):
-            np.subtract(C, state, out=tmp)
+            np.subtract(C, state, out=tmp)  # the residual at u^{(m)}
+            if m < M:
+                p = pos[m, r0:r0 + R]
+                rows_h = np.flatnonzero(p >= 0)
+                cols_h = p[rows_h]
+                # below the zero threshold the direction is dropped
+                # (omega = 0) and the coordinate only scales with alpha
+                live = np.abs(tmp[rows_h, cols_h]) > zero_tol
             np.multiply(tmp, tmp, out=tmp)
             np.add.reduce(tmp, axis=1, out=e[:, m])
             if m == M:
                 break
-            p = pos[m, r0:r0 + R]
-            rows_h = np.flatnonzero(p >= 0)
-            cols_h = p[rows_h]
-            # residual at u^{(m)}: below the zero threshold the direction is
-            # dropped (omega = 0) and the coordinate only scales with alpha
-            live = np.abs(c[cols_h] - state[rows_h, cols_h]) > zero_tol
             if alphas is not None:
                 state *= alphas[m]
             state[rows_h[live], cols_h[live]] = c[cols_h[live]]

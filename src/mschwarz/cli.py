@@ -9,10 +9,20 @@ assertion failure, 2 configuration error or input the library rejects.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
+
+# CPython's built-in SHA-256 gives hashlib.sha256's digest without loading
+# OpenSSL's _hashlib (3.4 MB of RSS); hashlib is the fallback for an
+# interpreter built without it
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -83,7 +93,7 @@ def _model_metadata(config, model):
         "tool": "mschwarz",
         "version": __version__,
         "rng": "PCG64",
-        "config_hash": hashlib.sha256(serialize(config).encode()).hexdigest(),
+        "config_hash": sha256(serialize(config).encode()).hexdigest(),
         "seed": config.data["seed"],
     }
     block = None

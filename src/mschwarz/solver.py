@@ -12,9 +12,6 @@ error along the chosen direction.
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.random on first use; loading it with the solver keeps
-# that one-time import in the set-up, out of the first step that draws
-import numpy.random  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +39,8 @@ class GrowingPool:
 
 
 # ---------------------------------------------------------------------------
-# selection rules: select(model, state, m, rng) -> the step's BlockResidual
+# selection rules: select(model, state, m, rng) -> the step's BlockResidual;
+# only a RandomRule reads rng, the others get None
 
 class DeterministicRule:
     """A fixed index sequence: a callable m -> index or a list cycled over."""
@@ -82,6 +80,11 @@ class RandomRule:
     """Random pick from a distribution schedule (fixed or step-dependent)."""
 
     def __init__(self, schedule):
+        # numpy loads numpy.random (and with it OpenSSL) on first use; a
+        # rule that draws loads it here, in the set-up, so that the one-time
+        # import stays out of the first step and runs that draw nothing
+        # never load it
+        import numpy.random  # noqa: F401
         self.schedule = schedule
 
     def distribution(self, m):
@@ -219,12 +222,15 @@ def iterate(model, selection, relaxation, steps, seed=None):
     Yields ``(m, state, res, alpha, omega)`` for m = 0 .. steps-1 before
     step m is applied, with ``res`` the step's :class:`BlockResidual` (the
     component is ``res.index``).  ``state`` is a single object updated in place, so once
-    the generator is exhausted it holds u^{(steps)}.  The RNG stream is
-    derived from ``seed`` alone.
+    the generator is exhausted it holds u^{(steps)}.  A :class:`RandomRule`
+    draws from a PCG64 stream derived from ``seed`` alone; every other rule
+    draws nothing and ignores ``seed``.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = None
+    if isinstance(selection, RandomRule):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = model.new_state()
     for m in range(int(steps)):
         res = selection.select(model, state, m, rng)
@@ -237,7 +243,7 @@ def run(model, selection, relaxation, steps, seed=None):
     """Run :func:`iterate` to the end and record its trace.
 
     Identical (model, rules, steps, seed) inputs produce bitwise-identical
-    traces.
+    traces; a rule that draws nothing ignores ``seed``.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")

@@ -568,6 +568,22 @@ def _subpackages(modules):
             and m.split(".")[1] != "version"}
 
 
+def modules_after(tmp_path, command, text):
+    """The names in ``sys.modules`` of a fresh interpreter after ``import
+    mschwarz.cli`` and, unless ``command`` is None, ``command`` on the
+    config ``text``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys\nfrom mschwarz.cli import main\n"
+    if command is not None:
+        cfg = write_config(tmp_path, text)
+        code += f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+    code += "print(' '.join(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
 POWER_LAW_ABOVE_NINE = POWER_LAW_EXPECT.replace("s: 0.5", "s: 9.5")
 
 
@@ -598,16 +614,7 @@ NOT_IMPORTED_BY_POISSON = ["scipy", "scipy.linalg", "scipy.sparse", "scipy._lib.
         "poisson-uniform", "poisson-uniform-expect", "poisson-uniform-check"])
 def test_scipy_modules_loaded_only_where_the_config_needs_them(
         tmp_path, command, text, loaded, not_loaded, not_imported):
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys\nfrom mschwarz.cli import main\n"
-    if command is not None:
-        cfg = write_config(tmp_path, text)
-        code += f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-    code += "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    modules = out.splitlines()[-1].split() if out.strip() else []
+    modules = [m for m in modules_after(tmp_path, command, text) if m.startswith("scipy")]
     for name in loaded:
         assert _loaded(modules, name), name
     assert _subpackages(modules) <= _subpackages(loaded), modules
@@ -615,6 +622,31 @@ def test_scipy_modules_loaded_only_where_the_config_needs_them(
         assert not _loaded(modules, name), name
     for name in not_imported:
         assert name not in modules, name
+
+
+# What numpy.random loads besides itself: secrets, and through hmac OpenSSL.
+DRAW_MODULES = ["numpy.random", "secrets", "hmac", "_hashlib"]
+POISSON_CYCLIC = POISSON_SMALL.replace("kind: greedy\n  beta: 1.0\n  pool: growing",
+                                       "kind: cyclic")
+
+
+@pytest.mark.parametrize("command, text, draws", [
+    (None, None, False),
+    ("run", POISSON_SMALL, False),
+    ("run", POISSON_CYCLIC, False),
+    ("run", DIAG_GREEDY, False),
+    ("run", POISSON_UNIFORM_RUN, True),
+    ("expect", POWER_LAW_EXPECT, True),
+], ids=["import-cli", "poisson-greedy", "poisson-cyclic", "diagonal-greedy", "poisson-uniform",
+        "diagonal-power-law-expect"])
+def test_numpy_random_loaded_only_by_runs_that_draw(tmp_path, command, text, draws):
+    """A run whose rule draws nothing loads neither numpy.random nor, for
+    the config hash, OpenSSL."""
+    modules = modules_after(tmp_path, command, text)
+    if draws:
+        assert "numpy.random" in modules
+    else:
+        assert not [m for m in DRAW_MODULES if m in modules]
 
 
 def test_scipy_linalg_imports_after_a_poisson_run(tmp_path):

@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+import mschwarz.config as config_module
 from mschwarz import ConfigError, parse_config, serialize
 from mschwarz.config import ExperimentConfig
 from mschwarz.diagonal import DiagonalModel
@@ -283,3 +285,59 @@ seed: 0
         b = parse_config(MINIMAL)
         assert a == b and a is not b
         assert a != ExperimentConfig(dict(b.data, steps=5))
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+
+
+def under_both_loaders(text):
+    """(repr of the document, duplicated-key errors) of ``text`` under the
+    pure-Python and the libyaml loader; repr tells True, 1 and 1.0 apart."""
+    return [(repr(doc), dups) for doc, dups in
+            (config_module._load(cls, text) for cls in (yaml.SafeLoader, yaml.CSafeLoader))]
+
+
+@needs_libyaml
+class TestLibyamlLoader:
+    """libyaml parses every config as the pure-Python loader does, and text
+    that it rejects gets the pure-Python loader's error."""
+
+    @pytest.mark.parametrize("text", [
+        "a: &x [1, 2.5, {k: v}]\nb: *x\n",
+        "base: &b {k: 1, j: 2}\nd:\n  <<: *b\n  k: 3\nlist:\n  <<: [*b, {z: 0}]\n",
+        "a: 1\nb: {c: 1, c: 2}\na: 2\nd: {1: x, 1.0: y, true: z}\n",
+        "x: .inf\ny: -.inf\nz: ~\nw: null\nn:\n",
+        "t: [true, false, True, FALSE, yes, no, on, off, 'true']\n",
+        "i: [0x1f, 0o17, 1_000, 1e3, 1.0e+3, 12:30, -0.0]\n",
+        "",
+        MINIMAL,
+        POISSON_GREEDY,
+    ], ids=["aliases", "merge-keys", "duplicates", "inf-and-null", "booleans", "numbers",
+            "empty", "minimal", "poisson"])
+    def test_same_values_and_duplicates(self, text):
+        pure, libyaml = under_both_loaders(text)
+        assert libyaml == pure
+
+    def test_workload_configs(self, workloads):
+        for name, workload in workloads.WORKLOADS.items():
+            text = workloads.config_text(workload.config(workloads.DEFAULT_SEED))
+            pure, libyaml = under_both_loaders(text)
+            assert libyaml == pure, name
+
+    @pytest.mark.parametrize("text", [
+        "problem: [unclosed",
+        "a: b: c\n",
+        "a:\n\t- 1\n",
+        "seed: !!python/object:os.system x\n",
+        "a: 1\n---\nb: 2\n",
+        "a: *nowhere\n",
+    ], ids=["unclosed", "nested-colon", "tab", "unsafe-tag", "two-documents", "unknown-alias"])
+    def test_errors_are_the_pure_loaders(self, text, monkeypatch):
+        errors = []
+        for libyaml in (True, False):
+            monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            errors.append(exc.value.errors)
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("<yaml>: ")
