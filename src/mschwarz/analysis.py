@@ -54,16 +54,25 @@ class RandomDensityBoundSpec:
     ainf_h: float
 
 
+def _bound_constant(norm_a, scale, h_norm):
+    """norm_a^2 + scale^2 h_norm^2, the constant of every bound below; inf
+    when a square overflows (a float's ``**`` raises where ``*`` gives inf)."""
+    try:
+        return norm_a ** 2 + scale ** 2 * h_norm ** 2
+    except OverflowError:
+        return math.inf
+
+
 def greedy_bound(m, spec):
     """Squared-error bound 2(||u||_a^2 + (Lam/beta)^2 ||u||_1^2) / (m+1)."""
     m = np.asarray(m, dtype=float)
-    return 2.0 * (spec.norm_a ** 2 + (spec.lam / spec.beta) ** 2 * spec.a1 ** 2) / (m + 1.0)
+    return 2.0 * _bound_constant(spec.norm_a, spec.lam / spec.beta, spec.a1) / (m + 1.0)
 
 
 def random_bound(m, spec):
     """Expected squared-error bound 2(||u||_a^2 + Lam^2 ||u||_pi^2) / (m+1)."""
     m = np.asarray(m, dtype=float)
-    return 2.0 * (spec.norm_a ** 2 + spec.lam ** 2 * spec.ainf ** 2) / (m + 1.0)
+    return 2.0 * _bound_constant(spec.norm_a, spec.lam, spec.ainf) / (m + 1.0)
 
 
 def density_bound(m, spec):
@@ -71,12 +80,12 @@ def density_bound(m, spec):
     with C_h = (Lam/beta)||h||_1 (greedy) or Lam ||h||_pi (random)."""
     m = np.asarray(m, dtype=float)
     if isinstance(spec, GreedyDensityBoundSpec):
-        csq = (spec.lam / spec.beta) ** 2 * spec.a1_h ** 2
+        const = _bound_constant(spec.norm_a, spec.lam / spec.beta, spec.a1_h)
     elif isinstance(spec, RandomDensityBoundSpec):
-        csq = spec.lam ** 2 * spec.ainf_h ** 2
+        const = _bound_constant(spec.norm_a, spec.lam, spec.ainf_h)
     else:
         raise TypeError(f"not a density bound spec: {spec!r}")
-    return 2.0 * spec.dist_a + np.sqrt(8.0 * (spec.norm_a ** 2 + csq)) / np.sqrt(m + 1.0)
+    return 2.0 * spec.dist_a + np.sqrt(8.0 * const) / np.sqrt(m + 1.0)
 
 
 def chebyshev_tail(m, spec, eps=None, delta=None):
@@ -86,7 +95,7 @@ def chebyshev_tail(m, spec, eps=None, delta=None):
     With ``delta``: the squared-error threshold guaranteed with
     probability >= 1 - delta.
     """
-    mbar8 = 8.0 * (spec.norm_a ** 2 + spec.lam ** 2 * spec.ainf ** 2)
+    mbar8 = 8.0 * _bound_constant(spec.norm_a, spec.lam, spec.ainf)
     if (eps is None) == (delta is None):
         raise ValueError("pass exactly one of eps or delta")
     m = np.asarray(m, dtype=float)
@@ -273,22 +282,22 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
     of _MC_GROUP trials.
     """
     c = model.coefficients
-    d = c.size
-    alphas = None if isinstance(relaxation, PureRelaxation) else np.array(
-        [relaxation.alpha(m) for m in range(M)])
-    to_positions = _step_maps(model, selection, M)
-    cache_rows = max(1, MC_CACHE_BYTES // (24 * max(d, 1)))
     if M == 0:
         # a single error column is summed pairwise by numpy, so its group is
         # never split; it costs 8 bytes a trial
         rows = min(_MC_GROUP, K)
     else:
+        cache_rows = MC_CACHE_BYTES // (24 * max(c.size, 1))
         rows = max(1, min(_MC_GROUP, K, cache_rows, MC_CHUNK_BYTES // (8 * (2 * M + 1))))
-    # one row per step and one column per trial
+    # one row per step and one column per trial; allocated first, so that a
+    # step count no machine can hold fails before the per-step tables grow
     U_buf = np.empty((M, rows))
     # after the first row block of a group, row 0 carries the group's partial
     # sum, so the sum over rows continues it in row order
     errs_buf = np.empty((1 + rows, M + 1))
+    alphas = None if isinstance(relaxation, PureRelaxation) else np.array(
+        [relaxation.alpha(m) for m in range(M)])
+    to_positions = _step_maps(model, selection, M)
 
     sums = np.zeros(M + 1)
     sumsq = np.zeros(M + 1)
@@ -298,13 +307,15 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
         for start in range(group, group_end, rows):
             B = min(rows, group_end - start)
             U = U_buf[:, :B]
+            lead = 0 if gsum is None else 1
+            errs = errs_buf[:lead + B]
             if M:
                 for t in range(B):
                     U[:, t] = np.random.default_rng(_trial_seed(master_seed, start + t)).random(M)
                 to_positions(U)
-            lead = 0 if gsum is None else 1
-            errs = errs_buf[:lead + B]
-            _diagonal_recursion(c, U.view(np.int64), alphas, model.zero_tol, errs[lead:], cache_rows)
+                _diagonal_recursion(c, U.view(np.int64), alphas, model.zero_tol, errs[lead:])
+            else:  # every trial's only error is that of u = 0
+                errs[lead:] = np.add.reduce(c * c)
             if lead:
                 errs[0] = gsum
             gsum = errs.sum(axis=0)
@@ -335,35 +346,30 @@ def _aligned_arrays(count, shape):
     return [buf[start + k * stride:start + k * stride + size].reshape(shape) for k in range(count)]
 
 
-def _diagonal_recursion(c, pos, alphas, zero_tol, errs, block):
-    """Run the M-step recursion of every trial (column of ``pos``) on row
-    blocks of ``block`` trials, writing trial t's squared error before step m
-    to ``errs[t, m]`` and after the last step to ``errs[t, M]``."""
+def _diagonal_recursion(c, pos, alphas, zero_tol, errs):
+    """Run the M-step recursion of every trial (column of ``pos``), writing
+    trial t's squared error before step m to ``errs[t, m]`` and after the
+    last step to ``errs[t, M]``."""
     M, B = pos.shape
-    rows = min(block, B)
-    tiled, state_buf, tmp_buf = _aligned_arrays(3, (rows, c.size))
-    tiled[:] = c
-    for r0 in range(0, B, rows):
-        R = min(rows, B - r0)
-        state, tmp, C = state_buf[:R], tmp_buf[:R], tiled[:R]
-        state[:] = 0.0
-        e = errs[r0:r0 + R]
-        for m in range(M + 1):
-            np.subtract(C, state, out=tmp)  # the residual at u^{(m)}
-            if m < M:
-                p = pos[m, r0:r0 + R]
-                rows_h = np.flatnonzero(p >= 0)
-                cols_h = p[rows_h]
-                # below the zero threshold the direction is dropped
-                # (omega = 0) and the coordinate only scales with alpha
-                live = np.abs(tmp[rows_h, cols_h]) > zero_tol
-            np.multiply(tmp, tmp, out=tmp)
-            np.add.reduce(tmp, axis=1, out=e[:, m])
-            if m == M:
-                break
-            if alphas is not None:
-                state *= alphas[m]
-            state[rows_h[live], cols_h[live]] = c[cols_h[live]]
+    C, state, tmp = _aligned_arrays(3, (B, c.size))
+    C[:] = c
+    state[:] = 0.0
+    for m in range(M + 1):
+        np.subtract(C, state, out=tmp)  # the residual at u^{(m)}
+        if m < M:
+            p = pos[m]
+            rows_h = np.flatnonzero(p >= 0)
+            cols_h = p[rows_h]
+            # below the zero threshold the direction is dropped
+            # (omega = 0) and the coordinate only scales with alpha
+            live = np.abs(tmp[rows_h, cols_h]) > zero_tol
+        np.multiply(tmp, tmp, out=tmp)
+        np.add.reduce(tmp, axis=1, out=errs[:, m])
+        if m == M:
+            break
+        if alphas is not None:
+            state *= alphas[m]
+        state[rows_h[live], cols_h[live]] = c[cols_h[live]]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands: ``run`` (single trajectory), ``expect`` (Monte Carlo sweep plus
 exact/brute-force oracle columns when applicable), ``bounds`` (bound curves
 standalone), ``rate`` (log-log slope fit), ``check`` (invariant suite).
 Outputs are CSV traces with a JSON metadata sidecar; identical configs
-produce byte-identical files.  Exit codes: 0 success, 1 invariant or
-assertion failure, 2 configuration error or input the library rejects.
+produce byte-identical files at a fixed BLAS thread count.  Exit codes: 0
+success, 1 invariant or assertion failure, 2 configuration error or input
+the library rejects.
 """
 
 import argparse
@@ -147,7 +148,7 @@ def _bound_values(config, model, meta, block, ms):
         else:
             ainf = sup_norm_over_pi(((c.index, nrm) for c, nrm in zip(model.splitting, block)),
                                     base)
-        meta["a_norms"]["ainf_pi"] = ainf
+        meta["a_norms"]["ainf_pi"] = ainf if np.isfinite(ainf) else None  # strict JSON
         spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
         return "random_bound", random_bound(ms, spec)
     return None

@@ -1,15 +1,16 @@
 """Declarative experiment configuration: strict YAML parsing and builders.
 
 The config is a single YAML tree with nested sections for the problem, the
-selection rule, the relaxation variant and outputs.  Unknown keys are errors,
-every violation is reported with its path, and serialize/parse round-trips to
-an equal config.  A key given twice in one mapping is an error too (YAML
-loaders otherwise keep the last value silently).
+selection rule, the relaxation variant and outputs, described by the one
+table ``_SCHEMA``.  Unknown keys are errors, every violation is reported with
+its path, and serialize/parse round-trips to an equal config.  A key given
+twice in one mapping is an error too (YAML loaders otherwise keep the last
+value silently).
 """
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -51,66 +52,6 @@ class ConfigError(ValueError):
 def _join(path, key):
     """The path of ``key`` under ``path`` ("" is the root)."""
     return f"{path}.{key}" if path else str(key)
-
-
-class _Checker:
-    def __init__(self):
-        self.errors = []
-
-    def fail(self, path, message):
-        self.errors.append(f"{path}: {message}")
-
-    def require_keys(self, node, path, allowed, required=()):
-        if not isinstance(node, dict):
-            self.fail(path, f"expected a mapping, got {type(node).__name__}")
-            return False
-        ok = True
-        for key in node:
-            if key not in allowed:
-                # recorded but not fatal: the known keys still get validated
-                self.fail(_join(path, key), "unknown key")
-        for key in required:
-            if key not in node:
-                self.fail(_join(path, key), "missing required key")
-                ok = False
-        return ok
-
-    def number(self, node, path, key, lo=None, hi=None, integer=False, required=True, lo_open=False):
-        where = _join(path, key)
-        if key not in node:
-            if required:
-                self.fail(where, "missing required key")
-            return None
-        val = node[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(where, f"expected a number, got {val!r}")
-            return None
-        if integer and not isinstance(val, int):
-            self.fail(where, f"expected an integer, got {val!r}")
-            return None
-        if not _is_finite_number(val):
-            self.fail(where, f"expected a finite number, got {val!r}")
-            return None
-        if lo is not None and (val <= lo if lo_open else val < lo):
-            cmp = ">" if lo_open else ">="
-            self.fail(where, f"must be {cmp} {lo}, got {val}")
-            return None
-        if hi is not None and val > hi:
-            self.fail(where, f"must be <= {hi}, got {val}")
-            return None
-        return val
-
-    def choice(self, node, path, key, options, required=True):
-        where = _join(path, key)
-        if key not in node:
-            if required:
-                self.fail(where, f"missing required key (one of {sorted(options)})")
-            return None
-        val = node[key]
-        if val not in options:
-            self.fail(where, f"must be one of {sorted(options)}, got {val!r}")
-            return None
-        return val
 
 
 @dataclass
@@ -213,16 +154,6 @@ class ExperimentConfig:
         }[self.data["relaxation"]]()
 
 
-_PROBLEM_KEYS = {"kind", "coefficients", "n", "splitting"}
-_SPLITTING_KEYS = {"kind", "block_size", "overlap", "coarse_stride"}
-_SELECTION_KEYS = {"kind", "sequence", "beta", "pool", "family", "truncation"}
-_FAMILY_KEYS = {"kind", "probs", "s", "n"}
-_TOP_KEYS = {
-    "problem", "selection", "relaxation", "steps", "trials", "seed",
-    "outputs", "bounds", "rate_fit",
-}
-
-
 def _is_finite_number(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
@@ -232,112 +163,160 @@ def _is_finite_number(v):
         return False
 
 
-def _validate_problem(ck, node):
-    if not ck.require_keys(node, "problem", _PROBLEM_KEYS, required=("kind",)):
+# -- the schema ----------------------------------------------------------------
+#
+# A check is a function of a key's value that returns None when the value is
+# valid, else its error message, or a list of (path suffix, message) pairs for
+# errors of single entries.
+
+def _number(lo=None, hi=None, integer=False, lo_open=False):
+    """The check of a finite number (an integer if ``integer``) that is >=
+    ``lo`` (> ``lo`` if ``lo_open``) and <= ``hi``."""
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return f"expected a number, got {v!r}"
+        if integer and not isinstance(v, int):
+            return f"expected an integer, got {v!r}"
+        if not _is_finite_number(v):
+            return f"expected a finite number, got {v!r}"
+        if lo is not None and (v <= lo if lo_open else v < lo):
+            return f"must be {'>' if lo_open else '>='} {lo}, got {v}"
+        if hi is not None and v > hi:
+            return f"must be <= {hi}, got {v}"
+        return None
+    return check
+
+
+def _choice(*options):
+    """The check of one of the strings ``options``."""
+    return lambda v: (None if isinstance(v, str) and v in options
+                      else f"must be one of {sorted(options)}, got {v!r}")
+
+
+def _coefficients(v):
+    if isinstance(v, dict):
+        return [(f".{i}", "indices must be integers >= 1" if not isinstance(i, int) or i < 1
+                 else f"expected a finite number, got {x!r}")
+                for i, x in v.items()
+                if not isinstance(i, int) or i < 1 or not _is_finite_number(x)]
+    if isinstance(v, list):
+        return [(f"[{k}]", f"expected a finite number, got {x!r}")
+                for k, x in enumerate(v) if not _is_finite_number(x)]
+    return "expected a list or an index mapping"
+
+
+def _sequence(v):
+    ints = isinstance(v, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in v)
+    return None if ints and v and min(v) >= 1 else "expected a nonempty list of indices >= 1"
+
+
+def _probs(v):
+    if not isinstance(v, list) or not v:
+        return "expected a nonempty list of probabilities"
+    bad = [p for p in v if not _is_finite_number(p) or p < 0]
+    if bad:
+        return f"entries must be finite numbers >= 0, got {bad[0]!r}"
+    if abs(sum(v) - 1.0) > 1e-12:
+        return f"must sum to 1, got {sum(v)!r}"
+    return None
+
+
+_COUNT = _number(lo=0, integer=True)
+_POSITIVE = _number(lo=0, lo_open=True)
+
+
+def _beta(v):
+    return _POSITIVE(v) or (f"must lie in (0, 1], got {v}" if v > 1.0 else None)
+
+
+def _path(v):
+    return None if isinstance(v, str) else f"expected a path string, got {v!r}"
+
+
+def _flag(v):
+    return None if isinstance(v, bool) else f"expected true/false, got {v!r}"
+
+
+# Each key maps to its check or, for a nested mapping, to that mapping's
+# schema; a key ending in "?" may be left out.  Under "kind" each kind maps to
+# the keys that only a mapping of that kind takes.
+_SCHEMA = {
+    "problem": {
+        "kind": {
+            "diagonal": {"coefficients": _coefficients},
+            "poisson_1d": {
+                "n": _number(lo=1, hi=MAX_GRID, integer=True),
+                "splitting": {
+                    "kind": {
+                        "overlapping_blocks": {},
+                        "two_level": {"coarse_stride": _number(lo=1, integer=True)},
+                    },
+                    "block_size": _number(lo=1, integer=True),
+                    "overlap?": _COUNT,
+                },
+            },
+        },
+    },
+    "selection": {
+        "kind": {
+            "cyclic": {},
+            "sequence": {"sequence": _sequence},
+            "greedy": {"beta": _beta, "pool?": _choice("fixed", "support_union", "growing")},
+            "random": {
+                "family": {
+                    "kind": {
+                        "explicit": {"probs": _probs},
+                        "uniform": {"n?": _number(lo=1, integer=True)},
+                        "power_law": {"s": _POSITIVE},
+                        "log": {},
+                    },
+                },
+                "truncation?": {"D": _POSITIVE},
+            },
+        },
+    },
+    "relaxation": _choice("gawr", "pure", "two_param"),
+    "steps": _COUNT,
+    "trials?": _number(lo=1, integer=True),
+    "seed": _number(lo=0, hi=MAX_SEED, integer=True),
+    "outputs?": {"trace?": _path, "summary?": _path},
+    "bounds?": _flag,
+    "rate_fit?": {"lo": _COUNT, "hi": _COUNT},
+}
+
+
+def _walk(schema, node, path, errors):
+    """Append to ``errors`` the "path: message" of each way the mapping
+    ``node`` at ``path`` breaks ``schema``.
+
+    A key of another kind is reported only under a valid kind, and no
+    kind-only key is checked under an invalid or missing one.
+    """
+    if not isinstance(node, dict):
+        errors.append(f"{path or '<root>'}: expected a mapping, got {type(node).__name__}")
         return
-    kind = ck.choice(node, "problem", "kind", {"diagonal", "poisson_1d"})
-    if kind == "diagonal":
-        for key in ("n", "splitting"):
-            if key in node:
-                ck.fail(f"problem.{key}", "not valid for diagonal problems")
-        coeffs = node.get("coefficients")
-        if coeffs is None:
-            ck.fail("problem.coefficients", "missing required key")
-        elif isinstance(coeffs, dict):
-            for i, v in coeffs.items():
-                if not isinstance(i, int) or i < 1:
-                    ck.fail(f"problem.coefficients.{i}", "indices must be integers >= 1")
-                elif not _is_finite_number(v):
-                    ck.fail(f"problem.coefficients.{i}", f"expected a finite number, got {v!r}")
-        elif isinstance(coeffs, list):
-            for k, v in enumerate(coeffs):
-                if not _is_finite_number(v):
-                    ck.fail(f"problem.coefficients[{k}]", f"expected a finite number, got {v!r}")
+    kinds = schema.get("kind", {})
+    kind = node.get("kind")
+    valid = isinstance(kind, str) and kind in kinds
+    rules = {key.rstrip("?"): (rule, key.endswith("?"))
+             for key, rule in {**schema, **(kinds[kind] if valid else {})}.items()}
+    kind_only = {key.rstrip("?") for keys in kinds.values() for key in keys}
+    for key in node:
+        if key not in rules and key not in kind_only:
+            errors.append(f"{_join(path, key)}: unknown key")
+        elif key not in rules and valid:
+            errors.append(f"{_join(path, key)}: not valid for kind {kind!r}")
+    for key, (rule, optional) in rules.items():
+        where = _join(path, key)
+        if key not in node:
+            if not optional:
+                errors.append(f"{where}: missing required key")
+        elif isinstance(rule, dict) and key != "kind":
+            _walk(rule, node[key], where, errors)
         else:
-            ck.fail("problem.coefficients", "expected a list or an index mapping")
-    elif kind == "poisson_1d":
-        if "coefficients" in node:
-            ck.fail("problem.coefficients", "not valid for poisson_1d problems")
-        ck.number(node, "problem", "n", lo=1, hi=MAX_GRID, integer=True)
-        split = node.get("splitting")
-        if split is None:
-            ck.fail("problem.splitting", "missing required key")
-        elif ck.require_keys(split, "problem.splitting", _SPLITTING_KEYS, required=("kind",)):
-            skind = ck.choice(split, "problem.splitting", "kind",
-                              {"overlapping_blocks", "two_level"})
-            ck.number(split, "problem.splitting", "block_size", lo=1, integer=True)
-            ck.number(split, "problem.splitting", "overlap", lo=0, integer=True, required=False)
-            if skind == "two_level":
-                ck.number(split, "problem.splitting", "coarse_stride", lo=1, integer=True)
-            elif "coarse_stride" in split:
-                ck.fail("problem.splitting.coarse_stride",
-                        "only valid for two_level splittings")
-
-
-def _validate_family(ck, node):
-    if not ck.require_keys(node, "selection.family", _FAMILY_KEYS, required=("kind",)):
-        return
-    own_keys = {"explicit": {"probs"}, "uniform": {"n"}, "power_law": {"s"}, "log": set()}
-    kind = ck.choice(node, "selection.family", "kind", set(own_keys))
-    if kind is None:
-        return  # no kind to check the other keys against
-    if kind == "explicit":
-        probs = node.get("probs")
-        if not isinstance(probs, list) or not probs:
-            ck.fail("selection.family.probs", "expected a nonempty list of probabilities")
-        else:
-            bad = [p for p in probs if not _is_finite_number(p) or p < 0]
-            if bad:
-                ck.fail("selection.family.probs",
-                        f"entries must be finite numbers >= 0, got {bad[0]!r}")
-            elif abs(sum(probs) - 1.0) > 1e-12:
-                ck.fail("selection.family.probs", f"must sum to 1, got {sum(probs)!r}")
-    elif kind == "uniform":
-        ck.number(node, "selection.family", "n", lo=1, integer=True, required=False)
-    elif kind == "power_law":
-        ck.number(node, "selection.family", "s", lo=0, lo_open=True)
-    for key in ("probs", "s", "n"):
-        if key in node and key not in own_keys[kind]:
-            ck.fail(f"selection.family.{key}", f"not valid for family kind {kind!r}")
-
-
-def _validate_selection(ck, node):
-    if not ck.require_keys(node, "selection", _SELECTION_KEYS, required=("kind",)):
-        return
-    kind = ck.choice(node, "selection", "kind", {"cyclic", "sequence", "greedy", "random"})
-    if kind == "sequence":
-        seq = node.get("sequence")
-        if not isinstance(seq, list) or not seq or not all(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in seq
-        ):
-            ck.fail("selection.sequence", "expected a nonempty list of indices >= 1")
-    elif "sequence" in node:
-        ck.fail("selection.sequence", "only valid for sequence selection")
-    if kind == "greedy":
-        beta = ck.number(node, "selection", "beta", lo=0, lo_open=True)
-        if beta is not None and beta > 1.0:
-            ck.fail("selection.beta", f"must lie in (0, 1], got {beta}")
-        ck.choice(node, "selection", "pool", {"fixed", "support_union", "growing"},
-                  required=False)
-    else:
-        for key in ("beta", "pool"):
-            if key in node:
-                ck.fail(f"selection.{key}", "only valid for greedy selection")
-    if kind == "random":
-        fam = node.get("family")
-        if fam is None:
-            ck.fail("selection.family", "missing required key")
-        else:
-            _validate_family(ck, fam)
-        trunc = node.get("truncation")
-        if trunc is not None and ck.require_keys(
-            trunc, "selection.truncation", {"D"}, required=("D",)
-        ):
-            ck.number(trunc, "selection.truncation", "D", lo=0, lo_open=True)
-    else:
-        for key in ("family", "truncation"):
-            if key in node:
-                ck.fail(f"selection.{key}", "only valid for random selection")
+            found = (_choice(*kinds) if key == "kind" else rule)(node[key])
+            for sub, message in [("", found)] if isinstance(found, str) else found or ():
+                errors.append(f"{where}{sub}: {message}")
 
 
 def _safe_load(text):
@@ -409,35 +388,14 @@ def parse_config(text):
         raise ConfigError([f"<yaml>: {exc}"]) from exc
     if duplicates:
         raise ConfigError(duplicates)
-    ck = _Checker()
-    if not isinstance(raw, dict):
-        raise ConfigError([f"<root>: expected a mapping, got {type(raw).__name__}"])
-    ck.require_keys(raw, "", _TOP_KEYS,
-                    required=("problem", "selection", "relaxation", "steps", "seed"))
-    if "problem" in raw:
-        _validate_problem(ck, raw["problem"])
-    if "selection" in raw:
-        _validate_selection(ck, raw["selection"])
-    if "relaxation" in raw and raw["relaxation"] not in {"gawr", "pure", "two_param"}:
-        ck.fail("relaxation", f"must be one of ['gawr', 'pure', 'two_param'], got {raw.get('relaxation')!r}")
-    # steps and seed are required above
-    ck.number(raw, "", "steps", lo=0, integer=True, required=False)
-    ck.number(raw, "", "trials", lo=1, integer=True, required=False)
-    ck.number(raw, "", "seed", lo=0, hi=MAX_SEED, integer=True, required=False)
-    if "outputs" in raw and ck.require_keys(raw["outputs"], "outputs", {"trace", "summary"}):
-        for key, val in raw["outputs"].items():
-            if not isinstance(val, str):
-                ck.fail(f"outputs.{key}", f"expected a path string, got {val!r}")
-    if "bounds" in raw and not isinstance(raw["bounds"], bool):
-        ck.fail("bounds", f"expected true/false, got {raw['bounds']!r}")
-    if "rate_fit" in raw and ck.require_keys(raw["rate_fit"], "rate_fit", {"lo", "hi"},
-                                             required=("lo", "hi")):
-        lo = ck.number(raw["rate_fit"], "rate_fit", "lo", lo=0, integer=True)
-        hi = ck.number(raw["rate_fit"], "rate_fit", "hi", lo=0, integer=True)
-        if lo is not None and hi is not None and hi < lo:
-            ck.fail("rate_fit.hi", f"must be >= rate_fit.lo, got {hi} < {lo}")
-    if ck.errors:
-        raise ConfigError(ck.errors)
+    errors = []
+    _walk(_SCHEMA, raw, "", errors)
+    fit = raw.get("rate_fit") if isinstance(raw, dict) else None
+    lo, hi = (fit.get("lo"), fit.get("hi")) if isinstance(fit, dict) else (None, None)
+    if not (_COUNT(lo) or _COUNT(hi)) and hi < lo:
+        errors.append(f"rate_fit.hi: must be >= rate_fit.lo, got {hi} < {lo}")
+    if errors:
+        raise ConfigError(errors)
     data = dict(raw)
     data.setdefault("trials", 1)
     data.setdefault("bounds", False)

@@ -43,8 +43,11 @@ class DiagonalModel:
         self.support_indices = np.array([i for i, _ in items], dtype=np.int64)
         self.coefficients = np.array([v for _, v in items])
         self._pos = {i: k for k, i in enumerate(self.support_indices)}
-        self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(self.coefficients)))
-        self._solution_norm = float(np.linalg.norm(self.coefficients))
+        with np.errstate(over="ignore"):
+            self._solution_norm = float(np.linalg.norm(self.coefficients))
+        if self._solution_norm == math.inf:  # a step's r ** 2 could overflow
+            raise ValueError("coefficients are too large: their sum of squares overflows")
+        self.zero_tol = 1e-14 * (1.0 + self._solution_norm)
 
     # -- solver interface ---------------------------------------------------
 

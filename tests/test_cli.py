@@ -792,10 +792,86 @@ class TestNonFiniteAndHugeInput:
         err = capsys.readouterr().err
         assert f"config error: {path}:" in err and "finite" in err
 
-    def test_unallocatable_step_count_exits_two(self, tmp_path, capsys):
-        # 8e13 bytes per trace column: numpy refuses the allocation outright
-        cfg = write_config(tmp_path, DIAG_GREEDY.replace("steps: 50", "steps: 10000000000000"))
+    @pytest.mark.parametrize("command, text", [
+        ("run", DIAG_GREEDY),
+        ("expect", ORACLE_EXPECT.replace("relaxation: pure", "relaxation: gawr")),
+    ], ids=["run", "expect"])
+    def test_unallocatable_step_count_exits_two(self, tmp_path, command, text):
+        """8e13 bytes per step-indexed array: numpy refuses the allocation
+        outright.  The child runs under a 1 GiB address-space limit, so a
+        per-step table built before that allocation fails fast instead of
+        taking the machine's memory."""
+        cfg = write_config(tmp_path, re.sub(r"steps: \d+", "steps: 10000000000000", text))
+        argv = [command, "--config", cfg, "--out", str(tmp_path)]
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                f"from mschwarz.cli import main\nsys.exit(main({argv!r}))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"{command}: out of memory: Unable to allocate")
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_coefficients_exit_two(self, tmp_path, capsys):
+        # every r ** 2 of a step stays finite when the sum of squares does
+        text = ORACLE_EXPECT.replace("[0.6, 0.3, 0.1]", "{1: 1.0e+300, 3: 0.25}")
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "run: coefficients are too large: their sum of squares overflows\n")
+
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_overflowing_bound_constant_is_inf(self, tmp_path, command):
+        cfg = write_config(tmp_path, DIAG_GREEDY.replace("beta: 1.0", "beta: 1.0e-300"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        csv_name = "trace.csv" if command == "run" else "bounds.csv"
+        (bound,) = read_columns(tmp_path / csv_name, "greedy_bound")
+        assert np.all(bound == np.inf)
+
+    def test_summary_is_strict_json_when_pi_misses_a_coefficient(self, tmp_path):
+        text = ORACLE_EXPECT.replace("[0.6, 0.3, 0.1]", "[1.0, 0.5]").replace(
+            "[0.5, 0.4, 0.1]", "[1.0, 0.0]") + "bounds: true\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=lambda name: pytest.fail(f"{name} in summary.json"))
+        assert summary["a_norms"]["ainf_pi"] is None
+        (bound,) = read_columns(tmp_path / "trace.csv", "random_bound")
+        assert np.all(bound == np.inf)
+
+
+# the path of each choice key: (a config that sets it, the line that does)
+CHOICES = {
+    "problem.kind": (DIAG_GREEDY, "kind: diagonal"),
+    "selection.kind": (DIAG_GREEDY, "kind: greedy"),
+    "selection.pool": (DIAG_GREEDY, "pool: support_union"),
+    "relaxation": (DIAG_GREEDY, "relaxation: gawr"),
+    "selection.family.kind": (ORACLE_EXPECT, "kind: explicit"),
+    "problem.splitting.kind": (TWO_LEVEL_TINY, "kind: two_level"),
+}
+
+
+class TestConfigValuesOfAnyType:
+    """A list or mapping where the config wants a string, and a null
+    truncation, are config errors: exit 2 with one line, no traceback."""
+
+    @pytest.mark.parametrize("value", ["[gawr]", "{a: 1}"])
+    @pytest.mark.parametrize("path", sorted(CHOICES))
+    def test_list_or_mapping_for_a_choice(self, tmp_path, capsys, path, value):
+        text, line = CHOICES[path]
+        key = line.split(":")[0]
+        cfg = write_config(tmp_path, text.replace(line, f"{key}: {value}", 1))
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("run: out of memory")
-        assert "Traceback" not in err
+        assert err.startswith(f"config error: {path}: must be one of ")
+        assert len(err.splitlines()) == 1
+
+    def test_null_truncation_on_a_poisson_splitting(self, tmp_path, capsys):
+        text = POISSON_UNIFORM_RUN.replace("kind: uniform", "kind: uniform\n  truncation: null")
+        assert "truncation: null" in text
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: selection.truncation: expected a mapping, got NoneType\n")

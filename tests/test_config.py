@@ -167,6 +167,45 @@ class TestErrorPaths:
             "selection.family.kind: must be one of ['explicit', 'log', 'power_law', "
             "'uniform'], got 'zipf'"]
 
+    def test_key_of_another_kind_names_the_kind(self):
+        text = MINIMAL.replace("kind: greedy", "kind: random\n  family: {kind: log}")
+        assert self.errors(text) == ["selection.beta: not valid for kind 'random'"]
+
+    @pytest.mark.parametrize("kind", ["kind: zipf\n  ", "kind: [greedy]\n  ", ""],
+                             ids=["invalid", "unhashable", "missing"])
+    def test_no_kind_only_key_is_judged_under_an_invalid_or_missing_kind(self, kind):
+        # beta: 7 is out of range, but only a greedy selection has a beta
+        errors = self.errors(MINIMAL.replace("kind: greedy\n  beta: 1.0", f"{kind}beta: 7"))
+        assert len(errors) == 1 and errors[0].startswith("selection.kind: ")
+
+    def test_null_truncation_is_refused_on_every_model(self):
+        text = MINIMAL.replace("kind: greedy\n  beta: 1.0",
+                               "kind: random\n  family: {kind: log}\n  truncation: null")
+        assert self.errors(text) == ["selection.truncation: expected a mapping, got NoneType"]
+
+    def test_null_value_gets_its_checks_message(self):
+        text = MINIMAL.replace("[1.0, 0.5]", "null")
+        assert self.errors(text) == ["problem.coefficients: expected a list or an index mapping"]
+
+
+def _keys_by_section(schema, path=""):
+    """(section path, every key it names, shared or of a kind) of ``schema``."""
+    kinds = schema.get("kind", {})
+    keys = [key.rstrip("?") for key in schema] + [
+        key.rstrip("?") for own in kinds.values() for key in own]
+    yield path, keys
+    for rules in [schema, *kinds.values()]:
+        for key, rule in rules.items():
+            if isinstance(rule, dict) and key != "kind":
+                yield from _keys_by_section(rule, config_module._join(path, key.rstrip("?")))
+
+
+def test_schema_names_each_key_once():
+    sections = dict(_keys_by_section(config_module._SCHEMA))
+    for path, keys in sections.items():
+        assert len(keys) == len(set(keys)), path
+    assert sections["selection"] == ["kind", "sequence", "beta", "pool", "family", "truncation"]
+
 
 class TestRoundTrip:
     def test_serialize_reparses_equal(self):
