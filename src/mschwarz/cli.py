@@ -10,6 +10,7 @@ the library rejects.
 """
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
@@ -297,11 +298,7 @@ def _cmd_rate(config, args):
 
 def _error_after(model, state, res, alpha, omega):
     """The error after one step applied to a copy of ``state``."""
-    clone = model.new_state()
-    clone.u = state.u.copy()
-    if hasattr(state, "w"):
-        clone.w = state.w.copy()
-    clone.steps = state.steps
+    clone = copy.deepcopy(state)
     model.apply_update(clone, res, alpha, omega)
     return model.error(clone)
 

@@ -30,8 +30,6 @@ class DiagonalModel:
     which is also d.Ad; the record needs no ``d`` or ``Ad``.
     """
 
-    uniform_bound = 1.0
-
     def __init__(self, coefficients):
         if isinstance(coefficients, dict):
             items = sorted((int(i), float(v)) for i, v in coefficients.items())
@@ -116,13 +114,10 @@ class DiagonalModel:
 
     # -- conversions --------------------------------------------------------
 
-    def to_dense(self, n=None):
-        """Dense embedding on R^n with A = I and coordinate components."""
-        top = int(self.support_indices.max()) if self.support_indices.size else 1
-        if n is None:
-            n = top
-        if n < top:
-            raise ValueError(f"embedding dimension {n} below largest support index {top}")
+    def to_dense(self):
+        """Dense embedding on R^n, n the largest support index, with A = I
+        and coordinate components."""
+        n = int(self.support_indices.max()) if self.support_indices.size else 1
         b = np.zeros(n)
         b[self.support_indices - 1] = self.coefficients
         problem = Problem(np.eye(n), b)

@@ -48,14 +48,12 @@ class ExplicitDistribution:
         """The vector (pi_1, ..., pi_N) for N <= n."""
         return self.probs[:N]
 
-    def sample(self, rng, size=None):
-        if size is None:
-            # the draw and the index of sample_from_uniform, on a scalar:
-            # bisect_right on the table is searchsorted(side="right") without
-            # numpy's call overhead, and reads the array itself, no copy
-            pos = bisect.bisect_right(self._cum, rng.random())
-            return min(pos, self.n - 1) + 1
-        return self.sample_from_uniform(np.atleast_1d(rng.random(size)))
+    def sample(self, rng):
+        # the draw and the index of sample_from_uniform, on a scalar:
+        # bisect_right on the table is searchsorted(side="right") without
+        # numpy's call overhead, and reads the array itself, no copy
+        pos = bisect.bisect_right(self._cum, rng.random())
+        return min(pos, self.n - 1) + 1
 
     def sample_from_uniform(self, u):
         pos = np.searchsorted(self._cum, u, side="right")
@@ -155,9 +153,8 @@ class _SeriesDistribution:
     def support_bound(self):
         return None
 
-    def sample(self, rng, size=None):
-        idx = self.sample_from_uniform(np.atleast_1d(rng.random(size)))
-        return int(idx[0]) if size is None else idx
+    def sample(self, rng):
+        return int(self.sample_from_uniform(rng.random())[0])
 
     def sample_from_uniform(self, u):
         u = np.atleast_1d(u)
@@ -240,42 +237,15 @@ class PowerLawDistribution(_SeriesDistribution):
         return (N + 1.0) ** -self.s / (self.s * self.Z)
 
 
-def _log_family_constant():
-    """Z = sum_i 1/(i log^2(i+1)) by direct summation plus an
-    Euler-Maclaurin tail.
-
-    The tail integral is split as 1/(x log^2(x+1)) =
-    1/((x+1) log^2(x+1)) + 1/(x(x+1) log^2(x+1)); the first part has the
-    exact antiderivative -1/log(x+1) and the remainder decays like x^{-2},
-    which numerical quadrature handles reliably (direct quadrature of the
-    full integrand over [N, inf) silently loses several digits).
-    """
-    import mpmath as mp
-
-    N = 1_000_000
-    i = np.arange(1, N + 1, dtype=float)
-    head = float(np.sum(np.sort(1.0 / (i * np.log(i + 1.0) ** 2))))
-    with mp.workdps(40):
-        a = mp.mpf(N + 1)
-        f = lambda x: 1 / (x * mp.log(x + 1) ** 2)
-        integral = 1 / mp.log(a + 1) + mp.quad(
-            lambda x: 1 / (x * (x + 1) * mp.log(x + 1) ** 2),
-            [a, 10 * a, 1000 * a, mp.inf],
-        )
-        tail = integral + f(a) / 2 - mp.diff(f, a) / 12
-    return head + float(tail)
-
-
 class LogFamilyDistribution(_SeriesDistribution):
-    """pi_i = c / (i log^2(i+1)); heavy-tailed, in every ell^1 neighborhood."""
+    """pi_i = c / (i log^2(i+1)); heavy-tailed, in every ell^1 neighborhood.
 
-    _Z_cache = None
+    Z = 1/c = sum_i 1/(i log^2(i+1)) is stored as a float; a test derives
+    it again (a direct sum plus an Euler-Maclaurin tail) and compares the
+    bits.
+    """
 
-    def __init__(self):
-        if LogFamilyDistribution._Z_cache is None:
-            LogFamilyDistribution._Z_cache = _log_family_constant()
-        self.Z = LogFamilyDistribution._Z_cache
-        super().__init__()
+    Z = 3.387735531952002
 
     def _terms(self, i):
         i = np.asarray(i, dtype=float)

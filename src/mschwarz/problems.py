@@ -214,11 +214,6 @@ class Problem:
         """The rows ``r`` (a slice) of A as a dense array."""
         return _band_block(self._band_tiles(r.start, r.stop), r, slice(0, self.n))
 
-    def _factor_columns(self, c):
-        """The columns ``c`` (a slice) of the clean lower Cholesky factor L
-        of A as a dense array, rebuilt from its tiles."""
-        return _band_block(self._L_band, slice(0, self.n), c)
-
 
 def energy_norm(problem, v):
     """Energy norm sqrt(v^T A v) of a vector."""
@@ -372,9 +367,11 @@ class FiniteSplitting:
     a uniform grid) are given one shared copy of the form and its factor.
 
     A splitting belongs to the problem it was built for: Lambda and the
-    stability spectrum computed from the pair are cached on it.  No n x n
-    array is: each set-up function builds the additive Schwarz sum it needs
-    and consumes it (see :func:`additive_schwarz_sum`).
+    stability spectrum computed from the pair are cached on it, so the
+    functions that take the pair refuse any other problem (see
+    :meth:`check_problem`).  No n x n array is cached: each set-up
+    function builds the additive Schwarz sum it needs and consumes it (see
+    :func:`additive_schwarz_sum`).
     """
 
     def __init__(self, problem, components):
@@ -404,8 +401,15 @@ class FiniteSplitting:
             raise UnstableSplittingError(
                 "component ranges do not span the space (rank-deficient splitting)"
             )
+        self.problem = problem
         self._lambda = None
         self._spectrum = None
+
+    def check_problem(self, problem):
+        """Raise ``ValueError`` unless ``problem`` is the one the splitting
+        was built for."""
+        if problem is not self.problem:
+            raise ValueError("the splitting was built for another problem")
 
     def __iter__(self):
         return iter(self.components)
@@ -452,6 +456,7 @@ def uniform_bound_lambda(problem, splitting):
     (Galerkin block, local form) pair: the overlapping blocks of a uniform
     grid share one, and equal inputs give equal eigenvalues.
     """
+    splitting.check_problem(problem)
     if splitting._lambda is None:
         lams = {}
         for c in splitting:
@@ -590,6 +595,7 @@ def stability_constants(problem, splitting):
     rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
     rather than raised.
     """
+    splitting.check_problem(problem)
     if splitting._spectrum is None:
         from ._kernels import eigvalsh
 
@@ -734,6 +740,7 @@ class MatrixSchwarzModel:
     refresh_every = 1000
 
     def __init__(self, problem, splitting):
+        splitting.check_problem(problem)
         self.problem = problem
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))

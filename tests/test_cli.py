@@ -649,6 +649,18 @@ def test_numpy_random_loaded_only_by_runs_that_draw(tmp_path, command, text, dra
         assert not [m for m in DRAW_MODULES if m in modules]
 
 
+LOG_FAMILY_RUN = POWER_LAW_EXPECT.replace("kind: power_law\n    s: 0.5", "kind: log")
+
+
+def test_log_family_run_leaves_mpmath_unloaded(tmp_path):
+    """The log family's constant is a stored float, so a run with it
+    computes nothing with mpmath."""
+    assert "kind: log" in LOG_FAMILY_RUN
+    modules = modules_after(tmp_path, "run", LOG_FAMILY_RUN)
+    assert "mschwarz.distributions" in modules
+    assert "mpmath" not in modules
+
+
 def test_scipy_linalg_imports_after_a_poisson_run(tmp_path):
     """A process that imports ``scipy.linalg`` after a Poisson run gets a
     working package, built on the compiled module the run loaded, with

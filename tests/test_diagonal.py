@@ -22,7 +22,6 @@ class TestModelBasics:
     def test_single_coefficient(self):
         model = make_diagonal({1: 1.0})
         assert model.solution_norm() == 1.0
-        assert model.uniform_bound == 1.0
 
     def test_sparse_indices(self):
         model = make_diagonal({3: 0.5, 10: -0.2})

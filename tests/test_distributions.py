@@ -26,8 +26,7 @@ class Replay:
     def __init__(self, values):
         self.values = collections.deque(values)
 
-    def random(self, size=None):
-        assert size is None
+    def random(self):
         return self.values.popleft()
 
 
@@ -48,7 +47,7 @@ class TestExplicit:
     def test_point_mass_always_samples_one(self):
         d = ExplicitDistribution([1.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        draws = d.sample(rng, size=1000)
+        draws = d.sample_from_uniform(rng.random(1000))
         assert np.all(draws == 1)
 
     def test_scalar_sample_is_the_array_sample_of_the_same_draw(self):
@@ -65,9 +64,10 @@ class TestExplicit:
             assert type(got) is int
             assert got == int(d.sample_from_uniform(np.array([v]))[0])
         assert not rng.values
-        # one draw per sample: the stream continues as after a size-1 sample
+        # one draw per sample: the stream continues as after a size-1 draw
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        assert [d.sample(a) for _ in range(50)] == [int(d.sample(b, size=1)[0]) for _ in range(50)]
+        assert ([d.sample(a) for _ in range(50)]
+                == [int(d.sample_from_uniform(b.random(1))[0]) for _ in range(50)])
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("make", [
@@ -102,7 +102,7 @@ class TestExplicit:
         # 1e6 draws from uniform{1..4}: 4-sigma band around 0.25
         d = uniform_distribution(4)
         rng = np.random.default_rng(42)
-        draws = d.sample(rng, size=1_000_000)
+        draws = d.sample_from_uniform(rng.random(1_000_000))
         for i in range(1, 5):
             freq = np.mean(draws == i)
             assert 0.2485 <= freq <= 0.2515
@@ -138,7 +138,7 @@ class TestPowerLaw:
         # Kolmogorov distance < 0.002 at 1e6 draws
         d = PowerLawDistribution(1.0)
         rng = np.random.default_rng(7)
-        draws = d.sample(rng, size=1_000_000)
+        draws = d.sample_from_uniform(rng.random(1_000_000))
         top = int(draws.max())
         counts = np.bincount(draws, minlength=top + 1)[1:]
         empirical = np.cumsum(counts) / draws.size
@@ -201,7 +201,41 @@ class TestZetaPort:
         assert PowerLawDistribution(s).Z == float(zeta(1.0 + s)), _versions()
 
 
+def _log_family_constant():
+    """Z = sum_i 1/(i log^2(i+1)) by direct summation plus an
+    Euler-Maclaurin tail.
+
+    The tail integral is split as 1/(x log^2(x+1)) =
+    1/((x+1) log^2(x+1)) + 1/(x(x+1) log^2(x+1)); the first part has the
+    exact antiderivative -1/log(x+1) and the remainder decays like x^{-2},
+    which numerical quadrature handles reliably (direct quadrature of the
+    full integrand over [N, inf) silently loses several digits).
+    """
+    import mpmath as mp
+
+    N = 1_000_000
+    i = np.arange(1, N + 1, dtype=float)
+    head = float(np.sum(np.sort(1.0 / (i * np.log(i + 1.0) ** 2))))
+    with mp.workdps(40):
+        a = mp.mpf(N + 1)
+        f = lambda x: 1 / (x * mp.log(x + 1) ** 2)
+        integral = 1 / mp.log(a + 1) + mp.quad(
+            lambda x: 1 / (x * (x + 1) * mp.log(x + 1) ** 2),
+            [a, 10 * a, 1000 * a, mp.inf],
+        )
+        tail = integral + f(a) / 2 - mp.diff(f, a) / 12
+    return head + float(tail)
+
+
 class TestLogFamily:
+    def test_constant_is_its_derivation(self):
+        """The stored Z has the bits of its derivation, so every table and
+        printed number built from it is the derived constant's."""
+        import mpmath
+
+        assert LogFamilyDistribution.Z == _log_family_constant(), (
+            f"numpy {np.__version__}, mpmath {mpmath.__version__}")
+
     def test_normalization_bracketed_by_integral_bounds(self):
         # for the decreasing density f(x) = 1/(x log^2(x+1)) the raw tail sum
         # beyond N is bracketed by integral_{N+1}^inf f and integral_N^inf f;
@@ -223,7 +257,7 @@ class TestLogFamily:
     def test_sampling_heavy_tail(self):
         d = LogFamilyDistribution()
         rng = np.random.default_rng(3)
-        draws = d.sample(rng, size=10_000)
+        draws = d.sample_from_uniform(rng.random(10_000))
         assert draws.min() >= 1
         assert draws.max() > 100  # heavy tail reaches far out
 

@@ -405,6 +405,39 @@ class TestStability:
         )
 
 
+class TestSplittingBelongsToItsProblem:
+    """Lambda and the spectrum are cached on the splitting, so a splitting
+    serves only the problem it was built for: for another problem the
+    cached values would be the first problem's."""
+
+    @staticmethod
+    def split(problem):
+        eye = np.eye(4)
+        return FiniteSplitting(problem, [SplittingComponent(1, eye[:, :2], np.eye(2)),
+                                         SplittingComponent(2, eye[:, 2:], np.eye(2))])
+
+    def test_another_problem_is_refused(self):
+        p1 = Problem(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+        p2 = Problem(np.diag([10.0, 2.0, 3.0, 40.0]), np.ones(4))
+        splitting = self.split(p1)
+        assert uniform_bound_lambda(p1, splitting) == pytest.approx(2.0, abs=1e-12)
+        sc = stability_constants(p1, splitting)
+        assert [sc.lam_min, sc.lam_max] == pytest.approx([1.0, 4.0], abs=1e-12)
+        for call in (uniform_bound_lambda, stability_constants, MatrixSchwarzModel):
+            with pytest.raises(ValueError, match="another problem"):
+                call(p2, splitting)
+        # p2's own splitting gets p2's constants
+        own = self.split(p2)
+        assert uniform_bound_lambda(p2, own) == pytest.approx(np.sqrt(40.0), abs=1e-12)
+        sc = stability_constants(p2, own)
+        assert [sc.lam_min, sc.lam_max] == pytest.approx([2.0, 40.0], abs=1e-12)
+
+    def test_an_equal_copy_is_another_problem(self):
+        A, b = np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4)
+        with pytest.raises(ValueError, match="another problem"):
+            MatrixSchwarzModel(Problem(A, b), self.split(Problem(A, b)))
+
+
 TWO_LEVEL = {"kind": "two_level", "coarse_stride": 8, "block_size": 16, "overlap": 4}
 
 
@@ -1292,9 +1325,10 @@ class TestLeanSetup:
         problem, _ = SETUP_CASES[case]()
         n = problem.n
         L = cholesky(problem.A, lower=True)
-        assert_same_bits(problem._factor_columns(slice(0, n)), L)
+        rows = slice(0, n)
+        assert_same_bits(problems_module._band_block(problem._L_band, rows, rows), L)
         for c in problems_module._slabs(n):
-            assert_same_bits(problem._factor_columns(c), L[:, c])
+            assert_same_bits(problems_module._band_block(problem._L_band, rows, c), L[:, c])
         # the solve on cho_factor's factor, whose upper triangle holds A
         want = cho_solve(cho_factor(problem.A, lower=True), problem.b)
         assert np.array_equal(problem.exact_solution, want)
