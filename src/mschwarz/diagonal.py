@@ -121,9 +121,7 @@ class DiagonalModel:
         b = np.zeros(n)
         b[self.support_indices - 1] = self.coefficients
         problem = Problem(np.eye(n), b)
-        components = [
-            SplittingComponent(i + 1, np.eye(n)[:, [i]], np.eye(1)) for i in range(n)
-        ]
+        components = [SplittingComponent(i + 1, np.eye(n, 1, -i), np.eye(1)) for i in range(n)]
         return problem, FiniteSplitting(problem, components)
 
 

@@ -117,8 +117,9 @@ class _SeriesDistribution:
         return ValueError(f"partial-sum table would exceed {self._table_limit} entries")
 
     def check_table_fits(self, budget):
-        """Raise the table-limit error at once if the smallest N with a tail
-        of at most ``budget`` lies past ``_table_limit``.
+        """Refuse a budget below 2^-53, the resolution of a computed tail,
+        and raise the table-limit error at once if the smallest N with a
+        tail of at most ``budget`` lies past ``_table_limit``.
 
         ``_tail_floor(N)``, a closed-form lower bound on the tail beyond N,
         is then above the budget at the limit; the cutoff search would
@@ -128,6 +129,11 @@ class _SeriesDistribution:
         ``_search_cutoff``), so it never builds a larger table, and a tail
         above the budget there already sends its next probe past the limit.
         """
+        # a computed tail 1 - cum is 0 or at least 2^-53 (Sterbenz), so
+        # only a tail rounded off to 0 would meet a smaller budget
+        if budget < 2.0 ** -53:
+            raise ValueError(f"tail budget {budget:.3g} is below 2^-53, the resolution "
+                             "of a computed tail 1 - (pi_1 + ... + pi_N)")
         floor = self._tail_floor(1 << (self._table_limit.bit_length() - 1))
         if floor > budget * (1.0 + _FLOOR_REL_SLACK) + _FLOOR_ABS_SLACK:
             raise self._limit_error()
@@ -226,6 +232,9 @@ class PowerLawDistribution(_SeriesDistribution):
             raise ValueError(f"power-law exponent s={s} must be positive and finite")
         self.s = float(s)
         self.Z = _zeta(1.0 + self.s)
+        if not math.isfinite(self.Z):
+            raise ValueError(f"power-law exponent s={s} is too small: 1 + s rounds to 1, "
+                             "where the normalizing zeta(1 + s) is infinite")
         super().__init__()
 
     def _terms(self, i):

@@ -2,8 +2,9 @@
 
 A = (n+1)^2 tridiag(-1, 2, -1) on the interior grid points of (0, 1), right
 hand side from f = 1 sampled on the grid.  Splittings are overlapping
-coordinate blocks (exact local forms A_i = R_i^T A R_i, stored by their index
-range), optionally augmented with a coarse linear-interpolation component.
+coordinate blocks (exact local forms A_i = R_i^T A R_i, stored as their row
+range with no block), optionally augmented with a coarse linear-interpolation
+component, whose hats leave no row zero: its block is all of R.
 """
 
 from types import SimpleNamespace

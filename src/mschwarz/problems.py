@@ -210,9 +210,10 @@ class Problem:
             np.dot(tile, v[cols], out=out[rows])
         return out
 
-    def _rows(self, r):
-        """The rows ``r`` (a slice) of A as a dense array."""
-        return _band_block(self._band_tiles(r.start, r.stop), r, slice(0, self.n))
+    def _rows(self, r, c=None):
+        """The rows ``r`` and columns ``c`` (slices; all columns by default)
+        of A as a dense array."""
+        return _band_block(self._band_tiles(r.start, r.stop), r, c or slice(0, self.n))
 
 
 def energy_norm(problem, v):
@@ -243,10 +244,16 @@ class BlockResidual:
 
 
 class SplittingComponent:
-    """One component of a splitting: restriction R_i and local SPD form A_i."""
+    """One component of a splitting: restriction R_i and local SPD form A_i.
 
-    # coordinates a CoordinateBlock covers; None when R is a dense matrix
-    span = None
+    R_i is stored as ``rows``, the slice [lo, hi) from its first nonzero
+    row to its last, and ``block``, those rows of R_i as a dense array, or
+    None for the identity (a :class:`CoordinateBlock`); the dense n-row R
+    is built only on request.  Prolongation has the bits of ``R @ r``.  So
+    has restriction, unless R has several nonzeros in a column and [lo, hi)
+    is not all of R^n: it then sums over [lo, hi) alone, which may round
+    the last bits of ``R.T @ g`` differently.
+    """
 
     def __init__(self, index, R, A_local):
         R = np.asarray(R, dtype=float)
@@ -260,8 +267,11 @@ class SplittingComponent:
             )
         if not np.any(np.abs(R).max(axis=0) > 0.0):
             raise ValueError(f"component {index}: R has trivial range")
-        self.R = R
+        nonzero = np.flatnonzero(R.any(axis=1))
         self.n = R.shape[0]
+        self.rows = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+        # a copy in R's layout: the products round as R's, and R is not kept
+        self.block = R[self.rows].copy(order="K")
         self._set_local_form(index, A_local)
 
     def _set_local_form(self, index, A_local):
@@ -279,22 +289,36 @@ class SplittingComponent:
         self.A_local = A_local
         self.dim = A_local.shape[0]
 
+    @property
+    def R(self):
+        R = np.zeros((self.n, self.dim))
+        R[self.rows] = np.eye(self.dim) if self.block is None else self.block
+        return R
+
     def restrict(self, g):
         """R_i^T g."""
-        return self.R.T @ g
+        return g[self.rows] if self.block is None else self.block.T @ g[self.rows]
 
     def prolong(self, r):
-        """R_i r."""
-        return self.R @ r
+        """R_i r, a dense block's rows written in place as in :meth:`Problem._matvec`."""
+        d = np.zeros(self.n)
+        if self.block is None:
+            d[self.rows] = r
+        else:
+            np.dot(self.block, r, out=d[self.rows])
+        return d
 
     def galerkin(self, problem):
-        """R_i^T A R_i, with A R_i computed in the row slabs of
-        :func:`_slabs`, each from a slab of A's rows: the bits of
+        """R_i^T A R_i from A[rows, rows], for a dense block with A R_i in
+        the row slabs of :func:`_slabs`: on all rows the bits of
         ``R.T @ (A @ R)`` without the dense A."""
-        AR = np.empty((self.n, self.dim))
-        for r in _slabs(self.n):
-            AR[r] = problem._rows(r) @ self.R
-        return self.R.T @ AR
+        if self.block is None:
+            return problem._rows(self.rows, self.rows)
+        lo = self.rows.start
+        AR = np.empty(self.block.shape)
+        for r in _slabs(len(AR)):
+            AR[r] = problem._rows(slice(lo + r.start, lo + r.stop), self.rows) @ self.block
+        return self.block.T @ AR
 
     def solve_local(self, rhs):
         x, info = self._potrs(self._chol, rhs, lower=1)
@@ -316,13 +340,10 @@ class SplittingComponent:
 
 
 class CoordinateBlock(SplittingComponent):
-    """The component R = I[:, start:stop] of R^n, stored as its coordinate range.
-
-    Restriction is the slice g[start:stop] and prolongation a scatter into a
-    zero vector.  Both give exactly the values of the dense products R^T g
-    and R r (each entry is one term times 1 plus exact zeros), so a run on
-    blocks is bit-identical to one on the dense R, which is built only on
-    request.
+    """The component R = I[:, start:stop] of R^n: ``rows`` [start, stop)
+    and ``block`` None.  Restriction is a slice and prolongation a scatter,
+    exactly the values of R^T g and R r, so a run on blocks is
+    bit-identical to one on the dense R.
     """
 
     def __init__(self, index, n, start, stop, A_local):
@@ -335,24 +356,9 @@ class CoordinateBlock(SplittingComponent):
                 f"{A_local.shape[0]}x{A_local.shape[1]}"
             )
         self.n = n
-        self.span = slice(start, stop)
+        self.rows = slice(start, stop)
+        self.block = None
         self._set_local_form(index, A_local)
-
-    @property
-    def R(self):
-        return np.eye(self.n, self.dim, -self.span.start)
-
-    def restrict(self, g):
-        return g[self.span]
-
-    def prolong(self, r):
-        d = np.zeros(self.n)
-        d[self.span] = r
-        return d
-
-    def galerkin(self, problem):
-        # a copy, so that the rows it is cut from are freed
-        return problem._rows(self.span)[:, self.span].copy()
 
 
 class FiniteSplitting:
@@ -391,8 +397,8 @@ class FiniteSplitting:
         for c in self.components:
             if c.n != problem.n:
                 raise ValueError(f"component {c.index} acts on R^{c.n}, the problem on R^{problem.n}")
-            if c.span is not None:
-                covered[c.span] = True
+            if c.block is None:
+                covered[c.rows] = True
         # coordinate blocks covering every coordinate span the space by
         # themselves; otherwise the stacked ranges need a rank check
         if not covered.all() and np.linalg.matrix_rank(
@@ -501,20 +507,22 @@ def _slabs(n):
 def additive_schwarz_sum(problem, splitting):
     """The symmetric part S = sum_i R_i A_i^{-1} R_i^T of the additive operator.
 
-    A new n x n array, not kept: the caller consumes it in place.  The term
-    of a dense R is added in row slabs, ``S[r] += R[r] @ X`` with
-    X = A_i^{-1} R^T, which has the bits of ``S += R @ X`` without its
-    n x n temporary.
+    A new n x n array, not kept: the caller consumes it in place.  Each
+    term is added on its rows and columns [lo, hi), ``S[rows, rows]``: the
+    inverse A_i^{-1} for the identity block, and for a dense block B the
+    product B X with X = A_i^{-1} B^T, in row slabs of B, which over all
+    of R^n has the bits of ``S += R @ X`` without its n x n temporary.
     """
     n = problem.n
     S = np.zeros((n, n))
     for c in splitting:
-        if c.span is not None:
-            S[c.span, c.span] += c.solve_local(np.eye(c.dim))
+        term = S[c.rows, c.rows]
+        if c.block is None:
+            term += c.solve_local(np.eye(c.dim))
         else:
-            X = c.solve_local(c.R.T)
-            for r in _slabs(n):
-                S[r] += c.R[r] @ X
+            X = c.solve_local(c.block.T)
+            for r in _slabs(len(term)):
+                term[r] += c.block[r] @ X
     return S
 
 
@@ -716,7 +724,7 @@ class MatrixSchwarzModel:
     once.
 
     The greedy pool scan works on factor groups: components that restrict
-    alike (all coordinate blocks or all dense R) and whose local forms and
+    alike (all identity blocks or all dense ones) and whose local forms and
     stored Cholesky factors are byte-equal (all overlapping blocks of a
     uniform Poisson grid) share one.  Per group a scan gathers the local
     right-hand sides as the columns of one matrix, solves them with one
@@ -745,13 +753,18 @@ class MatrixSchwarzModel:
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))
         self._solution_norm = energy_norm(problem, problem.exact_solution)
-        self._tiles = [problem._band_tiles(*self._reached_rows(c)) for c in splitting]
+        # the rows of A that A R_i r can reach: R_i r vanishes off the rows
+        # [lo, hi) of R_i and A is symmetric, so they are the stored columns
+        # of those rows of A, O(nnz)
+        indptr, indices, _ = problem._A_csr
+        reached = [indices[indptr[c.rows.start]:indptr[c.rows.stop]] for c in splitting]
+        self._tiles = [problem._band_tiles(int(cols.min()), int(cols.max()) + 1) for cols in reached]
         # the scan plan of all components: per column block of a factor
         # group its component positions, its components and the coordinate
-        # gather array (None for dense R); per component its (block, row)
+        # gather array (None for dense blocks); per component its (block, row)
         groups = {}
         for k, c in enumerate(splitting):
-            key = (c.span is None, c.A_local.tobytes(), c._chol.tobytes())
+            key = (c.block is None, c.A_local.tobytes(), c._chol.tobytes())
             groups.setdefault(key, []).append(k)
         self._blocks, self._where = [], [None] * splitting.N
         for ks in groups.values():
@@ -760,9 +773,8 @@ class MatrixSchwarzModel:
             for b in range(0, len(ks), width):
                 block = ks[b:b + width]
                 comps = [splitting.components[k] for k in block]
-                gather = None
-                if comps[0].span is not None:
-                    gather = np.array([c.span.start for c in comps])[:, None] + np.arange(dim)
+                gather = (np.array([c.rows.start for c in comps])[:, None] + np.arange(dim)
+                          if comps[0].block is None else None)
                 for j, k in enumerate(block):
                     self._where[k] = (len(self._blocks), j)
                 self._blocks.append((np.array(block), comps, gather))
@@ -772,19 +784,6 @@ class MatrixSchwarzModel:
         self._e = np.empty(problem.n)
         self._Ae = np.empty(problem.n)
         self._csr_matvec = csr_matvec
-
-    def _reached_rows(self, component):
-        """The rows [lo, hi) of A on which A R_i r can be nonzero.
-
-        R_i r vanishes off the nonzero rows of R_i and A is symmetric, so
-        the stored columns of those rows of A are the rows reached: O(nnz).
-        """
-        indptr, indices, _ = self.problem._A_csr
-        if component.span is not None:
-            cols = indices[indptr[component.span.start]:indptr[component.span.stop]]
-        else:
-            cols = indices[np.repeat(component.R.any(axis=1), np.diff(indptr))]
-        return int(cols.min()), int(cols.max()) + 1
 
     def component_count(self):
         return self.splitting.N

@@ -652,6 +652,30 @@ def test_numpy_random_loaded_only_by_runs_that_draw(tmp_path, command, text, dra
 LOG_FAMILY_RUN = POWER_LAW_EXPECT.replace("kind: power_law\n    s: 0.5", "kind: log")
 
 
+@pytest.mark.parametrize("command", ["run", "expect"])
+@pytest.mark.parametrize("old, new, message", [
+    ("s: 0.5", "s: 1.0e-300", "power-law exponent s=1e-300 is too small"),
+    ("s: 0.5\n  truncation:\n    D: 1.0", "s: 2.0\n  truncation:\n    D: 1.0e-300",
+     "tail budget 3.54e-301 is below 2^-53"),
+], ids=["s-1e-300", "s-2-D-1e-300"])
+def test_unresolvable_power_law_exits_two_with_a_small_table(tmp_path, capsys, monkeypatch,
+                                                             command, old, new, message):
+    """An exponent whose constant zeta(1 + s) is infinite, and a tail
+    budget below 2^-53, exit 2 before the partial-sum table grows past
+    its 64 initial entries."""
+    sizes = []
+    extend = distributions_module._SeriesDistribution._extend_to
+    monkeypatch.setattr(distributions_module._SeriesDistribution, "_extend_to",
+                        lambda self, N: sizes.append(N) or extend(self, N))
+    text = POWER_LAW_EXPECT.replace(old, new)
+    assert new in text
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: {message}"), err
+    assert max(sizes, default=0) <= 64
+
+
 def test_log_family_run_leaves_mpmath_unloaded(tmp_path):
     """The log family's constant is a stored float, so a run with it
     computes nothing with mpmath."""

@@ -134,6 +134,17 @@ class TestPowerLaw:
         with pytest.raises(ValueError, match="finite"):
             PowerLawDistribution(s)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-16])
+    def test_rejects_exponent_whose_constant_is_infinite(self, monkeypatch, s):
+        """1 + s rounds to 1, where zeta is infinite: refused before any
+        table is built, which would read pi_i = 0 and a tail floor of 0."""
+        monkeypatch.setattr(PowerLawDistribution, "_terms", lambda self, i: pytest.fail("table"))
+        with pytest.raises(ValueError, match=r"1 \+ s rounds to 1"):
+            PowerLawDistribution(s)
+
+    def test_smallest_exponents_with_a_finite_constant(self):
+        assert math.isfinite(PowerLawDistribution(2e-16).Z)
+
     def test_empirical_cdf_matches_analytic(self):
         # Kolmogorov distance < 0.002 at 1e6 draws
         d = PowerLawDistribution(1.0)
@@ -573,6 +584,27 @@ class TestTableLimitFailsFast:
                 # a floor at the limit itself would have let the table grow
                 between += budget >= floor_at_limit
         assert searched > 0 and early > 0 and between > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: PowerLawDistribution(2.0),
+        lambda: PowerLawDistribution(9.0),
+        LogFamilyDistribution,
+    ], ids=["power-law-2", "power-law-9", "log-family"])
+    def test_budget_below_the_tail_resolution_raises_before_the_table_grows(self, make):
+        """A computed tail 1 - cum is 0 or at least 2^-53, so a smaller
+        budget is met only where the tail rounds off to 0: at s = 2 past
+        31 million entries."""
+        base = make()
+        with pytest.raises(ValueError, match=r"below 2\^-53, the resolution of a computed tail"):
+            TruncatedSchedule(base, 1e-300).cutoff(0)
+        with pytest.raises(ValueError, match=r"below 2\^-53"):
+            distributions._search_cutoff(base, np.nextafter(2.0 ** -53, 0.0), 1)
+        assert base._cum.size == 64
+
+    def test_budget_at_the_tail_resolution_is_searched(self):
+        base = PowerLawDistribution(9.0)
+        N = distributions._search_cutoff(base, 2.0 ** -53, 1)
+        assert base.tail_mass(N) <= 2.0 ** -53 < base.tail_mass(N - 1)
 
     def test_log_family_at_d_001_raises_before_the_table_grows(self):
         base = LogFamilyDistribution()

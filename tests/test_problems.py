@@ -447,6 +447,35 @@ def dense_copy(problem, splitting):
     return FiniteSplitting(problem, comps)
 
 
+HAT_STARTS = (19, 59)
+
+
+def interior_hats(n, lo, width, count):
+    """``count`` hats of half-width ``width`` on the rows of R^n from ``lo``
+    on, each overlapping the next by half: a dense R whose nonzero rows are
+    a partial range and whose columns have several nonzero entries."""
+    R = np.zeros((n, count))
+    ramp = 1.0 - np.abs(np.arange(1 - width, width)) / width
+    for k in range(count):
+        centre = lo + (k + 1) * width
+        R[centre - width + 1:centre + width, k] = ramp
+    return R
+
+
+def poisson_with_interior_hats():
+    """The "blocks-128" splitting plus two dense components of three
+    interior hats each, on the rows [20, 59) and [60, 99).  A is the same
+    along its interior, so both take the Galerkin form of the first: one
+    factor group of two dense blocks."""
+    problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["blocks-128"])
+    R = interior_hats(128, 19, 10, 3)
+    form = R.T @ problem.A @ R
+    comps = list(splitting)
+    for lo in HAT_STARTS:
+        comps.append(SplittingComponent(len(comps) + 1, interior_hats(128, lo, 10, 3), form))
+    return problem, FiniteSplitting(problem, comps)
+
+
 class TestCoordinateBlocks:
     def test_restriction_and_prolongation_match_dense_bits(self):
         rng = np.random.default_rng(21)
@@ -462,10 +491,36 @@ class TestCoordinateBlocks:
         assert np.array_equal(block.prolong(r), dense.prolong(r))
         assert local_solve(p, block, g).r.tobytes() == local_solve(p, dense, g).r.tobytes()
 
+    def test_dense_block_on_a_partial_range(self):
+        """A dense R stores the rows from its first nonzero row to its
+        last; prolongation keeps the bits of ``R @ r``, and restriction,
+        the Galerkin block and the additive Schwarz sum the values of the
+        dense products."""
+        problem, splitting = poisson_with_interior_hats()
+        A = problem.A
+        rng = np.random.default_rng(5)
+        S = np.zeros_like(A)
+        for c, lo in zip(splitting.components[-2:], HAT_STARTS):
+            R = interior_hats(128, lo, 10, 3)
+            nonzero = np.flatnonzero(R.any(axis=1))
+            assert c.rows == slice(nonzero[0], nonzero[-1] + 1) and c.block is not None
+            assert c.block.shape == (c.rows.stop - c.rows.start, 3)
+            assert np.array_equal(c.R, R)
+            for scale in SCALES:
+                r = rng.standard_normal(3) * scale
+                assert_same_bits(c.prolong(r), R @ r)
+                g = rng.standard_normal(128) * scale
+                np.testing.assert_allclose(c.restrict(g), R.T @ g, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(c.galerkin(problem), R.T @ A @ R, rtol=1e-13, atol=0.0)
+        for c in splitting:
+            S += c.R @ c.solve_local(c.R.T)
+        np.testing.assert_allclose(additive_schwarz_sum(problem, splitting), S,
+                                   rtol=1e-12, atol=1e-14 * np.abs(S).max())
+
     def test_poisson_blocks_keep_the_dense_local_forms(self):
         problem, splitting = make_poisson_1d(64, TWO_LEVEL)
         for c in splitting:
-            if c.span is not None:
+            if c.block is None:
                 assert c.A_local.tobytes() == (c.R.T @ problem.A @ c.R).tobytes()
 
     def test_rejects_bad_range(self):
@@ -556,7 +611,7 @@ class TestFastPathPinnedToDenseLoop:
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_same_trace(self, rule, relaxation):
         problem, splitting = make_poisson_1d(128, TWO_LEVEL)
-        assert any(c.span is not None for c in splitting)
+        assert any(c.block is None for c in splitting)
         fast = MatrixSchwarzModel(problem, splitting)
         dense = MatrixSchwarzModel(problem, dense_copy(problem, splitting))
         traces = [
@@ -618,6 +673,7 @@ IMAGE_CASES = {
        for name in POISSON_SPLITTINGS},
     **{f"two-level-{n}": functools.partial(two_level, n) for n in (1000, 1023, 1025, 2100, 4096)},
     "dense-R-128": dense_two_level_128,
+    "interior-hats-128": poisson_with_interior_hats,
 }
 
 
@@ -796,13 +852,13 @@ for n in (1025, 1100, 2100):
         from the band, is the full product A @ R; so is its Galerkin block."""
         problem, splitting = make_poisson_1d(n, POISSON_SPLITTINGS["two-level-1024"][1])
         c = splitting.components[-1]
-        assert c.span is None
+        assert c.block is not None
         A = problem.A
         AR = np.concatenate([problem._rows(r) @ c.R for r in problems_module._slabs(n)])
         assert_same_bits(AR, A @ c.R)
         assert_same_bits(c.galerkin(problem), c.R.T @ (A @ c.R))
         block = splitting.components[-2]
-        assert_same_bits(block.galerkin(problem), A[block.span, block.span])
+        assert_same_bits(block.galerkin(problem), A[block.rows, block.rows])
 
     @pytest.mark.parametrize("name, steps", [("two-level-1024", 400), ("two-level-2100", 100)])
     @pytest.mark.parametrize("rule", ["greedy", "random"])
@@ -987,6 +1043,15 @@ class TestGroupedScanPinnedToLoop:
     def test_mixed_splitting_runs(self, relaxation):
         problem, splitting = mixed_splitting()
         for grouped, loop in self.runs(problem, splitting, relaxation, 40):
+            assert_same_trace(grouped, loop)
+
+    @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
+    def test_interior_hat_runs(self, relaxation):
+        problem, splitting = poisson_with_interior_hats()
+        model = MatrixSchwarzModel(problem, splitting)
+        # the two hat components make one dense factor group
+        assert sorted(len(ks) for ks, _, gather in model._blocks if gather is None) == [2]
+        for grouped, loop in self.runs(problem, splitting, relaxation, 60):
             assert_same_trace(grouped, loop)
 
     def test_mixed_splitting_scan(self):
@@ -1174,7 +1239,7 @@ def component_lambda(problem, c):
     """Lambda_i from the dense A: the Galerkin block as computed before A
     was stored as its band."""
     A = problem.A
-    G = A[c.span, c.span] if c.span is not None else c.R.T @ (A @ c.R)
+    G = A[c.rows, c.rows] if c.block is None else c.R.T @ (A @ c.R)
     w = eigh(0.5 * (G + G.T), c.A_local, eigvals_only=True)
     return float(np.sqrt(max(w[-1], 0.0)))
 
@@ -1228,8 +1293,8 @@ def verbatim_schwarz_sum(problem, splitting):
     n = problem.n
     S = np.zeros((n, n))
     for c in splitting:
-        if c.span is not None:
-            S[c.span, c.span] += c.solve_local(np.eye(c.dim))
+        if c.block is None:
+            S[c.rows, c.rows] += c.solve_local(np.eye(c.dim))
         else:
             S += c.R @ c.solve_local(c.R.T)
     return S
@@ -1429,7 +1494,7 @@ class TestLeanSetup:
         assert len(forms) == len(factors) == 2
         A = problem.A
         for c in splitting:
-            want = A[c.span, c.span] if c.span is not None else c.R.T @ A @ c.R
+            want = A[c.rows, c.rows] if c.block is None else c.R.T @ A @ c.R
             assert c.A_local.tobytes() == want.tobytes()
 
     def test_lambda_peak_memory_is_a_slab(self):
