@@ -48,7 +48,7 @@ from .problems import (
     stability_constants,
     uniform_bound_lambda,
 )
-from .solver import GreedyRule, PureRelaxation, RandomRule, iterate, run
+from .solver import GreedyRule, PureRelaxation, RandomRule, _import_numpy_random, iterate, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -363,6 +363,7 @@ def _cmd_check(config, args):
         sc = stability_constants(model.problem, model.splitting)
         results.append(("stability lam_min > 0", sc.lam_min > 0.0))
         lam = uniform_bound_lambda(model.problem, model.splitting)
+        _import_numpy_random()
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
         ok = True
         for c in model.splitting:

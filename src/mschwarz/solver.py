@@ -9,6 +9,9 @@ with alpha_m from the relaxation rule and omega_m minimizing the energy
 error along the chosen direction.
 """
 
+import random
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,45 @@ class GrowingPool:
         if model.component_count() is None:
             raise ValueError("growing pools need a finite splitting")
         return m + 1
+
+
+def _import_numpy_random():
+    """Import ``numpy.random`` without ``secrets``, ``hmac`` and OpenSSL.
+
+    ``numpy.random.bit_generator`` runs ``from secrets import randbits``,
+    which loads ``hmac`` and OpenSSL's ``_hashlib`` (3.5 MB of RSS), and
+    calls ``randbits`` only to seed a ``SeedSequence`` given no entropy.
+    Unless ``numpy.random`` or ``secrets`` is already loaded, the import
+    runs with a stand-in ``secrets`` in ``sys.modules`` whose one attribute
+    is ``random.SystemRandom().getrandbits``, the object ``secrets.py``
+    binds as ``randbits``, so an unseeded ``SeedSequence()`` still draws
+    from ``os.urandom``.  The stand-in is removed afterwards; a thread that
+    imports ``secrets`` during this one import would get it.  If numpy
+    refuses it (an ``ImportError``, say for a name it lacks), the import
+    runs again with the real module.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        import numpy.random  # noqa: F401
+        return
+    stand_in = _secrets_stand_in()
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random  # noqa: F401
+        return
+    except ImportError:
+        pass
+    finally:
+        if sys.modules.get("secrets") is stand_in:
+            del sys.modules["secrets"]
+    import numpy.random  # noqa: F401, E811
+
+
+def _secrets_stand_in():
+    """A module ``secrets`` whose one attribute, ``randbits``, is bound as
+    ``secrets.py`` binds it."""
+    module = types.ModuleType("secrets")
+    module.randbits = random.SystemRandom().getrandbits
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +122,10 @@ class RandomRule:
     """Random pick from a distribution schedule (fixed or step-dependent)."""
 
     def __init__(self, schedule):
-        # numpy loads numpy.random (and with it OpenSSL) on first use; a
-        # rule that draws loads it here, in the set-up, so that the one-time
-        # import stays out of the first step and runs that draw nothing
-        # never load it
-        import numpy.random  # noqa: F401
+        # numpy loads numpy.random on first use; a rule that draws loads it
+        # here, in the set-up, so that the one-time import stays out of the
+        # first step and runs that draw nothing never load it
+        _import_numpy_random()
         self.schedule = schedule
 
     def distribution(self, m):

@@ -568,20 +568,24 @@ def _subpackages(modules):
             and m.split(".")[1] != "version"}
 
 
+def run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter on this ``src``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def modules_after(tmp_path, command, text):
     """The names in ``sys.modules`` of a fresh interpreter after ``import
     mschwarz.cli`` and, unless ``command`` is None, ``command`` on the
     config ``text``."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys\nfrom mschwarz.cli import main\n"
     if command is not None:
         cfg = write_config(tmp_path, text)
         code += f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
     code += "print(' '.join(sorted(sys.modules)))\n"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    return out.splitlines()[-1].split()
+    return run_fresh(code).splitlines()[-1].split()
 
 
 POWER_LAW_ABOVE_NINE = POWER_LAW_EXPECT.replace("s: 0.5", "s: 9.5")
@@ -624,8 +628,9 @@ def test_scipy_modules_loaded_only_where_the_config_needs_them(
         assert name not in modules, name
 
 
-# What numpy.random loads besides itself: secrets, and through hmac OpenSSL.
-DRAW_MODULES = ["numpy.random", "secrets", "hmac", "_hashlib"]
+# What a plain import of numpy.random loads besides itself: secrets, and
+# through hmac OpenSSL.
+OPENSSL_MODULES = ["secrets", "hmac", "_hashlib"]
 POISSON_CYCLIC = POISSON_SMALL.replace("kind: greedy\n  beta: 1.0\n  pool: growing",
                                        "kind: cyclic")
 
@@ -637,16 +642,70 @@ POISSON_CYCLIC = POISSON_SMALL.replace("kind: greedy\n  beta: 1.0\n  pool: growi
     ("run", DIAG_GREEDY, False),
     ("run", POISSON_UNIFORM_RUN, True),
     ("expect", POWER_LAW_EXPECT, True),
+    # the uniform-bound certificate draws its test vectors
+    ("check", POISSON_SMALL, True),
 ], ids=["import-cli", "poisson-greedy", "poisson-cyclic", "diagonal-greedy", "poisson-uniform",
-        "diagonal-power-law-expect"])
+        "diagonal-power-law-expect", "poisson-greedy-check"])
 def test_numpy_random_loaded_only_by_runs_that_draw(tmp_path, command, text, draws):
-    """A run whose rule draws nothing loads neither numpy.random nor, for
-    the config hash, OpenSSL."""
+    """A run whose rule draws nothing loads no numpy.random, and no run
+    loads secrets, hmac or OpenSSL, neither for its draws nor for the
+    config hash."""
     modules = modules_after(tmp_path, command, text)
-    if draws:
-        assert "numpy.random" in modules
-    else:
-        assert not [m for m in DRAW_MODULES if m in modules]
+    assert ("numpy.random" in modules) == draws
+    assert not [m for m in OPENSSL_MODULES if m in modules]
+
+
+# Builds a RandomRule, which imports numpy.random, in a fresh interpreter.
+BUILD_RANDOM_RULE = """\
+import sys
+from mschwarz.distributions import uniform_distribution
+from mschwarz.solver import RandomRule
+RandomRule(uniform_distribution(3))
+import numpy as np
+"""
+
+
+class TestImportNumpyRandom:
+    """numpy.random is imported with a stand-in secrets module, which
+    leaves no trace once the import is done."""
+
+    def test_secrets_is_the_standard_library_module_afterwards(self):
+        out = run_fresh(BUILD_RANDOM_RULE + """\
+assert "secrets" not in sys.modules
+import os, secrets, sysconfig
+assert hasattr(secrets, "token_bytes")
+print(os.path.samefile(secrets.__file__,
+                       os.path.join(sysconfig.get_paths()["stdlib"], "secrets.py")))
+""")
+        assert out.split() == ["True"]
+
+    def test_unseeded_seed_sequences_draw_fresh_entropy(self):
+        out = run_fresh(BUILD_RANDOM_RULE + """\
+print(np.random.SeedSequence().entropy, np.random.SeedSequence().entropy)
+""")
+        first, second = out.split()
+        assert first != second
+
+    def test_secrets_loaded_first_is_what_numpy_binds(self):
+        out = run_fresh("import secrets\n" + BUILD_RANDOM_RULE + """\
+import numpy.random.bit_generator as bit_generator
+print(bit_generator.randbits is secrets.randbits)
+""")
+        assert out.split() == ["True"]
+
+    def test_a_refused_stand_in_falls_back_to_the_plain_import(self):
+        out = run_fresh("""\
+import sys, types
+import mschwarz.solver as solver
+solver._secrets_stand_in = lambda: types.ModuleType("secrets")
+solver._import_numpy_random()
+import numpy as np
+import numpy.random.bit_generator as bit_generator
+import secrets
+print(bit_generator.randbits is secrets.randbits, hasattr(secrets, "token_bytes"),
+      np.random.default_rng(5).integers(1000))
+""")
+        assert out.split() == ["True", "True", "670"]
 
 
 LOG_FAMILY_RUN = POWER_LAW_EXPECT.replace("kind: power_law\n    s: 0.5", "kind: log")

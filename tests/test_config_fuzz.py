@@ -3,11 +3,13 @@ through all five subcommands (generate-and-mutate after Claessen and Hughes,
 "QuickCheck", ICFP 2000).
 
 A mutation deletes a key, sets it to one of ``VALUES``, switches a kind to
-another one of the kinds ``_SCHEMA`` lists, or adds an unknown key.  Whatever
-the config, ``main`` returns 0, 1 or 2 without raising, exit 2 comes with a
-message on stderr and no traceback, and every summary it writes is strict
-JSON.  The bases are small (n <= 31, steps and trials <= 20) and ``VALUES``
-holds no valid value that costs work, so the whole sweep takes a few seconds.
+another one of the kinds ``_SCHEMA`` lists, adds an unknown key, or writes a
+key twice in its mapping.  Whatever the config, ``main`` returns 0, 1 or 2
+without raising, exit 2 comes with a message on stderr and no traceback, a
+repeated key exits 2 with "duplicated key", and every summary it writes is
+strict JSON.  The bases are small (n <= 31, steps and trials <= 20) and
+``VALUES`` holds no valid value that costs work, so the whole sweep takes a
+few seconds.
 """
 
 import contextlib
@@ -63,6 +65,38 @@ COSTLY = {"trials": [2 ** 70]}
 COMMANDS = ["run", "expect", "bounds", "rate", "check"]
 
 
+class _Twice:
+    """A mapping key that ``dump`` writes twice, with equal values."""
+
+    def __init__(self, key):
+        self.key = key
+
+
+def _represent_dict(dumper, mapping):
+    if not any(isinstance(key, _Twice) for key in mapping):
+        return dumper.represent_dict(mapping)
+    pairs = []
+    for key, value in mapping.items():
+        if isinstance(key, _Twice):
+            # a copy, so that the second value is not written as an alias
+            pairs += [(key.key, value), (key.key, copy.deepcopy(value))]
+        else:
+            pairs.append((key, value))
+    return dumper.represent_mapping("tag:yaml.org,2002:map", pairs)
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(dict, _represent_dict)
+
+
+def dump(data):
+    """``yaml.safe_dump(data)``, with every ``_Twice`` key written twice."""
+    return yaml.dump(data, Dumper=_Dumper)
+
+
 def _sections(node, schema, path=()):
     """(path, mapping, its schema or None) for every mapping in ``node``."""
     yield path, node, schema
@@ -97,6 +131,8 @@ def _mutations(base):
                     continue
                 yield (f"{where}.{key} = {value!r}",
                        variant(lambda m, k=key, v=value: m.__setitem__(k, copy.deepcopy(v))))
+            yield f"repeat {where}.{key}", variant(lambda m, k=key: m.__setitem__(_Twice(k),
+                                                                                  m.pop(k)))
         if schema is not None and "kind" in schema:
             for kind in sorted(schema["kind"]):
                 if kind != node.get("kind"):
@@ -154,7 +190,7 @@ def test_every_one_mutation_config(tmp_path, capsys, monkeypatch):
     failures = []
     with address_space_headroom(2 << 30):
         for name, label, data in CASES:
-            cfg.write_text(yaml.safe_dump(data))
+            cfg.write_text(dump(data))
             outputs = data.get("outputs")
             summary = outputs.get("summary") if isinstance(outputs, dict) else None
             summary = out / (summary if isinstance(summary, str) else "summary.json")
@@ -170,6 +206,8 @@ def test_every_one_mutation_config(tmp_path, capsys, monkeypatch):
                 err = capsys.readouterr().err
                 if code not in (0, 1, 2):
                     failures.append(f"{case}: exit {code}")
+                if label.startswith("repeat ") and (code != 2 or "duplicated key" not in err):
+                    failures.append(f"{case}: exit {code} with stderr {err!r}")
                 if code == 2 and (not err.strip() or "Traceback" in err
                                   or any(line.rstrip().endswith(":") for line in err.splitlines())):
                     failures.append(f"{case}: exit 2 with stderr {err!r}")
