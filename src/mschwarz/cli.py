@@ -5,13 +5,14 @@ exact/brute-force oracle columns when applicable), ``bounds`` (bound curves
 standalone), ``rate`` (log-log slope fit), ``check`` (invariant suite).
 Outputs are CSV traces with a JSON metadata sidecar; identical configs
 produce byte-identical files at a fixed BLAS thread count.  Exit codes: 0
-success, 1 invariant or assertion failure, 2 configuration error or input
-the library rejects.
+success, 1 invariant or assertion failure, 2 configuration error, input the
+library rejects or an output that cannot be written.
 """
 
 import argparse
 import copy
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +57,8 @@ EXIT_CONFIG = 2
 
 BOUND_SLACK = 1e-9
 CSV_BLOCK_ROWS = 4096
+# the default name of each command's CSV; ``rate`` and ``check`` write none
+_CSV_NAMES = {"run": "trace.csv", "expect": "expect.csv", "bounds": "bounds.csv"}
 
 
 def _fmt(x):
@@ -82,14 +85,17 @@ def _write_csv(path, header, columns):
             fh.write("".join(row % r for r in zip(*(col[s:s + B].tolist() for col in columns))))
 
 
-def _model_metadata(config, model):
-    """Uniform bound, stability constants and class norms for the sidecar.
+def _model_metadata(config, model, ms=None):
+    """The sidecar's metadata and the a-priori bound at each m of ``ms``.
 
-    For matrix splittings the class norms come from one explicit (minimum
-    energy) representation of u*, so they are upper estimates and flagged as
-    such; the diagonal model's norms are exact.  Returns the sidecar dict and
-    the per-component norms of that representation (None for the diagonal
-    model).
+    The sidecar holds the uniform bound, the stability constants and the
+    class norms.  For matrix splittings the class norms come from one
+    explicit (minimum energy) representation of u*, so they are upper
+    estimates and flagged as such; the diagonal model's norms are exact.
+    Returns ``(meta, bound)``: ``bound`` is (column name, values) for the
+    configured selection rule, None when ``ms`` is None or no bound applies
+    (deterministic sequences).  The random rule's bound adds its class
+    norm ``ainf_pi`` to the sidecar.
     """
     meta = {
         "tool": "mschwarz",
@@ -98,61 +104,41 @@ def _model_metadata(config, model):
         "config_hash": sha256(serialize(config).encode()).hexdigest(),
         "seed": config.data["seed"],
     }
-    block = None
+    norm_a = model.solution_norm()
     if isinstance(model, DiagonalModel):
-        meta["lambda"] = 1.0
+        lam, block = 1.0, None
         meta["stability"] = {"lam_min": 1.0, "lam_max": 1.0, "kappa": 1.0}
-        meta["a_norms"] = {
-            "norm_a": model.solution_norm(),
-            "a1": a1_norm(model),
-            "estimate": "exact",
-        }
+        meta["a_norms"] = {"norm_a": norm_a, "a1": a1_norm(model), "estimate": "exact"}
     else:
         lam = uniform_bound_lambda(model.problem, model.splitting)
         block = representation_block_norms(
             model.problem, model.splitting, model.problem.exact_solution
         )
         sc = stability_constants(model.problem, model.splitting)
-        meta["lambda"] = lam
         meta["stability"] = {
             "lam_min": sc.lam_min,
             "lam_max": sc.lam_max,
             "kappa": sc.kappa if np.isfinite(sc.kappa) else None,
         }
-        meta["a_norms"] = {
-            "norm_a": model.solution_norm(),
-            "a1": float(block.sum()),
-            "estimate": "upper-estimate",
-        }
-    return meta, block
-
-
-def _bound_values(config, model, meta, block, ms):
-    """(column name, bound at each m of ``ms``) for the configured selection
-    rule.
-
-    ``meta`` and ``block`` are what :func:`_model_metadata` returned.  Returns
-    None when no a-priori bound applies (deterministic sequences).
-    """
+        meta["a_norms"] = {"norm_a": norm_a, "a1": float(block.sum()),
+                           "estimate": "upper-estimate"}
+    meta["lambda"] = lam
     sel = config.data["selection"]
-    norm_a = meta["a_norms"]["norm_a"]
-    lam = meta["lambda"]
+    if ms is None or sel["kind"] not in ("greedy", "random"):
+        return meta, None
     if sel["kind"] == "greedy":
         spec = GreedyBoundSpec(
             norm_a=norm_a, lam=lam, beta=float(sel["beta"]), a1=meta["a_norms"]["a1"]
         )
-        return "greedy_bound", greedy_bound(ms, spec)
-    if sel["kind"] == "random":
-        _, base = config.build_distribution(model)
-        if isinstance(model, DiagonalModel):
-            ainf = ainfty_pi_norm(model, base)
-        else:
-            ainf = sup_norm_over_pi(((c.index, nrm) for c, nrm in zip(model.splitting, block)),
-                                    base)
-        meta["a_norms"]["ainf_pi"] = ainf if np.isfinite(ainf) else None  # strict JSON
-        spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
-        return "random_bound", random_bound(ms, spec)
-    return None
+        return meta, ("greedy_bound", greedy_bound(ms, spec))
+    _, base = config.build_distribution(model)
+    if block is None:
+        ainf = ainfty_pi_norm(model, base)
+    else:
+        ainf = sup_norm_over_pi(((c.index, nrm) for c, nrm in zip(model.splitting, block)), base)
+    meta["a_norms"]["ainf_pi"] = ainf if np.isfinite(ainf) else None  # strict JSON
+    spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
+    return meta, ("random_bound", random_bound(ms, spec))
 
 
 def _build(config):
@@ -162,20 +148,27 @@ def _build(config):
     return model, selection, relaxation
 
 
-def _write_outputs(config, args, meta, csv_name, header=None, columns=None, extra=None):
-    """Write the CSV (when there is a header), then the summary sidecar with
-    ``extra`` merged in, into ``--out``; print one ``wrote`` line per file."""
+def _output_paths(config, args):
+    """The files the command writes into ``--out``: its CSV, if it has one,
+    then the summary sidecar (``check`` writes neither)."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     outputs = config.data.get("outputs", {})
-    paths = []
-    if header is not None:
-        paths.append(out / outputs.get("trace", csv_name))
-        _write_csv(paths[-1], header, columns)
-    paths.append(out / outputs.get("summary", "summary.json"))
+    csv = _CSV_NAMES.get(args.command)
+    paths = [] if csv is None else [out / outputs.get("trace", csv)]
+    return paths + [out / outputs.get("summary", "summary.json")]
+
+
+def _write_outputs(config, args, meta, header=None, columns=None, extra=None):
+    """Write the CSV (when the command has one), then the summary sidecar
+    with ``extra`` merged in, into ``--out``; print one ``wrote`` line per
+    file."""
+    *csv, summary = _output_paths(config, args)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    if csv:
+        _write_csv(csv[0], header, columns)
     payload = dict(meta, **(extra or {}))
-    paths[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    for path in paths:
+    summary.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    for path in csv + [summary]:
         print(f"wrote {path}")
 
 
@@ -204,17 +197,16 @@ def _assert_bound(args, bound, observed, limit, what):
 def _cmd_run(config, args):
     model, selection, relaxation = _build(config)
     trace = run(model, selection, relaxation, config.data["steps"], config.data["seed"])
-    meta, block = _model_metadata(config, model)
     ms = np.arange(trace.steps + 1)
+    meta, bound = _model_metadata(config, model, ms if config.data["bounds"] else None)
     header = ["m", "index", "alpha", "omega", "local_norm", "error_a", "error_a_sq"]
     columns = [ms, trace.index, trace.alpha, trace.omega, trace.local_norm, trace.error,
                trace.error_sq]
-    bound = _bound_values(config, model, meta, block, ms) if config.data["bounds"] else None
     vals = None if bound is None else bound[1]
     if bound is not None:
         header.append(bound[0])
         columns.append(vals)
-    _write_outputs(config, args, meta, "trace.csv", header, columns)
+    _write_outputs(config, args, meta, header, columns)
     return _assert_bound(args, vals, trace.error_sq, vals, "error_sq={!r} > bound={!r}")
 
 
@@ -227,11 +219,10 @@ def _cmd_expect(config, args):
     est = mc_expected_error(
         model, selection, relaxation, M, config.data["trials"], config.data["seed"]
     )
-    meta, block = _model_metadata(config, model)
     ms = np.arange(M + 1)
+    meta, bound = _model_metadata(config, model, ms if config.data["bounds"] else None)
     header = ["m", "mean_err_sq", "stderr", "K"]
     columns = [ms, est.mean, est.stderr, np.full(M + 1, est.trials)]
-    bound = _bound_values(config, model, meta, block, ms) if config.data["bounds"] else None
     vals = limit = None
     if bound is not None:
         vals, limit = bound[1], bound[1] + 3.0 * est.stderr
@@ -256,19 +247,18 @@ def _cmd_expect(config, args):
                     for m in range(M + 1)
                 ]
             )
-    _write_outputs(config, args, meta, "expect.csv", header, columns, {"trials": est.trials})
+    _write_outputs(config, args, meta, header, columns, {"trials": est.trials})
     return _assert_bound(args, vals, est.mean, limit, "mean={!r} > bound={!r} + 3*stderr")
 
 
 def _cmd_bounds(config, args):
     model = config.build_model()
-    meta, block = _model_metadata(config, model)
     ms = np.arange(config.data["steps"] + 1)
-    bound = _bound_values(config, model, meta, block, ms)
+    meta, bound = _model_metadata(config, model, ms)
     if bound is None:
         print("bounds: no a-priori bound for deterministic selection", file=sys.stderr)
         return EXIT_CONFIG
-    _write_outputs(config, args, meta, "bounds.csv", ["m", bound[0]], [ms, bound[1]])
+    _write_outputs(config, args, meta, ["m", bound[0]], [ms, bound[1]])
     return EXIT_OK
 
 
@@ -289,7 +279,7 @@ def _cmd_rate(config, args):
         "residual": fit.residual,
         "converged_exactly": fit.converged_exactly,
     }
-    _write_outputs(config, args, meta, "rate.csv", extra={"rate_fit": rate_fit})
+    _write_outputs(config, args, meta, extra={"rate_fit": rate_fit})
     return EXIT_OK
 
 
@@ -357,12 +347,12 @@ def _cmd_check(config, args):
     if greedy_ok is not None:
         results.append(("greedy compliance", greedy_ok))
 
-    metadata = _model_metadata(config, model) if config.data["bounds"] else None
+    meta, bound = _model_metadata(config, model,
+                                  np.arange(short + 1) if config.data["bounds"] else None)
 
     if isinstance(model, MatrixSchwarzModel):
-        sc = stability_constants(model.problem, model.splitting)
-        results.append(("stability lam_min > 0", sc.lam_min > 0.0))
-        lam = uniform_bound_lambda(model.problem, model.splitting)
+        results.append(("stability lam_min > 0", meta["stability"]["lam_min"] > 0.0))
+        lam = meta["lambda"]
         _import_numpy_random()
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
         ok = True
@@ -374,12 +364,8 @@ def _cmd_check(config, args):
                 ok = False
         results.append(("uniform bound certificate", ok))
 
-    if metadata is not None:
-        bound = _bound_values(config, model, *metadata, np.arange(short + 1))
-        if bound is not None:
-            results.append(
-                ("bound compliance", bool(np.all(t1.error_sq <= bound[1] + BOUND_SLACK)))
-            )
+    if bound is not None:
+        results.append(("bound compliance", bool(np.all(t1.error_sq <= bound[1] + BOUND_SLACK))))
 
     failed = [name for name, ok in results if not ok]
     for name, ok in results:
@@ -428,8 +414,8 @@ _COMMANDS = {
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -438,6 +424,9 @@ def main(argv=None):
             if not 0 <= args.seed <= MAX_SEED:
                 raise ConfigError(["--seed: must be a 64-bit unsigned integer"])
             config.data["seed"] = args.seed
+        paths = _output_paths(config, args)
+        if len({os.path.realpath(path) for path in paths}) < len(paths):
+            raise ConfigError([f"outputs: the trace and the summary are one file, {paths[-1]}"])
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         for err in exc.errors:
@@ -445,6 +434,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"{args.command}: cannot write the outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
         # e.g. trace arrays for a step count no machine can hold

@@ -372,11 +372,9 @@ class FiniteSplitting:
     Components whose local forms are byte-equal (the overlapping blocks of
     a uniform grid) are given one shared copy of the form and its factor.
 
-    A splitting belongs to the problem it was built for: Lambda and the
-    stability spectrum computed from the pair are cached on it, so the
-    functions that take the pair refuse any other problem (see
-    :meth:`check_problem`).  No n x n array is cached: each set-up
-    function builds the additive Schwarz sum it needs and consumes it (see
+    Nothing computed from a (problem, splitting) pair is kept on the
+    splitting: each set-up function computes from the pair it is given,
+    and builds the additive Schwarz sum it needs and consumes it (see
     :func:`additive_schwarz_sum`).
     """
 
@@ -407,15 +405,7 @@ class FiniteSplitting:
             raise UnstableSplittingError(
                 "component ranges do not span the space (rank-deficient splitting)"
             )
-        self.problem = problem
-        self._lambda = None
-        self._spectrum = None
-
-    def check_problem(self, problem):
-        """Raise ``ValueError`` unless ``problem`` is the one the splitting
-        was built for."""
-        if problem is not self.problem:
-            raise ValueError("the splitting was built for another problem")
+        self.n = problem.n
 
     def __iter__(self):
         return iter(self.components)
@@ -462,16 +452,13 @@ def uniform_bound_lambda(problem, splitting):
     (Galerkin block, local form) pair: the overlapping blocks of a uniform
     grid share one, and equal inputs give equal eigenvalues.
     """
-    splitting.check_problem(problem)
-    if splitting._lambda is None:
-        lams = {}
-        for c in splitting:
-            G = c.galerkin(problem)
-            key = (G.tobytes(), c.A_local.tobytes())
-            if key not in lams:
-                lams[key] = _component_lambda(G, c.A_local)
-        splitting._lambda = max(lams.values())
-    return splitting._lambda
+    lams = {}
+    for c in splitting:
+        G = c.galerkin(problem)
+        key = (G.tobytes(), c.A_local.tobytes())
+        if key not in lams:
+            lams[key] = _component_lambda(G, c.A_local)
+    return max(lams.values())
 
 
 @dataclass(frozen=True)
@@ -595,7 +582,7 @@ def stability_constants(problem, splitting):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T, once per splitting.  L is the factor the problem stores
+    with A = L L^T.  L is the factor the problem stores
     as tiles; its column slabs are rebuilt one at a time.  The whole
     computation lives in one n x n buffer: S is built, overwritten with the
     form in slabs (:func:`_congruence_in_place`, :func:`_symmetrize_in_place`)
@@ -603,17 +590,14 @@ def stability_constants(problem, splitting):
     rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
     rather than raised.
     """
-    splitting.check_problem(problem)
-    if splitting._spectrum is None:
-        from ._kernels import eigvalsh
+    from ._kernels import eigvalsh
 
-        M = _congruence_in_place(problem._L_band, additive_schwarz_sum(problem, splitting))
-        _symmetrize_in_place(M)
-        # M is exactly symmetric, so its Fortran-ordered view M.T is the
-        # same matrix, and dsyevr works on it in place instead of on a copy
-        w = eigvalsh(M.T)
-        splitting._spectrum = (float(w[0]), float(w[-1]))
-    lam_min, lam_max = splitting._spectrum
+    M = _congruence_in_place(problem._L_band, additive_schwarz_sum(problem, splitting))
+    _symmetrize_in_place(M)
+    # M is exactly symmetric, so its Fortran-ordered view M.T is the same
+    # matrix, and dsyevr works on it in place instead of on a copy
+    w = eigvalsh(M.T)
+    lam_min, lam_max = float(w[0]), float(w[-1])
     if lam_min <= RANK_TOL * max(lam_max, 1.0):
         return StabilityConstants(lam_min, lam_max, float("inf"))
     return StabilityConstants(lam_min, lam_max, lam_max / lam_min)
@@ -748,7 +732,8 @@ class MatrixSchwarzModel:
     refresh_every = 1000
 
     def __init__(self, problem, splitting):
-        splitting.check_problem(problem)
+        if splitting.n != problem.n:
+            raise ValueError(f"the splitting acts on R^{splitting.n}, the problem on R^{problem.n}")
         self.problem = problem
         self.splitting = splitting
         self.zero_tol = 1e-14 * (1.0 + float(np.linalg.norm(problem.b)))

@@ -250,6 +250,13 @@ class TestErrorPaths:
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(DIAG_GREEDY.encode() + b"# \xff\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: ") and "utf-8" in err and "Traceback" not in err
+
     def test_bad_seed_override_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, DIAG_GREEDY)
         assert main(["run", "--config", cfg, "--out", str(tmp_path),
@@ -478,8 +485,7 @@ class TestMetadataPass:
         ("expect", POISSON_UNIFORM_RUN + "trials: 4\n", 2),
         ("bounds", POISSON_UNIFORM_RUN, 2),
         ("rate", POISSON_SMALL, 2),
-        # the sidecar's metadata first; the stability check then reads the
-        # spectrum it cached
+        # the stability check reads the constants of the one metadata pass
         ("check", POISSON_SMALL, 2),
     ], ids=["run-greedy", "run-random", "expect", "bounds", "rate", "check"])
     def test_schwarz_sum_built_per_use_and_not_kept(self, tmp_path, monkeypatch,
@@ -489,9 +495,9 @@ class TestMetadataPass:
         metadata = cli_module._model_metadata
         schwarz_sum = problems_module.additive_schwarz_sum
 
-        def spy_metadata(config, model):
+        def spy_metadata(config, model, ms=None):
             models.append(model)
-            return metadata(config, model)
+            return metadata(config, model, ms)
 
         def spy_sum(*args, **kwargs):
             built.append(args)
@@ -506,6 +512,81 @@ class TestMetadataPass:
             assert not [name for name, value in vars(model.splitting).items()
                         if np.shape(value) == (n, n)]
         assert len(built) == builds
+
+
+SETUP_CONSTANTS = ("uniform_bound_lambda", "stability_constants", "representation_block_norms")
+
+
+@pytest.mark.parametrize("bounds", ["true", "false"])
+@pytest.mark.parametrize("command, text", [
+    ("run", POISSON_SMALL),
+    ("expect", POISSON_UNIFORM_RUN + "trials: 4\n"),
+    ("bounds", POISSON_UNIFORM_RUN),
+    ("rate", POISSON_SMALL),
+    ("check", POISSON_SMALL),
+], ids=["run", "expect", "bounds", "rate", "check"])
+def test_each_setup_constant_is_computed_once(tmp_path, monkeypatch, command, text, bounds):
+    """One metadata pass per command: ``check`` reads Lambda and the
+    stability constants from the sidecar's metadata instead of asking
+    again."""
+    calls = []
+    for module in (cli_module, problems_module):
+        for name in SETUP_CONSTANTS:
+            monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name:
+                                calls.append(_n) or _f(*a))
+    cfg = write_config(tmp_path, text + f"bounds: {bounds}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == sorted(SETUP_CONSTANTS)
+
+
+class TestOutputFiles:
+    """Writing the outputs ends in exit 2 with a one-line message, not a
+    traceback, and a trace and a summary that name one file are refused
+    before the first step."""
+
+    @staticmethod
+    def one_line(err, prefix):
+        assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DIAG_GREEDY)
+        (tmp_path / "taken").write_text("")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "taken")]) == 2
+        self.one_line(capsys.readouterr().err, "run: cannot write the outputs: ")
+
+    def test_trace_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DIAG_GREEDY + "outputs: {trace: nope/trace.csv}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        self.one_line(capsys.readouterr().err, "run: cannot write the outputs: ")
+
+    @pytest.mark.parametrize("command, text, outputs", [
+        ("run", POISSON_SMALL, "{trace: same.json, summary: same.json}"),
+        ("run", POISSON_SMALL, "{summary: trace.csv}"),
+        ("run", POISSON_SMALL, "{trace: sub/../same.json, summary: same.json}"),
+        ("expect", POISSON_UNIFORM_RUN + "trials: 4\n", "{trace: same.json, summary: same.json}"),
+        ("expect", POISSON_UNIFORM_RUN + "trials: 4\n", "{trace: summary.json}"),
+        ("bounds", POISSON_UNIFORM_RUN, "{trace: same.json, summary: same.json}"),
+        ("bounds", POISSON_UNIFORM_RUN, "{summary: bounds.csv}"),
+    ], ids=["run-same", "run-default-trace", "run-dot-dot", "expect-same", "expect-default-summary",
+            "bounds-same", "bounds-default-trace"])
+    def test_one_file_for_trace_and_summary_exits_two_before_a_step(
+            self, tmp_path, capsys, monkeypatch, command, text, outputs):
+        steps = count_steps(monkeypatch)
+        cfg = write_config(tmp_path, text + f"outputs: {outputs}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        self.one_line(capsys.readouterr().err,
+                      "config error: outputs: the trace and the summary are one file, ")
+        assert steps == [] and not out.exists()
+
+    def test_summary_named_as_another_commands_csv_is_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, POISSON_UNIFORM_RUN + "trials: 4\noutputs: {summary: trace.csv}\n")
+        assert main(["expect", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.split() == [
+            "wrote", str(tmp_path / "out" / "expect.csv"),
+            "wrote", str(tmp_path / "out" / "trace.csv")]
+        assert "trials" in json.loads((tmp_path / "out" / "trace.csv").read_text())
 
 
 TWO_LEVEL_TINY = """

@@ -2,11 +2,12 @@
 through all five subcommands (generate-and-mutate after Claessen and Hughes,
 "QuickCheck", ICFP 2000).
 
-A mutation deletes a key, sets it to one of ``VALUES``, switches a kind to
-another one of the kinds ``_SCHEMA`` lists, adds an unknown key, or writes a
-key twice in its mapping.  Whatever the config, ``main`` returns 0, 1 or 2
-without raising, exit 2 comes with a message on stderr and no traceback, a
-repeated key exits 2 with "duplicated key", and every summary it writes is
+A mutation deletes a key, sets it to one of ``VALUES`` (or, for an output
+name, of ``PATHS``), switches a kind to another one of the kinds ``_SCHEMA``
+lists, adds an unknown key, or writes a key twice in its mapping.  Whatever
+the config, ``main`` returns 0, 1 or 2 without raising, exit 2 comes with a
+message on stderr and no traceback, a repeated key exits 2 with "duplicated
+key", no file is reported written twice, and every summary it writes is
 strict JSON.  The bases are small (n <= 31, steps and trials <= 20) and
 ``VALUES`` holds no valid value that costs work, so the whole sweep takes a
 few seconds.
@@ -61,6 +62,10 @@ VALUES = [None, True, "x", -1, 0, 3, -0.5, 0.5, 1.5, 1e-300, 1e300, 2 ** 70,
 # Valid values that cost work, left out for their keys: ``expect`` with 2 ** 70
 # trials never ends.
 COSTLY = {"trials": [2 ** 70]}
+# Output names that break writing: ``--out`` itself, a file in a missing
+# directory, and the ``sequence`` base's summary name (one file for both as
+# its trace).
+PATHS = ["", "missing/x.csv", "s.json"]
 
 COMMANDS = ["run", "expect", "bounds", "rate", "check"]
 
@@ -126,7 +131,7 @@ def _mutations(base):
 
         for key in node:
             yield f"delete {where}.{key}", variant(lambda m, k=key: m.pop(k))
-            for value in VALUES:
+            for value in VALUES + (PATHS if path == ("outputs",) else []):
                 if value in COSTLY.get(key, ()):
                     continue
                 yield (f"{where}.{key} = {value!r}",
@@ -203,7 +208,11 @@ def test_every_one_mutation_config(tmp_path, capsys, monkeypatch):
                     failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
                     capsys.readouterr()
                     continue
-                err = capsys.readouterr().err
+                captured = capsys.readouterr()
+                err = captured.err
+                wrote = [line for line in captured.out.splitlines() if line.startswith("wrote ")]
+                if len(set(wrote)) < len(wrote):
+                    failures.append(f"{case}: one file written twice: {wrote}")
                 if code not in (0, 1, 2):
                     failures.append(f"{case}: exit {code}")
                 if label.startswith("repeat ") and (code != 2 or "duplicated key" not in err):

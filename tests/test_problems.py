@@ -405,37 +405,40 @@ class TestStability:
         )
 
 
-class TestSplittingBelongsToItsProblem:
-    """Lambda and the spectrum are cached on the splitting, so a splitting
-    serves only the problem it was built for: for another problem the
-    cached values would be the first problem's."""
+class TestSetupFunctionsTakeTheirPair:
+    """Nothing computed from a (problem, splitting) pair is kept on the
+    splitting: Lambda and the stability constants are those of the pair
+    the functions are handed, and a model only needs the two to act on one
+    space."""
 
     @staticmethod
     def split(problem):
-        eye = np.eye(4)
+        eye = np.eye(problem.n)
         return FiniteSplitting(problem, [SplittingComponent(1, eye[:, :2], np.eye(2)),
-                                         SplittingComponent(2, eye[:, 2:], np.eye(2))])
+                                         SplittingComponent(2, eye[:, 2:], np.eye(problem.n - 2))])
 
-    def test_another_problem_is_refused(self):
+    def test_constants_are_those_of_the_problem_given(self):
         p1 = Problem(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
         p2 = Problem(np.diag([10.0, 2.0, 3.0, 40.0]), np.ones(4))
-        splitting = self.split(p1)
-        assert uniform_bound_lambda(p1, splitting) == pytest.approx(2.0, abs=1e-12)
-        sc = stability_constants(p1, splitting)
+        first, own = self.split(p1), self.split(p2)
+        assert uniform_bound_lambda(p1, first) == pytest.approx(2.0, abs=1e-12)
+        sc = stability_constants(p1, first)
         assert [sc.lam_min, sc.lam_max] == pytest.approx([1.0, 4.0], abs=1e-12)
-        for call in (uniform_bound_lambda, stability_constants, MatrixSchwarzModel):
-            with pytest.raises(ValueError, match="another problem"):
-                call(p2, splitting)
-        # p2's own splitting gets p2's constants
-        own = self.split(p2)
-        assert uniform_bound_lambda(p2, own) == pytest.approx(np.sqrt(40.0), abs=1e-12)
-        sc = stability_constants(p2, own)
+        # the splitting of p1, handed p2 after p1's constants, gives p2's
+        lam = uniform_bound_lambda(p2, first)
+        assert lam == uniform_bound_lambda(p2, own)
+        assert lam == pytest.approx(np.sqrt(40.0), abs=1e-12)
+        sc = stability_constants(p2, first)
+        assert sc == stability_constants(p2, own)
         assert [sc.lam_min, sc.lam_max] == pytest.approx([2.0, 40.0], abs=1e-12)
 
-    def test_an_equal_copy_is_another_problem(self):
+    def test_model_refuses_a_splitting_over_another_n(self):
         A, b = np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4)
-        with pytest.raises(ValueError, match="another problem"):
-            MatrixSchwarzModel(Problem(A, b), self.split(Problem(A, b)))
+        with pytest.raises(ValueError, match=r"splitting acts on R\^4, the problem on R\^3"):
+            MatrixSchwarzModel(Problem(A[:3, :3], b[:3]), self.split(Problem(A, b)))
+        # an equal copy of the problem acts on the same space
+        model = MatrixSchwarzModel(Problem(A, b), self.split(Problem(A, b)))
+        assert model.component_count() == 2
 
 
 TWO_LEVEL = {"kind": "two_level", "coarse_stride": 8, "block_size": 16, "overlap": 4}
@@ -1194,15 +1197,7 @@ def count_eigh_calls(monkeypatch):
     return calls
 
 
-class TestSetupCaching:
-    def test_second_stability_call_does_no_eigensolve(self, monkeypatch):
-        problem, splitting = make_poisson_1d(64, TWO_LEVEL)
-        calls = count_eigh_calls(monkeypatch)
-        first = stability_constants(problem, splitting)
-        assert len(calls) == 1
-        assert stability_constants(problem, splitting) == first
-        assert len(calls) == 1
-
+class TestBlockNorms:
     def test_block_norms_match_kkt_reference(self):
         rng = np.random.default_rng(9)
         problem, splitting = make_poisson_1d(48, TWO_LEVEL)
