@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import DiagonalModel
-from .distributions import ExplicitDistribution
+from .distributions import ExplicitDistribution, TruncatedSchedule
 from .solver import GAWRRelaxation, PureRelaxation, RandomRule, run
 
 
@@ -117,7 +117,7 @@ def exact_expected_error(model, pi, m):
     Coefficients outside the support of pi are never hit and contribute
     |c_i|^2 at every m.  ``m`` may be a scalar or an array.
     """
-    probs = np.array([pi.prob(int(i)) for i in model.support_indices])
+    probs = pi.probs_at(model.support_indices)
     c_sq = model.coefficients ** 2
     m = np.asarray(m, dtype=float)
     vals = (c_sq[:, None] * (1.0 - probs[:, None]) ** m.reshape(1, -1)).sum(axis=0)
@@ -224,7 +224,9 @@ def _step_maps(model, selection, M):
     (see ``ExplicitDistribution.boundaries``) that open or close the interval
     of a support index: a ``searchsorted`` finds the interval of each
     uniform, and a label per interval, the same at every step, gives its
-    position.  A step with any other distribution samples from it.
+    position.  A ``TruncatedSchedule`` gives those boundaries without a
+    table (``TruncatedSchedule.boundaries``).  A step with any other
+    distribution samples from it.
     """
     if not callable(selection.schedule):
         dist = selection.schedule
@@ -249,9 +251,11 @@ def _step_maps(model, selection, M):
     labels = np.where(np.append(ks, 0) == one, model.support_positions(one), -1)
     bounds = np.empty((M, ks.size))
     sampled = {}
+    schedule = selection.schedule
     for m in range(M):
-        dist = selection.distribution(m)
-        if isinstance(dist, ExplicitDistribution):
+        if isinstance(schedule, TruncatedSchedule):
+            bounds[m] = schedule.boundaries(m, ks)
+        elif isinstance(dist := schedule(m), ExplicitDistribution):
             bounds[m] = dist.boundaries(ks)
         else:
             sampled[m] = dist
@@ -287,7 +291,8 @@ def _mc_diagonal_fast(model, selection, relaxation, M, K, master_seed):
         # never split; it costs 8 bytes a trial
         rows = min(_MC_GROUP, K)
     else:
-        cache_rows = MC_CACHE_BYTES // (24 * max(c.size, 1))
+        # three arrays of d + 1 doubles a row (see _diagonal_recursion)
+        cache_rows = MC_CACHE_BYTES // (24 * (c.size + 1))
         rows = max(1, min(_MC_GROUP, K, cache_rows, MC_CHUNK_BYTES // (8 * (2 * M + 1))))
     # one row per step and one column per trial; allocated first, so that a
     # step count no machine can hold fails before the per-step tables grow
@@ -349,27 +354,42 @@ def _aligned_arrays(count, shape):
 def _diagonal_recursion(c, pos, alphas, zero_tol, errs):
     """Run the M-step recursion of every trial (column of ``pos``), writing
     trial t's squared error before step m to ``errs[t, m]`` and after the
-    last step to ``errs[t, M]``."""
+    last step to ``errs[t, M]``.
+
+    Trial t's state is row t of a block with d + 1 columns.  Column 0 is a
+    dummy coordinate with coefficient 0 that takes the draws off the
+    support (position -1): its residual stays 0, never above the zero
+    threshold, so it is never set.  ``pos`` is overwritten in place with
+    flat indices into the block, so that each step reads and sets the
+    drawn coordinates with ``take`` and ``put``.  The errors sum columns
+    1..d of each row.
+    """
     M, B = pos.shape
-    C, state, tmp = _aligned_arrays(3, (B, c.size))
-    C[:] = c
+    width = c.size + 1
+    C, state, tmp = _aligned_arrays(3, (B, width))
+    C[:, 0] = 0.0
+    C[:, 1:] = c
     state[:] = 0.0
+    # row t's position p lies at flat index t * width + p + 1; a step's row
+    # of ``pos`` is shifted there in place, since a broadcast add over the
+    # whole buffer allocates the iterator's buffers
+    starts = np.arange(1, B * width, width)
+    flat_C, flat_state, flat_tmp = C.reshape(-1), state.reshape(-1), tmp.reshape(-1)
     for m in range(M + 1):
         np.subtract(C, state, out=tmp)  # the residual at u^{(m)}
         if m < M:
-            p = pos[m]
-            rows_h = np.flatnonzero(p >= 0)
-            cols_h = p[rows_h]
+            drawn = pos[m]
+            drawn += starts
             # below the zero threshold the direction is dropped
             # (omega = 0) and the coordinate only scales with alpha
-            live = np.abs(tmp[rows_h, cols_h]) > zero_tol
+            live = drawn[np.abs(flat_tmp.take(drawn)) > zero_tol]
         np.multiply(tmp, tmp, out=tmp)
-        np.add.reduce(tmp, axis=1, out=errs[:, m])
+        np.add.reduce(tmp[:, 1:], axis=1, out=errs[:, m])
         if m == M:
             break
         if alphas is not None:
             state *= alphas[m]
-        state[rows_h[live], cols_h[live]] = c[cols_h[live]]
+        flat_state.put(live, flat_C.take(live))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ library rejects or an output that cannot be written.
 
 import argparse
 import copy
+import errno
 import json
 import os
 import sys
@@ -135,7 +136,7 @@ def _model_metadata(config, model, ms=None):
     if block is None:
         ainf = ainfty_pi_norm(model, base)
     else:
-        ainf = sup_norm_over_pi(((c.index, nrm) for c, nrm in zip(model.splitting, block)), base)
+        ainf = sup_norm_over_pi([c.index for c in model.splitting], block, base)
     meta["a_norms"]["ainf_pi"] = ainf if np.isfinite(ainf) else None  # strict JSON
     spec = RandomBoundSpec(norm_a=norm_a, lam=lam, ainf=ainf)
     return meta, ("random_bound", random_bound(ms, spec))
@@ -150,7 +151,9 @@ def _build(config):
 
 def _output_paths(config, args):
     """The files the command writes into ``--out``: its CSV, if it has one,
-    then the summary sidecar (``check`` writes neither)."""
+    then the summary sidecar; ``check`` writes none."""
+    if args.command == "check":
+        return []
     out = Path(args.out)
     outputs = config.data.get("outputs", {})
     csv = _CSV_NAMES.get(args.command)
@@ -158,12 +161,26 @@ def _output_paths(config, args):
     return paths + [out / outputs.get("summary", "summary.json")]
 
 
+def _prepare_outputs(args, paths):
+    """Create ``--out`` and raise the ``OSError`` of an output that could
+    not be written: its directory is missing or not a directory, or it is
+    a directory itself.  Called before the first step, so that a config
+    with such an output takes none."""
+    if not paths:
+        return
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for path in paths:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(path.parent))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+
+
 def _write_outputs(config, args, meta, header=None, columns=None, extra=None):
     """Write the CSV (when the command has one), then the summary sidecar
-    with ``extra`` merged in, into ``--out``; print one ``wrote`` line per
-    file."""
+    with ``extra`` merged in, into ``--out`` (see ``_prepare_outputs``);
+    print one ``wrote`` line per file."""
     *csv, summary = _output_paths(config, args)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     if csv:
         _write_csv(csv[0], header, columns)
     payload = dict(meta, **(extra or {}))
@@ -427,6 +444,7 @@ def main(argv=None):
         paths = _output_paths(config, args)
         if len({os.path.realpath(path) for path in paths}) < len(paths):
             raise ConfigError([f"outputs: the trace and the summary are one file, {paths[-1]}"])
+        _prepare_outputs(args, paths)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         for err in exc.errors:

@@ -136,20 +136,18 @@ def a1_norm(model):
     return float(np.abs(model.coefficients).sum())
 
 
-def sup_norm_over_pi(pairs, pi):
-    """sup_i norm_i / pi_i over (index, norm >= 0) pairs, skipping zero
-    norms; infinite when a nonzero norm sits where pi has no mass."""
-    worst = 0.0
-    for i, nrm in pairs:
-        if nrm == 0.0:
-            continue
-        p = pi.prob(int(i))
-        if p == 0.0:
-            return math.inf
-        worst = max(worst, nrm / p)
-    return worst
+def sup_norm_over_pi(indices, norms, pi):
+    """sup_i norm_i / pi_i over indices and their norms >= 0, skipping zero
+    norms; infinite when a nonzero norm sits where pi has no mass.  pi is
+    read once, at the indices of the nonzero norms (``probs_at``)."""
+    norms = np.asarray(norms, dtype=float)
+    nonzero = norms != 0.0
+    probs = pi.probs_at(np.asarray(indices)[nonzero])
+    if np.any(probs == 0.0):
+        return math.inf
+    return float(np.max(norms[nonzero] / probs, initial=0.0))
 
 
 def ainfty_pi_norm(model, pi):
     """sup_i |c_i| / pi_i; infinite when c has mass where pi has none."""
-    return sup_norm_over_pi(zip(model.support_indices, np.abs(model.coefficients)), pi)
+    return sup_norm_over_pi(model.support_indices, np.abs(model.coefficients), pi)

@@ -48,6 +48,14 @@ class ExplicitDistribution:
         """The vector (pi_1, ..., pi_N) for N <= n."""
         return self.probs[:N]
 
+    def probs_at(self, indices):
+        """pi_i at each index of ``indices`` >= 1: 0 past the support."""
+        indices = np.asarray(indices, dtype=np.int64)
+        out = np.zeros(indices.shape)
+        inside = indices <= self.n
+        out[inside] = self.probs[indices[inside] - 1]
+        return out
+
     def sample(self, rng):
         # the draw and the index of sample_from_uniform, on a scalar:
         # bisect_right on the table is searchsorted(side="right") without
@@ -103,6 +111,9 @@ class _SeriesDistribution:
 
     def __init__(self):
         self._cum = np.cumsum(self._terms(np.arange(1, self._table_start + 1))) / self.Z
+        # (pi_1, ..., pi_n) for the largest n any head_probs call asked for,
+        # grown by doubling; read-only, since head_probs hands out its slices
+        self._head = np.empty(0)
 
     def _extend_to(self, N):
         n = self._cum.size
@@ -141,11 +152,27 @@ class _SeriesDistribution:
     def prob(self, i):
         if i < 1:
             return 0.0
-        return float(self._terms(np.array([i], dtype=float))[0] / self.Z)
+        return float(self.probs_at([i])[0])
 
     def head_probs(self, N):
-        """The vector (pi_1, ..., pi_N), equal bit for bit to ``prob`` index by index."""
-        return self._terms(np.arange(1, N + 1, dtype=float)) / self.Z
+        """The vector (pi_1, ..., pi_N), equal bit for bit to ``prob`` index by
+        index: a read-only slice of one vector grown by doubling.
+
+        Each entry is ``_terms(i) / Z`` computed elementwise, so its bits do
+        not depend on the sizes the vector grew through.
+        """
+        n = self._head.size
+        if N > n:
+            grown = max(N, 2 * n)
+            new = self._terms(np.arange(n + 1, grown + 1, dtype=float)) / self.Z
+            self._head = np.concatenate((self._head, new))
+            self._head.flags.writeable = False
+        return self._head[:N]
+
+    def probs_at(self, indices):
+        """pi_i at each index of ``indices`` >= 1, equal bit for bit to ``prob``
+        index by index; sized by the indices, not by the largest of them."""
+        return self._terms(np.asarray(indices, dtype=float)) / self.Z
 
     def head_mass(self, N):
         if N <= 0:
@@ -401,6 +428,30 @@ class TruncatedSchedule:
         if self._latest is None or self._latest.n != N:
             self._latest = truncate_distribution(self.base, m, self.D, cutoff=N)
         return self._latest
+
+    def boundaries(self, m, ks):
+        """``self(m).boundaries(ks)``, without building the table.
+
+        The table's bits come from four operations: the head
+        ``base.head_probs(N_m)``, its pairwise ``sum``, the division by it
+        and a sequential ``cumsum``.  They are taken here in that order, the
+        ``cumsum`` only up to the largest k < N_m, since a prefix of a
+        sequential ``cumsum`` is the ``cumsum`` of the prefix.  The
+        normalized head passes the checks of ``ExplicitDistribution``
+        exactly when its minimum is >= 0 (NaN fails) and its sum is within
+        the tolerance of 1 (an inf fails); otherwise that constructor raises
+        its own error.
+        """
+        N = self.cutoff(m)
+        head = self.base.head_probs(N)
+        p = head / head.sum()
+        if not (p.min() >= 0.0 and abs(float(p.sum()) - 1.0) <= _NORMALIZATION_TOL):
+            ExplicitDistribution(p)
+        out = np.full(len(ks), np.inf)
+        below = np.searchsorted(ks, N)
+        if below:
+            out[:below] = np.cumsum(p[:ks[below - 1]])[ks[:below] - 1]
+        return out
 
     def l1_error(self, m):
         return 2.0 * self.base.tail_mass(self.cutoff(m))

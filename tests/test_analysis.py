@@ -317,18 +317,15 @@ class TestMonteCarloStepMaps:
                 want = model.support_positions(table.sample_from_uniform(u))
                 assert np.array_equal(U.view(np.int64)[m], want), (support, m)
 
-    def test_one_table_per_cutoff_change_over_two_groups(self, monkeypatch):
-        from mschwarz import distributions
-
-        M, K = 60, 5000
-        cutoffs = [TruncatedSchedule(PowerLawDistribution(0.5), 1.0).cutoff(m) for m in range(M)]
-        changes = 1 + sum(a != b for a, b in zip(cutoffs, cutoffs[1:]))
+    def test_truncated_schedule_builds_no_table_over_two_groups(self, monkeypatch):
+        # the step maps read the boundaries off the base's grown prefix
+        # (TruncatedSchedule.boundaries); no truncated table is built
         built = []
-        truncate = distributions.truncate_distribution
-        monkeypatch.setattr(distributions, "truncate_distribution",
-                            lambda *a, **kw: built.append(a[1]) or truncate(*a, **kw))
-        mc_expected_error(_power_law_coefficients(30), _truncated_rule(), GAWRRelaxation(), M, K, 3)
-        assert len(built) == changes <= M
+        init = ExplicitDistribution.__init__
+        monkeypatch.setattr(ExplicitDistribution, "__init__",
+                            lambda self, probs: built.append(len(probs)) or init(self, probs))
+        mc_expected_error(_power_law_coefficients(30), _truncated_rule(), GAWRRelaxation(), 60, 5000, 3)
+        assert built == []
 
     @staticmethod
     def traced_peak(model, steps, trials):

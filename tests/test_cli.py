@@ -560,6 +560,31 @@ class TestOutputFiles:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         self.one_line(capsys.readouterr().err, "run: cannot write the outputs: ")
 
+    # ``rate`` writes no trace, so a trace name is no output of it
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in ("run", "expect", "bounds", "rate")
+        for case in ("summary-in-missing-dir", "trace-in-missing-dir", "out-is-a-file",
+                     "summary-is-out")
+        if (command, case) != ("rate", "trace-in-missing-dir")])
+    def test_unwritable_output_exits_two_before_a_step(self, tmp_path, capsys, monkeypatch,
+                                                       command, case):
+        calls = []
+        for name in ("_build", "run", "mc_expected_error", "_model_metadata"):
+            monkeypatch.setattr(cli_module, name, lambda *a, _n=name, _f=getattr(cli_module, name),
+                                **k: calls.append(_n) or _f(*a, **k))
+        outputs = {"summary-in-missing-dir": "{summary: missing/s.json}",
+                   "trace-in-missing-dir": "{trace: missing/t.csv}",
+                   "summary-is-out": "{summary: ''}"}.get(case, "{}")
+        cfg = write_config(tmp_path, DIAG_GREEDY + f"trials: 2\noutputs: {outputs}\n")
+        out = tmp_path / "out"
+        if case == "out-is-a-file":
+            out.write_text("")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        self.one_line(captured.err, f"{command}: cannot write the outputs: ")
+        assert calls == [] and captured.out == ""
+        assert out.is_file() if case == "out-is-a-file" else list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, text, outputs", [
         ("run", POISSON_SMALL, "{trace: same.json, summary: same.json}"),
         ("run", POISSON_SMALL, "{summary: trace.csv}"),

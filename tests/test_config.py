@@ -246,6 +246,41 @@ rate_fit:
         assert parse_config(serialize(config)) == config
 
 
+# output names whose quoting a dumper could get wrong: non-ASCII, long
+# enough to be folded, a tab, and words the resolver reads as a bool or null
+ODD_NAMES = ["résumé/σ.csv", "x" * 200 + ".csv", "a\tb.csv", "yes", "null"]
+
+
+class TestSerializeText:
+    """serialize writes through libyaml when PyYAML has it; the text equals
+    ``yaml.safe_dump``'s, the pure-Python dumper's."""
+
+    @staticmethod
+    def accepted_fuzzer_configs():
+        from test_config_fuzz import CASES, dump
+
+        configs = []
+        for _, _, data in CASES:
+            try:
+                configs.append(parse_config(dump(data)))
+            except ConfigError:
+                pass
+        return configs
+
+    def test_text_equals_safe_dump(self, workloads):
+        configs = self.accepted_fuzzer_configs()
+        assert len(configs) >= 100
+        for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
+            configs += [parse_config(workloads.config_text(w.config(seed)))
+                        for w in workloads.WORKLOADS.values()]
+        for name in ODD_NAMES:
+            configs.append(parse_config(MINIMAL + yaml.safe_dump({"outputs": {"trace": name}})))
+        for config in configs:
+            text = serialize(config)
+            assert text == yaml.safe_dump(config.data, sort_keys=True, default_flow_style=False)
+            assert parse_config(text) == config
+
+
 class TestBuilders:
     def test_builds_diagonal_model_and_greedy_rule(self):
         config = parse_config(MINIMAL)

@@ -6,16 +6,20 @@ import pytest
 from mschwarz import (
     DiagonalModel,
     ExplicitDistribution,
+    LogFamilyDistribution,
     MatrixSchwarzModel,
+    PowerLawDistribution,
     PureRelaxation,
     RandomRule,
     a1_norm,
     ainfty_pi_norm,
+    exact_expected_error,
     make_diagonal,
     run,
     uniform_bound_lambda,
     uniform_distribution,
 )
+from mschwarz.diagonal import sup_norm_over_pi
 
 
 class TestModelBasics:
@@ -154,3 +158,34 @@ class TestClassNorms:
         pi = ExplicitDistribution([1.0])
         model = make_diagonal({2: 0.1})
         assert ainfty_pi_norm(model, pi) == math.inf
+
+    def test_pi_is_read_once_and_past_its_support_has_no_mass(self, monkeypatch):
+        pi = ExplicitDistribution([0.5, 0.25, 0.25])
+        reads = []
+        probs_at = pi.probs_at
+        monkeypatch.setattr(pi, "probs_at", lambda i: reads.append(len(i)) or probs_at(i))
+        monkeypatch.setattr(pi, "prob", None)
+        # index 7 lies past the support: a nonzero coefficient there makes
+        # the norm infinite, a zero one is skipped
+        assert ainfty_pi_norm(make_diagonal({1: 0.5, 3: 0.25, 7: 0.125}), pi) == math.inf
+        assert ainfty_pi_norm(make_diagonal({1: 0.5, 3: 0.25, 7: 0.0}), pi) == 1.0
+        assert sup_norm_over_pi([], [], pi) == 0.0
+        # past the support a coefficient is never hit: |c_7|^2 at every m
+        model = make_diagonal({1: 0.5, 7: 0.125})
+        assert np.array_equal(exact_expected_error(model, pi, [0, 1, 2]),
+                              0.125 ** 2 + 0.25 * 0.5 ** np.arange(3))
+        assert reads == [3, 2, 0, 2]
+
+    @pytest.mark.parametrize("pi", [
+        ExplicitDistribution(np.full(40, 1.0 / 40.0)), PowerLawDistribution(0.5),
+        LogFamilyDistribution()], ids=["explicit", "power_law", "log_family"])
+    def test_ainfty_equals_the_per_index_loop(self, pi):
+        rng = np.random.default_rng(4)
+        indices = np.unique(rng.integers(1, 60, 25))
+        norms = rng.random(indices.size) * (rng.random(indices.size) < 0.8)
+        worst = 0.0  # the loop before pi was read once
+        for i, nrm in zip(indices, norms):
+            if nrm != 0.0:
+                p = pi.prob(int(i))
+                worst = math.inf if p == 0.0 else max(worst, nrm / p)
+        assert sup_norm_over_pi(indices, norms, pi) == worst

@@ -512,6 +512,106 @@ class TestHeadProbs:
             assert np.array_equal(table.probs, _per_index_truncation(base, m, 1.0))
 
 
+def _fresh_head(base, N):
+    """head_probs(N) of a base that has grown no prefix: one ``_terms``
+    call over 1..N."""
+    return base._terms(np.arange(1, N + 1, dtype=float)) / base.Z
+
+
+SERIES_BASES = {
+    "power_law_0.5": lambda: PowerLawDistribution(0.5),
+    "power_law_2.0": lambda: PowerLawDistribution(2.0),
+    "log_family": LogFamilyDistribution,
+}
+
+
+class TestGrownPrefix:
+    """head_probs(N) is a slice of one vector grown by doubling, with the
+    bits of a head computed on its own: in its values, in its sum and in
+    the renormalized partial sums a truncated table is built from."""
+
+    @pytest.mark.parametrize("make_base", SERIES_BASES.values(), ids=SERIES_BASES.keys())
+    def test_slices_equal_fresh_heads(self, make_base):
+        base = make_base()
+        # every N <= 2e4 in increasing order, so that the prefix grows
+        # through every power of two, then sampled N up to 2.3e5, the
+        # growth boundaries among them
+        sampled = np.random.default_rng(3).integers(20_001, 230_000, 24)
+        edges = [n + k for n in (1 << 15, 1 << 16, 1 << 17) for k in (-1, 0, 1)]
+        bad = []
+        for N in [*range(1, 20_001), *sorted({*sampled.tolist(), *edges, 230_000})]:
+            got, want = base.head_probs(N), _fresh_head(base, N)
+            total, want_total = got.sum(), want.sum()
+            # the partial sums the step maps read (support indices up to
+            # 256) at every N; all of them at the sampled N
+            k = N if N > 20_000 else min(N, 256)
+            if not (np.array_equal(got, want) and total == want_total and np.array_equal(
+                    np.cumsum(got[:k] / total), np.cumsum(want[:k] / want_total))):
+                bad.append(N)
+        assert not bad, f"{len(bad)} N differ, first {bad[:5]}; numpy {np.__version__}"
+
+    def test_slices_are_read_only(self):
+        base = PowerLawDistribution(0.5)
+        head = base.head_probs(100)
+        with pytest.raises(ValueError):
+            head[0] = 1.0
+        assert base.head_probs(1000)[0] == base.prob(1)
+
+    @pytest.mark.parametrize("make_base", [
+        *SERIES_BASES.values(), lambda: ExplicitDistribution([0.5, 0.0, 0.3, 0.2])],
+        ids=[*SERIES_BASES.keys(), "explicit"])
+    def test_probs_at_is_the_prob_loop(self, make_base):
+        base = make_base()
+        indices = np.array([1, 2, 3, 4, 5, 7, 64, 65, 10 ** 6, 10 ** 12])
+        want = [base.prob(int(i)) for i in indices]  # past an explicit support: 0
+        assert np.array_equal(base.probs_at(indices), want)
+        assert base.probs_at(indices).tobytes() == np.array(want).tobytes()
+
+
+def _boundary_positions(support):
+    """The ks of ``analysis._step_maps``: the sorted distinct positive k in
+    support - 1 and support."""
+    support = np.asarray(support)
+    ks = np.unique(np.concatenate((support - 1, support)))
+    return ks[ks > 0]
+
+
+class TestScheduleBoundaries:
+    """TruncatedSchedule.boundaries(m, ks) returns self(m).boundaries(ks)
+    without building the table."""
+
+    @pytest.mark.parametrize("D", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("make_base", [
+        lambda: PowerLawDistribution(0.5), lambda: PowerLawDistribution(2.0),
+        lambda: ExplicitDistribution(np.full(300, 1.0 / 300.0))],
+        ids=["power_law_0.5", "power_law_2.0", "explicit"])
+    def test_equal_to_the_tables_boundaries(self, D, make_base):
+        # index 20000 lies past N_m at every step of the power laws; 300 and
+        # 400 lie at and past the explicit support
+        ks = _boundary_positions([1, 2, 3, 5, 8, 40, 41, 199, 300, 400, 1000, 4096, 20_000])
+        tables, direct = TruncatedSchedule(make_base(), D), TruncatedSchedule(make_base(), D)
+        below = 0
+        for m in range(2000):
+            want = tables(m).boundaries(ks)
+            assert np.array_equal(direct.boundaries(m, ks), want), m
+            below += direct.cutoff(m) < ks[-1]
+        assert below > 0
+
+    @pytest.mark.parametrize("probs", [
+        [math.nan, 1.0], [-0.25, 1.25], [math.inf, 1.0], [1e308, 1e308], [0.0, 0.0]],
+        ids=["nan", "negative", "inf", "sum_overflows", "zero"])
+    def test_refuses_as_the_table_does(self, probs):
+        ks = np.array([1, 2])
+        errors = []
+        for call in (lambda s: s(5), lambda s: s.boundaries(5, ks)):
+            base = ExplicitDistribution([0.5, 0.5])
+            base.probs[:] = probs  # after the checks of the base's own constructor
+            with pytest.raises(ValueError) as exc, np.errstate(all="ignore"):
+                call(TruncatedSchedule(base, 1.0))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
 def search_without_limit_check(base, budget):
     """The cutoff search as it ran before the table-limit check, on ``base``:
     the cutoff, or the error the table growth raised."""
