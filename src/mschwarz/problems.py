@@ -7,7 +7,9 @@ A_i; the local solve computes the subproblem operator applied to the current
 error, r_i = T_i e, from the global residual alone.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,11 +51,27 @@ TILE_COLUMN_ALIGN = 16
 TILE_ROWS = 64
 
 # Width unit of a slab of the set-up's n x n products (see _slabs): slabs
-# are multiples of it, about n / 8 wide.  Narrower slabs cost time, not
-# bits: OpenBLAS packs the whole other factor again on every call (64-wide
-# slabs made the n = 4096 stability pass 40% slower than the full products,
-# 512-wide ones as fast).
+# are multiples of it, about n / 8 wide, except those of the congruence,
+# which are SLAB_MIN wide.  Narrower slabs cost time, not bits, where a
+# slab product reads the whole other factor: OpenBLAS packs it again on
+# every call.  The congruence reads only the rows of S that L's band
+# reaches, two short pieces per slab on the Poisson band, so its narrow
+# slabs read S about twice in all (at n = 4096 with one thread it takes
+# about 0.3 s, against 4.6 s for the slab products over all of S).
 SLAB_MIN = 64
+
+# Multiply-adds M N K above which OpenBLAS's dgemm runs its blocked
+# driver, which sums the inner dimension in K panels (and, with several
+# threads, runs on its thread pool); at or below it a small-matrix kernel
+# sums each entry in one run (at n = 1000 a product of 64 x 15 x 1000
+# summed a pair of terms at 703 and 704 in one run, and one of 64 x 16 x
+# 1000 in two panels).  The probe of _panel_starts stays above it.
+GEMM_SMALL_MNK = 10 ** 6
+
+# The probe term t of _panel_starts: t * t = 1 + 2^-26 + 2^-54 needs 55
+# bits, so a fused multiply-add keeps its last bit and a rounded product
+# loses it.
+PANEL_PROBE_T = 1.0 + 2.0 ** -27
 
 # The n that split into slabs are multiples of this.  OpenBLAS computes the
 # last n mod 8 columns of a product with edge kernels whose rounding depends
@@ -468,23 +486,25 @@ class StabilityConstants:
     kappa: float
 
 
-def _slabs(n):
-    """The slices of [0, n) in slabs of about n / 8, for the slab products
-    of :func:`additive_schwarz_sum` and :func:`_congruence_in_place`.
+def _slabs(n, width=None):
+    """The slices of [0, n) in slabs ``width`` wide, a multiple of SLAB_MIN:
+    by default about n / 8, for the slab products of
+    :func:`additive_schwarz_sum` and the other set-up passes, and SLAB_MIN
+    for :func:`_congruence_in_place`.
 
-    The width is n / 8 rounded up to a multiple of SLAB_MIN, so slabs start
-    on multiples of it (at n = 1560, 195-wide slabs mismatched).  A
-    remainder narrower than SLAB_MIN joins the slab before it: numpy
-    computes a product with one row or column with ``dgemv``, and OpenBLAS
-    one with 8, 16 or 32 on a small matrix with a kernel of its own
-    (n = 136 mismatched with an 8-row remainder).  An n that is not a
-    multiple of SLAB_N_MULTIPLE is one slab.  Then each entry of a slab
+    The default width is n / 8 rounded up to a multiple of SLAB_MIN, so
+    slabs start on multiples of it (at n = 1560, 195-wide slabs
+    mismatched).  A remainder narrower than SLAB_MIN joins the slab before
+    it: numpy computes a product with one row or column with ``dgemv``,
+    and OpenBLAS one with 8, 16 or 32 on a small matrix with a kernel of
+    its own (n = 136 mismatched with an 8-row remainder).  An n that is not
+    a multiple of SLAB_N_MULTIPLE is one slab.  Then each entry of a slab
     product is the same ``dgemm`` sum as in the full product, so it has its
     bits: a property of the BLAS that tests pin, as for the tiles of A d.
     """
     if n % SLAB_N_MULTIPLE:
         return [slice(0, n)]
-    width = SLAB_MIN * -(-n // (8 * SLAB_MIN))
+    width = width or SLAB_MIN * -(-n // (8 * SLAB_MIN))
     starts = list(range(0, n, width))
     if len(starts) > 1 and n - starts[-1] < SLAB_MIN:
         del starts[-1]
@@ -513,40 +533,95 @@ def additive_schwarz_sum(problem, splitting):
     return S
 
 
+def _panel_starts(n):
+    """The starts k in (0, n), in increasing order, of the K panels in
+    which OpenBLAS's ``dgemm`` sums an inner dimension of n, or None if
+    one probe product shows sums it cannot read.
+
+    ``dgemm`` sums each entry over a panel of its inner dimension in one
+    accumulator, term after term with fused multiply-adds, and adds the
+    panels' sums to the result in order (Goto & van de Geijn, ACM TOMS 34,
+    2008).  Where the panels start depends on n and on the thread count:
+    n = 1000 gave 384 and 704 at one thread and 384 and 692 at two.  So
+    the probe finds them, with one entry per pair of adjacent terms k - 1,
+    k: -t and then t * t (t = PANEL_PROBE_T).  In one accumulator they sum
+    exactly to t (t - 1) = 2^-27 + 2^-54; a panel that starts at k rounds
+    t * t to 1 + 2^-26 first, and the sum is 2^-27.  Pairs that start on
+    an even and on an odd term go in two blocks of 64 rows, so that the
+    row and the column of an entry share the terms of its pair alone.  The
+    probe has more than GEMM_SMALL_MNK multiply-adds, so OpenBLAS cuts it
+    as it cuts the n x n products.
+
+    Any other value, or a panel of one term (a BLAS without fused
+    multiply-adds, or with several accumulators, reads every pair as cut),
+    is a sum this function cannot read.
+    """
+    t, rows = PANEL_PROBE_T, 64
+    width = max(-(-n // (2 * rows)), GEMM_SMALL_MNK // (4 * rows * n) + 1)
+    k = np.arange(n - 1)
+    i = k % 2 * rows + k // 2 % rows
+    j = k % 2 * width + k // 2 // rows
+    A = np.zeros((2 * rows, n))
+    B = np.zeros((n, 2 * width))
+    A[i, k], A[i, k + 1] = 1.0, t
+    B[k, j], B[k + 1, j] = -t, t
+    sums = (A @ B)[i, j]
+    starts = np.flatnonzero(sums == t - 1.0) + 1
+    panels = np.diff(np.concatenate([[0], starts, [n]]))
+    if not np.isin(sums, (t * (t - 1.0), t - 1.0)).all() or panels.min() < 2:
+        return None
+    return starts.tolist()
+
+
 def _congruence_in_place(L_band, S):
     """Overwrite S with M = L^T S L for the lower triangular L whose tiles
-    are ``L_band`` (see :func:`_band_block`), with one column slab of L
-    rebuilt at a time: no second n x n array exists unless n is one slab
-    (see :func:`_slabs`).
+    are ``L_band`` (see :func:`_band_block`), with the bits of the full
+    products ``(L.T @ S) @ L``.  Only L's band is multiplied: no second
+    n x n array exists unless n is one slab (see :func:`_slabs`).
 
-    L^T S goes in row slabs r of the result in increasing order, each
-    written back into S: ``S[r] = L[:, r].T @ S``.  L^T is upper
-    triangular, so the rows of S a later slab reads once they were
-    overwritten meet only the exact zeros of L's clean upper triangle, and
-    0 x changes no sum of finite values.  (L^T S) L goes in column slabs c
-    in increasing order, ``M[:, c] = M @ L[:, c]``, by the same argument.
-    Each slab product is taken in the two halves of its other dimension,
-    runs of about half the slabs, so the temporary is half a slab; every
-    piece is a block of the full product on slab boundaries, so it has its
-    bits.  Smaller pieces cost time, as OpenBLAS packs both factors again
-    on every call: at n = 4096 with one thread, pieces one slab wide took
-    the congruence 9.6 s, halves 6.0 s, whole slabs 6.1 s and the two full
-    products 5.6 s.
+    L^T S goes in row slabs r of SLAB_MIN rows in increasing order, each
+    written back into S: ``S[r] = sum L[ks, r].T @ S[ks]`` over the rows
+    ks of L that the columns r reach, from r.start (L is lower triangular)
+    to the end of the last tile of ``L_band`` that meets them.  L^T is
+    upper triangular, so the rows of S a later slab reads were not yet
+    overwritten.  (L^T S) L goes in column slabs c in increasing order,
+    ``M[:, c] = sum M[:, ks] @ L[ks, c]``, by the same argument.
+
+    The terms left out are exact zeros of L, and a zero term changes no
+    sum of finite values; what changes a ``dgemm`` sum is where it starts
+    a new K panel.  So the rows ks are cut into pieces at the panel starts
+    of the full product (:func:`_panel_starts`), each piece is one short
+    ``dgemm`` and the pieces are added in order, as the BLAS adds its
+    panels: each entry has the full product's bits.  Where the probe reads
+    a sum it cannot classify, ks is all of [0, n), one piece: the slab
+    product over the whole of S.  An n of one slab is multiplied in one
+    full product, as is each of its passes.
+
+    The Poisson L has two nonzeros per column, so a slab's ks is two
+    tiles, 128 rows: at n = 1024 with one thread the congruence takes
+    about 15 ms instead of 80 ms for the two full products.
     """
     n = S.shape[0]
-    slabs, whole = _slabs(n), slice(0, n)
-    k = -(-len(slabs) // 2)
-    halves = [slice(g[0].start, g[-1].stop) for g in (slabs[:k], slabs[k:]) if g]
-    for r in slabs:
-        Lr = _band_block(L_band, whole, r)
-        for c in halves:
-            S[r, c] = Lr.T @ S[:, c]
-        del Lr  # freed before the next slab is rebuilt
-    for c in slabs:
-        Lc = _band_block(L_band, whole, c)
-        for r in halves:
-            S[r, c] = S[r] @ Lc
-        del Lc
+    slabs = _slabs(n, SLAB_MIN)
+    starts = _panel_starts(n) if len(slabs) > 1 else None
+    # per column of L, the last row that holds a nonzero of it
+    last = np.zeros(n, dtype=np.intp)
+    for rows, cols, tile in L_band:
+        i, j = np.nonzero(tile)
+        np.maximum.at(last, cols.start + j, rows.start + i)
+
+    def pieces():
+        """Per slab r its pieces of ks, each with its rows of L[:, r]."""
+        for r in slabs:
+            lo, hi = (0, n) if starts is None else (r.start, int(last[r].max()) + 1)
+            cuts = [lo, *(k for k in starts or () if lo < k < hi), hi]
+            Lr = _band_block(L_band, slice(lo, hi), r)
+            yield r, [(slice(a, b), Lr[a - lo:b - lo]) for a, b in zip(cuts, cuts[1:])]
+
+    for r, parts in pieces():
+        S[r] = reduce(operator.iadd, (Lk.T @ S[ks] for ks, Lk in parts))
+    for c, parts in pieces():
+        S[:, c] = reduce(operator.iadd, (S[:, ks] @ Lk for ks, Lk in parts))
     return S
 
 
