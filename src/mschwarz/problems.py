@@ -533,28 +533,15 @@ def additive_schwarz_sum(problem, splitting):
     return S
 
 
-def _panel_starts(n):
-    """The starts k in (0, n), in increasing order, of the K panels in
-    which OpenBLAS's ``dgemm`` sums an inner dimension of n, or None if
-    one probe product shows sums it cannot read.
+def _panel_probe(n):
+    """The probe product of :func:`_panel_starts`: for k = 1..n-1 the sum
+    of the pair of terms k - 1, k of an inner dimension of n, -t and then
+    t * t (t = PANEL_PROBE_T), each pair an entry of its own.
 
-    ``dgemm`` sums each entry over a panel of its inner dimension in one
-    accumulator, term after term with fused multiply-adds, and adds the
-    panels' sums to the result in order (Goto & van de Geijn, ACM TOMS 34,
-    2008).  Where the panels start depends on n and on the thread count:
-    n = 1000 gave 384 and 704 at one thread and 384 and 692 at two.  So
-    the probe finds them, with one entry per pair of adjacent terms k - 1,
-    k: -t and then t * t (t = PANEL_PROBE_T).  In one accumulator they sum
-    exactly to t (t - 1) = 2^-27 + 2^-54; a panel that starts at k rounds
-    t * t to 1 + 2^-26 first, and the sum is 2^-27.  Pairs that start on
-    an even and on an odd term go in two blocks of 64 rows, so that the
-    row and the column of an entry share the terms of its pair alone.  The
-    probe has more than GEMM_SMALL_MNK multiply-adds, so OpenBLAS cuts it
-    as it cuts the n x n products.
-
-    Any other value, or a panel of one term (a BLAS without fused
-    multiply-adds, or with several accumulators, reads every pair as cut),
-    is a sum this function cannot read.
+    Pairs that start on an even and on an odd term go in two blocks of 64
+    rows, so that the row and the column of an entry share the terms of its
+    pair alone.  The product has more than GEMM_SMALL_MNK multiply-adds, so
+    OpenBLAS cuts it as it cuts the n x n products.
     """
     t, rows = PANEL_PROBE_T, 64
     width = max(-(-n // (2 * rows)), GEMM_SMALL_MNK // (4 * rows * n) + 1)
@@ -565,7 +552,28 @@ def _panel_starts(n):
     B = np.zeros((n, 2 * width))
     A[i, k], A[i, k + 1] = 1.0, t
     B[k, j], B[k + 1, j] = -t, t
-    sums = (A @ B)[i, j]
+    return (A @ B)[i, j]
+
+
+def _panel_starts(n):
+    """The starts k in (0, n), in increasing order, of the K panels in
+    which OpenBLAS's ``dgemm`` sums an inner dimension of n, or None if
+    the probe product shows sums it cannot read.
+
+    ``dgemm`` sums each entry over a panel of its inner dimension in one
+    accumulator, term after term with fused multiply-adds, and adds the
+    panels' sums to the result in order (Goto & van de Geijn, ACM TOMS 34,
+    2008).  Where the panels start depends on n and on the thread count:
+    n = 1000 gave 384 and 704 at one thread and 384 and 692 at two.  So
+    :func:`_panel_probe` finds them.  In one accumulator its pair -t, t * t
+    sums exactly to t (t - 1) = 2^-27 + 2^-54; a panel that starts at k
+    rounds t * t to 1 + 2^-26 first, and the pair sums to 2^-27.  Any
+    other sum, or a panel of one term (a BLAS without fused multiply-adds,
+    or with several accumulators, reads every pair as cut), is one this
+    function cannot read.
+    """
+    t = PANEL_PROBE_T
+    sums = _panel_probe(n)
     starts = np.flatnonzero(sums == t - 1.0) + 1
     panels = np.diff(np.concatenate([[0], starts, [n]]))
     if not np.isin(sums, (t * (t - 1.0), t - 1.0)).all() or panels.min() < 2:

@@ -1374,6 +1374,94 @@ class TestSlabsPinnedToFullProducts:
             assert_same_bits(S, want)
 
 
+# Run in a child interpreter at a given BLAS thread count: the K panels of
+# dgemm, and so the cuts of the congruence, depend on it.  L is the stored
+# factor of a Poisson two-level problem, of a random banded SPD problem
+# (bandwidth 40) and a random dense one (one tile); n = 1100 is one slab,
+# and n = 400, 520 and 1000 are cut in other places at one and at two
+# threads (n = 1560 and 2048 ran too, but take a second each).
+CONGRUENCE_PIECES = """
+import numpy as np
+import mschwarz.problems as P
+from mschwarz import Problem, make_poisson_1d
+
+def congruence_equals_full_products(L_band, S):
+    n = len(S)
+    L = P._band_block(L_band, slice(0, n), slice(0, n))
+    want = (L.T @ S) @ L
+    got = P._congruence_in_place(L_band, S)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+def banded(rng, n, width):
+    A = np.zeros((n, n))
+    for i in range(n):
+        A[i, max(i - width, 0):i] = rng.standard_normal(min(i, width))
+    return A + A.T + 4 * width * np.eye(n)
+
+spec = {"kind": "two_level", "coarse_stride": 32, "block_size": 64, "overlap": 16}
+for n in (400, 520, 1000, 1100, 1024):
+    starts = P._panel_starts(n)
+    assert (np.diff([0, *starts, n]) > 0).all(), (n, starts)
+    problem, splitting = make_poisson_1d(n, spec)
+    S = P.additive_schwarz_sum(problem, splitting)
+    assert congruence_equals_full_products(problem._L_band, S), ("two-level", n)
+rng = np.random.default_rng(7)
+for n in (400, 520, 1000):
+    S = rng.standard_normal((n, n))
+    assert congruence_equals_full_products(Problem(banded(rng, n, 40), np.ones(n))._L_band, S.copy()), ("banded", n)
+    if n < 1000:
+        Q = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(Q @ Q.T + n * np.eye(n))
+        assert congruence_equals_full_products([(slice(0, n), slice(0, n), L)], S), ("dense", n)
+# the negative control at n = 1024: uncut pieces round differently, so a
+# probe that found no panel start could not pass the checks above
+P._panel_starts = lambda n: []
+assert not congruence_equals_full_products(problem._L_band, P.additive_schwarz_sum(problem, splitting))
+"""
+
+
+class TestCongruencePieces:
+    """The congruence multiplies only L's band, in pieces cut at the K
+    panels of dgemm, and has the full products' bits."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_congruence_equals_full_products_at_each_thread_count(self, threads):
+        src = Path(problems_module.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", CONGRUENCE_PIECES], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr + blas_note()
+
+    @pytest.mark.parametrize("sums", ["unknown", "every pair cut"])
+    def test_unreadable_probe_multiplies_the_full_k_range(self, monkeypatch, sums):
+        """A probe sum that is neither of the two expected, or a panel of
+        one term, leaves each slab product whole: its pieces span [0, n)."""
+        n = 520
+        problem, splitting = make_poisson_1d(n, POISSON_SPLITTINGS["two-level-1024"][1])
+        t = problems_module.PANEL_PROBE_T
+        probe = problems_module._panel_probe(n)
+        probe[:] = 0.5 if sums == "unknown" else t - 1.0
+        if sums == "unknown":
+            probe[::2] = t * (t - 1.0)
+        monkeypatch.setattr(problems_module, "_panel_probe", lambda n: probe)
+        assert problems_module._panel_starts(n) is None
+        blocks = []
+        real = problems_module._band_block
+        monkeypatch.setattr(problems_module, "_band_block",
+                            lambda band, r, c: blocks.append(r) or real(band, r, c))
+        S = additive_schwarz_sum(problem, splitting)
+        L = cholesky(problem.A, lower=True)
+        want = (L.T @ S) @ L
+        assert_same_bits(problems_module._congruence_in_place(problem._L_band, S), want)
+        assert blocks and all(r == slice(0, n) for r in blocks)
+
+    def test_probe_reads_two_values(self):
+        t = problems_module.PANEL_PROBE_T
+        sums = problems_module._panel_probe(1000)
+        assert sums.shape == (999,)
+        assert np.isin(sums, (t * (t - 1.0), t - 1.0)).all(), blas_note()
+
+
 class TestLeanSetup:
     """The stored clean factor, the in-place stability form and the
     deduplicated Lambda keep the bits of the straightforward computations."""
