@@ -50,14 +50,23 @@ TILE_COLUMN_ALIGN = 16
 # Rows per tile of A d: a tile then reads little more than the band of A.
 TILE_ROWS = 64
 
+# OpenBLAS's dgemv sums the rows of a row-major matrix in groups of this
+# many from its first row, and a remainder of fewer rows with other kernels,
+# which on general rows round differently: of 300 random row windows of a
+# random 1025 x 96 matrix, windows aligned to 1 or 2 rows mismatched the
+# one-thread full product in 130 to 200, windows aligned to 4 in none.  So
+# the rows a component's A d multiplies start on a multiple of it and end
+# on one or at n.
+DGEMV_ROW_GROUP = 4
+
 # Width unit of a slab of the set-up's n x n products (see _slabs): slabs
 # are multiples of it, about n / 8 wide, except those of the congruence,
 # which are SLAB_MIN wide.  Narrower slabs cost time, not bits, where a
 # slab product reads the whole other factor: OpenBLAS packs it again on
 # every call.  The congruence reads only the rows of S that L's band
 # reaches, two short pieces per slab on the Poisson band, so its narrow
-# slabs read S about twice in all (at n = 4096 with one thread it takes
-# about 0.3 s, against 4.6 s for the slab products over all of S).
+# slabs read S about twice in all (at n = 4096 with one thread it took
+# 0.23 s, against 4.0 s for slab products over all of S).
 SLAB_MIN = 64
 
 # Multiply-adds M N K above which OpenBLAS's dgemm runs its blocked
@@ -146,7 +155,7 @@ class Problem:
     lower factor L is kept as tiles ``_L_band`` over the tiles of A's band
     (Cholesky adds no fill outside the profile of A, and a tile spans its
     rows' profile and diagonal) and the copy is freed.  :func:`stability_constants`
-    multiplies with L's column slabs rebuilt from those tiles instead of
+    multiplies with blocks of L rebuilt from those tiles instead of
     factoring A again.  The band, b and the solution are copies: the
     problem never aliases the caller's arrays.
     """
@@ -217,6 +226,21 @@ class Problem:
         k * TILE_ROWS, and the last one may hold one row more."""
         last = len(self._band)
         return self._band[min(lo // TILE_ROWS, last - 1):min(-(-hi // TILE_ROWS), last)]
+
+    def _row_tiles(self, lo, hi):
+        """The band tiles that cover the rows [lo, hi), each cut to those
+        rows rounded out to multiples of DGEMV_ROW_GROUP (or to n): row
+        views of the tiles.  A cut of one row, the last after a multiple of
+        DGEMV_ROW_GROUP, takes in the group before it, as numpy would send
+        a one-row product to ``ddot``."""
+        cut = []
+        for rows, cols, tile in self._band_tiles(lo, hi):
+            a = max(rows.start, lo - lo % DGEMV_ROW_GROUP)
+            b = min(rows.stop, -(-hi // DGEMV_ROW_GROUP) * DGEMV_ROW_GROUP)
+            if b - a == 1:
+                a = max(rows.start, a - DGEMV_ROW_GROUP)
+            cut.append((slice(a, b), cols, tile[a - rows.start:b - rows.start]))
+        return cut
 
     def _matvec(self, v, tiles=None):
         """A @ v from the band ``tiles`` (all of them by default), each
@@ -665,11 +689,13 @@ def stability_constants(problem, splitting):
 
     The spectrum of the additive Schwarz operator P = sum_i R_i A_i^{-1} R_i^T A
     is computed from the congruent symmetric form L^T (sum_i R_i A_i^{-1} R_i^T) L
-    with A = L L^T.  L is the factor the problem stores
-    as tiles; its column slabs are rebuilt one at a time.  The whole
-    computation lives in one n x n buffer: S is built, overwritten with the
-    form in slabs (:func:`_congruence_in_place`, :func:`_symmetrize_in_place`)
-    and handed to ``eigvalsh`` to overwrite.  A
+    with A = L L^T.  L is the factor the problem stores as tiles; the
+    congruence multiplies only its band, a slab's rows at a time, in
+    pieces cut where the BLAS cuts the full products, so the form has the
+    bits of ``(L.T @ S) @ L``.  The whole computation lives in one n x n
+    buffer: S is built, overwritten with the form in slabs
+    (:func:`_congruence_in_place`, :func:`_symmetrize_in_place`) and
+    handed to ``eigvalsh`` to overwrite.  A
     rank-deficient splitting (see RANK_TOL) is reported with kappa = inf
     rather than raised.
     """
@@ -769,18 +795,22 @@ class MatrixSchwarzModel:
     the bits of the dense one, so a run's picks do not depend on how A is
     stored: on splittings with exactly tied local norms rounding decides
     the pick.  A is the problem's band of row tiles (see :class:`Problem`
-    and :func:`image_tiles`).  A d for d = R_i r multiplies the band tiles
-    that cover the rows [lo, hi) of A that R_i reaches, found once per
-    component from the problem's CSR pattern, ``Ad[rows] = tile @ d[cols]``;
-    every other row, and every row of those tiles that R_i does not reach,
-    is the +0.0 the full product gives.  Each tiled row is the same BLAS
-    ``dgemv`` over the same nonzero terms as in the one-thread A @ d (see
-    :func:`image_tiles`), so the same bits, by three properties of the BLAS
-    and numpy that tests pin: the columns start and end on multiples of
-    TILE_COLUMN_ALIGN (or at n), so every term keeps its SIMD lane; a tile
-    whose columns would cross a multiple of DGEMV_COLUMN_PIECE, where the
-    full product starts a new piece of its row sums, spans all columns; and
-    no tile has a single row, which numpy would hand to ``ddot``.  The two-level coarse component reaches every row but
+    and :func:`image_tiles`).  A d for d = R_i r multiplies the rows
+    [lo, hi) of A that R_i reaches, found once per component from the
+    problem's CSR pattern, rounded out to multiples of DGEMV_ROW_GROUP, as
+    row views of the band tiles that cover them (:meth:`Problem._row_tiles`),
+    ``Ad[rows] = tile[rows] @ d[cols]``; every other row, and every row of
+    those views that R_i does not reach, is the +0.0 the full product
+    gives.  Each multiplied row is the same BLAS ``dgemv`` over the same
+    nonzero terms as in the one-thread A @ d (see :func:`image_tiles`), so
+    the same bits, by four properties of the BLAS and numpy that tests pin:
+    the columns start and end on multiples of TILE_COLUMN_ALIGN (or at n),
+    so every term keeps its SIMD lane; a tile whose columns would cross a
+    multiple of DGEMV_COLUMN_PIECE, where the full product starts a new
+    piece of its row sums, spans all columns; the rows start and end on
+    multiples of DGEMV_ROW_GROUP (or at n), so every row is in the kernel
+    group it has in the full product; and no view has a single row, which
+    numpy would hand to ``ddot``.  The two-level coarse component reaches every row but
     is multiplied on little more than the band of A.  The refresh of w is
     the product with the whole band: still a recompute of A u from scratch.
     The reported error uses the problem's CSR arrays of A: ``A e`` is
@@ -826,7 +856,7 @@ class MatrixSchwarzModel:
         # of those rows of A, O(nnz)
         indptr, indices, _ = problem._A_csr
         reached = [indices[indptr[c.rows.start]:indptr[c.rows.stop]] for c in splitting]
-        self._tiles = [problem._band_tiles(int(cols.min()), int(cols.max()) + 1) for cols in reached]
+        self._tiles = [problem._row_tiles(int(cols.min()), int(cols.max()) + 1) for cols in reached]
         # the scan plan of all components: per column block of a factor
         # group its component positions, its components and the coordinate
         # gather array (None for dense blocks); per component its (block, row)

@@ -699,12 +699,24 @@ def assert_tile_rules(tiles, lo, hi, n):
         assert tile.flags.c_contiguous and tile.base is None
 
 
-def band_window(lo, hi, n):
-    """The rows of the band tiles that cover [lo, hi): tiles of 64 rows from
-    row 0, the last one taking a one-row remainder."""
-    starts = [s for s in range(0, n, 64) if s == 0 or n - s > 1]
-    after = [s for s in starts if s >= hi]
-    return max(s for s in starts if s <= lo), after[0] if after else n
+def assert_row_view_rules(views, lo, hi, problem):
+    """The views ``(rows, cols, view)`` of a component's A d cover the rows
+    [lo, hi) rounded out to multiples of 4 (or to n) in order, each a row
+    view of the band tile that holds its rows, with its columns, and none
+    of one row unless A has one row."""
+    n = problem.n
+    rows = [t for t, _, _ in views]
+    first = lo - lo % 4
+    assert rows[0].start in (first, max(first - 4, 0)), (rows, lo)
+    assert rows[-1].stop == min(-(-hi // 4) * 4, n), (rows, hi)
+    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    for t, cols, view in views:
+        assert t.start % 4 == 0 and (t.stop % 4 == 0 or t.stop == n), t
+        assert t.stop - t.start > 1 or n == 1, t
+        [(start, tile_cols, tile)] = [(r.start, c, tile) for r, c, tile in problem._band
+                                      if r.start <= t.start and t.stop <= r.stop]
+        assert cols == tile_cols and view.base is tile and view.flags.c_contiguous
+        assert np.array_equal(view, tile[t.start - start:t.stop - start])
 
 
 def assert_same_bits(got, want):
@@ -760,7 +772,7 @@ class TestImageTilesPinnedToDenseProduct:
             nonzero = np.flatnonzero(c.R.any(axis=1))
             lo, hi = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, problem.n)
             tiles = model._tiles[c.index - 1]
-            assert_tile_rules(tiles, *band_window(lo, hi, problem.n), problem.n)
+            assert_row_view_rules(tiles, lo, hi, problem)
             for scale in SCALES:
                 for _ in range(2):
                     r = rng.standard_normal(c.dim) * scale
@@ -809,6 +821,7 @@ class TestImageTilesPinnedToDenseProduct:
         code = """
 import numpy as np
 from scipy.sparse import csr_array
+from mschwarz import Problem
 from mschwarz.problems import image_tiles
 
 for n in (1025, 1100, 2100):
@@ -828,6 +841,16 @@ for n in (1025, 1100, 2100):
         want = A @ d
         same = (Ad == want) & (np.signbit(Ad) == np.signbit(want))
         assert same.all(), (n, np.flatnonzero(~same))
+    # the row views of a component's A d, on random windows of the rows of
+    # a symmetric banded problem
+    problem = Problem(A + A.T + 200 * np.eye(n), np.ones(n))
+    S = problem.A
+    windows = [(n - 1, n)] * 8 + [(lo, int(rng.integers(lo + 1, min(lo + 140, n) + 1)))
+                              for lo in rng.integers(0, n - 1, size=40)]
+    for lo, hi in windows:
+        d = rng.standard_normal(n)
+        got = problem._matvec(d, problem._row_tiles(lo, hi))[lo:hi]
+        assert np.array_equal(got, (S @ d)[lo:hi]), (n, lo, hi)
 """
         src = Path(problems_module.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
@@ -1519,7 +1542,7 @@ class TestLeanSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the one buffer, plus a column slab of L, half a slab product and
+        # the one buffer, plus a block of L's band, a piece product and
         # eigh's workspace
         assert peak <= 1.25 * n * n * 8
 
