@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import DiagonalModel
-from .distributions import ExplicitDistribution, TruncatedSchedule
+from .distributions import TruncatedSchedule
 from .solver import GAWRRelaxation, PureRelaxation, RandomRule, run
 
 
@@ -219,20 +219,27 @@ def _step_maps(model, selection, M):
     positions.
 
     A fixed distribution maps the whole block through its own
-    ``sample_from_uniform``.  A step-dependent schedule keeps, for each step
-    whose table is an ``ExplicitDistribution``, only the table boundaries
-    (see ``ExplicitDistribution.boundaries``) that open or close the interval
-    of a support index: a ``searchsorted`` finds the interval of each
-    uniform, and a label per interval, the same at every step, gives its
-    position.  A ``TruncatedSchedule`` gives those boundaries without a
-    table (``TruncatedSchedule.boundaries``).  A step with any other
-    distribution samples from it.
+    ``sample_from_uniform``.  A ``TruncatedSchedule`` keeps, for each step,
+    only the table boundaries (see ``TruncatedSchedule.boundaries``) that
+    open or close the interval of a support index, read without building
+    the table: a ``searchsorted`` finds the interval of each uniform, and a
+    label per interval, the same at every step, gives its position.  Any
+    other schedule is sampled at each step, from the distribution it gives.
     """
-    if not callable(selection.schedule):
-        dist = selection.schedule
+    schedule = selection.schedule
+    if not callable(schedule):
+        def to_positions(U):
+            U.view(np.int64)[:] = model.support_positions(schedule.sample_from_uniform(U))
+
+        return to_positions
+
+    if not isinstance(schedule, TruncatedSchedule):
+        dists = [schedule(m) for m in range(M)]
 
         def to_positions(U):
-            U.view(np.int64)[:] = model.support_positions(dist.sample_from_uniform(U))
+            pos = U.view(np.int64)
+            for m, dist in enumerate(dists):
+                pos[m] = model.support_positions(dist.sample_from_uniform(U[m]))
 
         return to_positions
 
@@ -250,23 +257,13 @@ def _step_maps(model, selection, M):
     one = lo + 1
     labels = np.where(np.append(ks, 0) == one, model.support_positions(one), -1)
     bounds = np.empty((M, ks.size))
-    sampled = {}
-    schedule = selection.schedule
     for m in range(M):
-        if isinstance(schedule, TruncatedSchedule):
-            bounds[m] = schedule.boundaries(m, ks)
-        elif isinstance(dist := schedule(m), ExplicitDistribution):
-            bounds[m] = dist.boundaries(ks)
-        else:
-            sampled[m] = dist
+        bounds[m] = schedule.boundaries(m, ks)
 
     def to_positions(U):
         pos = U.view(np.int64)
         for m in range(M):
-            if m in sampled:
-                pos[m] = model.support_positions(sampled[m].sample_from_uniform(U[m]))
-            else:
-                np.take(labels, np.searchsorted(bounds[m], U[m], side="right"), out=pos[m])
+            np.take(labels, np.searchsorted(bounds[m], U[m], side="right"), out=pos[m])
 
     return to_positions
 

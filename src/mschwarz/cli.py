@@ -311,32 +311,37 @@ def _error_after(model, state, res, alpha, omega):
 
 
 def _check_steps(model, selection, relaxation, short, seed):
-    """The per-step checks on one run: omega optimality over the first 25
-    steps, and for a greedy rule greedy compliance over the first 50.
+    """One run of ``short`` steps that records each step's index and error
+    as :func:`run` does and takes the per-step checks on the way: omega
+    optimality over the first 25 steps, and for a greedy rule greedy
+    compliance over the first 50.
 
     Omega optimality is a three-point test (perturbing omega can only
     increase the step error); greedy compliance compares the pick with the
     pool's norms from per-component solves.  A NaN comparison passes.
-    Returns (omega_ok, greedy_ok), greedy_ok None for other rules.
+    Returns (index, error, omega_ok, greedy_ok), greedy_ok None for other rules.
     """
     greedy = isinstance(selection, GreedyRule)
     omega_ok, greedy_ok = True, True if greedy else None
-    steps = min(short, 50 if greedy else 25)
-    for m, state, res, a, w in iterate(model, selection, relaxation, steps, seed):
+    index = np.full(short + 1, -1, dtype=np.int64)
+    error = np.empty(short + 1)
+    state = model.new_state()
+    for m, state, res, a, w in iterate(model, selection, relaxation, short, seed):
+        index[m] = res.index
+        error[m] = model.error(state)
         if omega_ok and m < 25:
             base = _error_after(model, state, res, a, w)
             delta = max(abs(w), 1.0) * 1e-3
             omega_ok = not any(_error_after(model, state, res, a, wp) < base - 1e-10 * (1 + base)
                                for wp in (w - delta, w + delta))
-        if greedy_ok:
+        if greedy_ok and m < 50:
             # one solve per component, not the model's pool scan, which this checks
             pool = model.default_pool_indices()[:selection.pool.size(model, m)]
             norms = np.array([model.local_residual(state, i).local_norm for i in pool])
             greedy_ok = not (res.local_norm
                              < selection.beta * norms.max() - 1e-12 * (1 + norms.max()))
-        if not omega_ok and not greedy_ok:
-            break
-    return omega_ok, greedy_ok
+    error[short] = model.error(state)
+    return index, error, omega_ok, greedy_ok
 
 
 def _cmd_check(config, args):
@@ -351,15 +356,14 @@ def _cmd_check(config, args):
     reparsed = parse_config(serialize(config))
     results.append(("config round-trip", reparsed == config))
 
-    t1 = run(model, selection, relaxation, short, seed)
-    same = np.array_equal(t1.index, t2.index) and np.array_equal(t1.error, t2.error)
+    index, error, omega_ok, greedy_ok = _check_steps(model, selection, relaxation, short, seed)
+    same = np.array_equal(index, t2.index) and np.array_equal(error, t2.error)
     results.append(("determinism", bool(same)))
 
     if isinstance(relaxation, PureRelaxation):
-        mono = bool(np.all(np.diff(t1.error) <= 1e-10 * (t1.error[0] + 1.0)))
+        mono = bool(np.all(np.diff(error) <= 1e-10 * (error[0] + 1.0)))
         results.append(("pure-step monotonicity", mono))
 
-    omega_ok, greedy_ok = _check_steps(model, selection, relaxation, short, seed)
     results.append(("omega optimality", omega_ok))
     if greedy_ok is not None:
         results.append(("greedy compliance", greedy_ok))
@@ -382,7 +386,7 @@ def _cmd_check(config, args):
         results.append(("uniform bound certificate", ok))
 
     if bound is not None:
-        results.append(("bound compliance", bool(np.all(t1.error_sq <= bound[1] + BOUND_SLACK))))
+        results.append(("bound compliance", bool(np.all(error ** 2 <= bound[1] + BOUND_SLACK))))
 
     failed = [name for name, ok in results if not ok]
     for name, ok in results:

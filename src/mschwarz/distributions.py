@@ -67,19 +67,6 @@ class ExplicitDistribution:
         pos = np.searchsorted(self._cum, u, side="right")
         return np.minimum(pos, self.n - 1).astype(np.int64) + 1
 
-    def boundaries(self, ks):
-        """The table boundaries at the sorted positions ``ks`` >= 1.
-
-        ``sample_from_uniform`` draws index j from u exactly when boundary
-        j-1 <= u < boundary j, where boundary k is the partial sum
-        pi_1 + ... + pi_k for 1 <= k < n and +inf from n on (index n also
-        takes every u above its partial sum), and boundary 0 is -inf.
-        """
-        out = np.full(len(ks), np.inf)
-        below = np.searchsorted(ks, self.n)
-        out[:below] = self._cum[ks[:below] - 1]
-        return out
-
     def head_mass(self, N):
         if N <= 0:
             return 0.0
@@ -430,14 +417,19 @@ class TruncatedSchedule:
         return self._latest
 
     def boundaries(self, m, ks):
-        """``self(m).boundaries(ks)``, without building the table.
+        """The boundaries of the table ``self(m)`` at the sorted positions
+        ``ks`` >= 1, without building the table.
 
-        The table's bits come from four operations: the head
+        The table's ``sample_from_uniform`` draws index j from u exactly
+        when boundary j-1 <= u < boundary j, where boundary k is its partial
+        sum pi_1 + ... + pi_k for 1 <= k < N_m and +inf from N_m on (index
+        N_m also takes every u above its partial sum), and boundary 0 is
+        -inf.  The partial sums' bits come from four operations: the head
         ``base.head_probs(N_m)``, its pairwise ``sum``, the division by it
-        and a sequential ``cumsum``.  They are taken here in that order, the
-        ``cumsum`` only up to the largest k < N_m, since a prefix of a
-        sequential ``cumsum`` is the ``cumsum`` of the prefix.  The
-        normalized head passes the checks of ``ExplicitDistribution``
+        and a sequential ``cumsum``, as in the table.  They are taken here
+        in that order, the ``cumsum`` only up to the largest k < N_m, since
+        a prefix of a sequential ``cumsum`` is the ``cumsum`` of the prefix.
+        The normalized head passes the checks of ``ExplicitDistribution``
         exactly when its minimum is >= 0 (NaN fails) and its sum is within
         the tolerance of 1 (an inf fails); otherwise that constructor raises
         its own error.

@@ -114,12 +114,20 @@ def _symmetry_defect(A):
         return np.max([np.abs(A[I, J] - A[J, I].T).max() for k, I in enumerate(slabs) for J in slabs[k:]])
 
 
+def _covering_tiles(band, lo, hi):
+    """The tiles of ``band`` (laid out by :func:`image_tiles`, or one tile)
+    that cover the rows [lo, hi), by index: tile k starts at row
+    k * TILE_ROWS, and the last one may hold one row more."""
+    last = len(band)
+    return band[min(lo // TILE_ROWS, last - 1):min(-(-hi // TILE_ROWS), last)]
+
+
 def _band_block(band, r, c):
     """The rows ``r`` and columns ``c`` (slices) of the banded matrix whose
-    tiles ``(rows, cols, tile)`` are ``band``, as a dense array: zero off the
-    tiles."""
+    tiles ``(rows, cols, tile)`` are ``band`` (see :func:`_covering_tiles`),
+    as a dense array: zero off the tiles."""
     out = np.zeros((r.stop - r.start, c.stop - c.start))
-    for rows, cols, tile in band:
+    for rows, cols, tile in _covering_tiles(band, r.start, r.stop):
         lo, hi = max(rows.start, r.start), min(rows.stop, r.stop)
         left, right = max(cols.start, c.start), min(cols.stop, c.stop)
         if lo < hi and left < right:
@@ -221,12 +229,6 @@ class Problem:
         """A dense copy of A, built from the band on each access."""
         return self._rows(slice(0, self.n))
 
-    def _band_tiles(self, lo, hi):
-        """The band tiles that cover the rows [lo, hi): tile k starts at row
-        k * TILE_ROWS, and the last one may hold one row more."""
-        last = len(self._band)
-        return self._band[min(lo // TILE_ROWS, last - 1):min(-(-hi // TILE_ROWS), last)]
-
     def _row_tiles(self, lo, hi):
         """The band tiles that cover the rows [lo, hi), each cut to those
         rows rounded out to multiples of DGEMV_ROW_GROUP (or to n): row
@@ -234,7 +236,7 @@ class Problem:
         DGEMV_ROW_GROUP, takes in the group before it, as numpy would send
         a one-row product to ``ddot``."""
         cut = []
-        for rows, cols, tile in self._band_tiles(lo, hi):
+        for rows, cols, tile in _covering_tiles(self._band, lo, hi):
             a = max(rows.start, lo - lo % DGEMV_ROW_GROUP)
             b = min(rows.stop, -(-hi // DGEMV_ROW_GROUP) * DGEMV_ROW_GROUP)
             if b - a == 1:
@@ -255,7 +257,7 @@ class Problem:
     def _rows(self, r, c=None):
         """The rows ``r`` and columns ``c`` (slices; all columns by default)
         of A as a dense array."""
-        return _band_block(self._band_tiles(r.start, r.stop), r, c or slice(0, self.n))
+        return _band_block(self._band, r, c or slice(0, self.n))
 
 
 def energy_norm(problem, v):
@@ -411,8 +413,11 @@ class FiniteSplitting:
     is asking for a component outside 1..N; a config whose rule could ask
     is refused when it is built (see ``ExperimentConfig.build_selection``).
 
-    Components whose local forms are byte-equal (the overlapping blocks of
-    a uniform grid) are given one shared copy of the form and its factor.
+    Components that restrict alike (all identity blocks or all dense ones)
+    and whose local forms are byte-equal (the overlapping blocks of a
+    uniform grid) make a factor group, which shares one copy of the form
+    and its factor.  The groups are planned here once, as the scan plan of
+    :func:`_local_norms`, which the greedy scan and the class norms share.
 
     Nothing computed from a (problem, splitting) pair is kept on the
     splitting: each set-up function computes from the pair it is given,
@@ -429,10 +434,24 @@ class FiniteSplitting:
             if c.index != k:
                 raise ValueError(f"component {k} of the splitting has index {c.index}: "
                                  f"components must be numbered 1..{self.N} in order")
-        # equal forms factor alike, so one copy of each serves them all
-        forms = {}
+        # the factor groups (equal forms factor alike: the members share the
+        # first's) and the scan plan of _local_norms: per column block of a
+        # group its component positions, its components and the coordinate
+        # gather array (None for dense blocks); per component its (block, row)
+        groups = {}
         for c in self.components:
-            c.A_local, c._chol = forms.setdefault(c.A_local.tobytes(), (c.A_local, c._chol))
+            groups.setdefault((c.block is None, c.A_local.tobytes()), []).append(c)
+        self._blocks, self._where = [], [None] * self.N
+        for group in groups.values():
+            first, width = group[0], max(1, SOLVE_BLOCK_ENTRIES // group[0].dim)
+            for b in range(0, len(group), width):
+                comps = group[b:b + width]
+                for j, c in enumerate(comps):
+                    c.A_local, c._chol = first.A_local, first._chol
+                    self._where[c.index - 1] = (len(self._blocks), j)
+                gather = (np.array([c.rows.start for c in comps])[:, None] + np.arange(first.dim)
+                          if first.block is None else None)
+                self._blocks.append((np.array([c.index - 1 for c in comps]), comps, gather))
         covered = np.zeros(problem.n, dtype=bool)
         for c in self.components:
             if c.n != problem.n:
@@ -720,7 +739,8 @@ def representation_block_norms(problem, splitting, u):
     since that norm is an infimum over all representations.  The minimizer
     is v_i = A_i^{-1} R_i^T S^{-1} u with the additive Schwarz sum S (the
     stationarity condition of the quadratic program), so one n x n solve
-    replaces the KKT system of size sum_i d_i + n.
+    replaces the KKT system of size sum_i d_i + n, and the v_i are the
+    grouped local solves of :func:`_local_norms` on y = S^{-1} u.
 
     S is transposed in place, so that its Fortran-ordered view is S, and
     factored in place: it is the one n x n array of the computation,
@@ -732,11 +752,42 @@ def representation_block_norms(problem, splitting, u):
 
     S = _transpose_in_place(additive_schwarz_sum(problem, splitting)).T
     y = potrs(potrf(S, overwrite_a=True, clean=False), np.asarray(u, dtype=float))
-    norms = []
-    for c in splitting:
-        v = c.solve_local(c.restrict(y))
-        norms.append(np.sqrt(max(c.local_inner(v, v), 0.0)))
-    return np.array(norms)
+    return _local_norms(splitting, y)[0]
+
+
+def _local_norms(splitting, g):
+    """The local norms ||A_i^{-1} R_i^T g||_{a_i} of all components, in
+    component order, and per column block of the splitting's scan plan (see
+    :class:`FiniteSplitting`) its solutions (a row per member), norms and
+    energies.
+
+    Per factor group the solve gathers the local right-hand sides as the
+    columns of one matrix, solves them with one ``potrs`` call per column
+    block of fewer than SOLVE_BLOCK_ENTRIES entries and takes the local
+    norms with two stacked ``matmul`` calls.  Column by
+    column this is the computation of :func:`local_solve`: that a
+    multi-column ``potrs`` and a stacked ``matmul`` round each column as
+    the single-column calls do is a property of the BLAS, which the tests
+    pin against the per-component loop.  A one-member group goes through
+    the same code.
+    """
+    out = np.empty(splitting.N)
+    solved = []
+    for ks, comps, gather in splitting._blocks:
+        # one column per member: its local right-hand side R_i^T g
+        if gather is not None:
+            rhs = g[gather].T
+        else:
+            rhs = np.array([c.restrict(g) for c in comps]).T
+        xs = comps[0].solve_local(rhs).T
+        nonzero = rhs.any(axis=0)
+        if not nonzero.all():
+            xs[~nonzero] = 0.0
+        energies = comps[0].local_energies(xs)
+        norms = np.sqrt(energies)
+        out[ks] = norms
+        solved.append((xs, norms, energies))
+    return out, solved
 
 
 def image_tiles(indptr, indices):
@@ -820,25 +871,12 @@ class MatrixSchwarzModel:
     nothing between calls, so one model can still drive several runs at
     once.
 
-    The greedy pool scan works on factor groups: components that restrict
-    alike (all identity blocks or all dense ones) and whose local forms and
-    stored Cholesky factors are byte-equal (all overlapping blocks of a
-    uniform Poisson grid) share one.  Per group a scan gathers the local
-    right-hand sides as the columns of one matrix, solves them with one
-    ``potrs`` call per column block of fewer than SOLVE_BLOCK_ENTRIES
-    entries and takes the local norms with two stacked ``matmul`` calls.  Column by column this is the computation of
-    :func:`local_solve`: that a multi-column ``potrs`` and a stacked
-    ``matmul`` round each column as the single-column calls do is a
-    property of the BLAS, which the tests pin against the per-component
-    loop.  A one-member group goes through the same code.
-
     A step's quantities live on its :class:`BlockResidual`, not on the
     model: :meth:`step` fills the record's d = R_i r and A d once, and the
     relaxation parameters and :meth:`apply_update` read them there.  The
     scan hands back, with the norms, a function that builds the winner's
     record from the scan's own solution, so the winner is not solved again.
-    The scan plan is fixed when the model is built, for all N components,
-    and a run changes no attribute of the model, so one model can drive
+    A run changes no attribute of the model, so one model can drive
     several runs at once.
     """
 
@@ -857,25 +895,6 @@ class MatrixSchwarzModel:
         indptr, indices, _ = problem._A_csr
         reached = [indices[indptr[c.rows.start]:indptr[c.rows.stop]] for c in splitting]
         self._tiles = [problem._row_tiles(int(cols.min()), int(cols.max()) + 1) for cols in reached]
-        # the scan plan of all components: per column block of a factor
-        # group its component positions, its components and the coordinate
-        # gather array (None for dense blocks); per component its (block, row)
-        groups = {}
-        for k, c in enumerate(splitting):
-            key = (c.block is None, c.A_local.tobytes(), c._chol.tobytes())
-            groups.setdefault(key, []).append(k)
-        self._blocks, self._where = [], [None] * splitting.N
-        for ks in groups.values():
-            dim = splitting.components[ks[0]].dim
-            width = max(1, SOLVE_BLOCK_ENTRIES // dim)
-            for b in range(0, len(ks), width):
-                block = ks[b:b + width]
-                comps = [splitting.components[k] for k in block]
-                gather = (np.array([c.rows.start for c in comps])[:, None] + np.arange(dim)
-                          if comps[0].block is None else None)
-                for j, k in enumerate(block):
-                    self._where[k] = (len(self._blocks), j)
-                self._blocks.append((np.array(block), comps, gather))
         # the work buffers of error(), e and A e, and its CSR kernel
         from ._kernels import csr_matvec
 
@@ -896,32 +915,18 @@ class MatrixSchwarzModel:
         return self.step(local_solve(self.problem, self.splitting[i], self.problem.b - state.w))
 
     def pool_local_norms(self, state):
-        """The local norms of components 1..N at ``state``, in that order,
-        and a function that builds the step record of component i from the
-        scan's solution (valid until ``state`` changes).  A greedy pool of
-        the first k components reads the first k norms."""
+        """The local norms of components 1..N at ``state``, in that order, by
+        the grouped solve :func:`_local_norms`, and a function that builds the
+        step record of component i from the scan's solution (valid until
+        ``state`` changes).  A greedy pool of the first k components reads
+        the first k norms."""
         g = self.problem.b - state.w
         if g.shape != (self.problem.n,):
             raise ValueError(f"residual has shape {g.shape}, expected ({self.problem.n},)")
-        out = np.empty(self.splitting.N)
-        solved = []
-        for ks, comps, gather in self._blocks:
-            # one column per member: its local right-hand side R_i^T g
-            if gather is not None:
-                rhs = g[gather].T
-            else:
-                rhs = np.array([c.restrict(g) for c in comps]).T
-            xs = comps[0].solve_local(rhs).T
-            nonzero = rhs.any(axis=0)
-            if not nonzero.all():
-                xs[~nonzero] = 0.0
-            energies = comps[0].local_energies(xs)
-            norms = np.sqrt(energies)
-            out[ks] = norms
-            solved.append((xs, norms, energies))
+        out, solved = _local_norms(self.splitting, g)
 
         def residual(i):
-            p, j = self._where[int(i) - 1]
+            p, j = self.splitting._where[int(i) - 1]
             xs, norms, energies = solved[p]
             return self.step(BlockResidual(int(i), xs[j], float(norms[j]), float(energies[j])))
 

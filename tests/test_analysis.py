@@ -297,25 +297,35 @@ class TestMonteCarloKernelOracle:
 class TestMonteCarloStepMaps:
     def test_boundary_map_matches_sampling_at_the_boundaries(self):
         # zero probabilities make equal partial sums; the tables end before,
-        # at and past the support indices
+        # at and past the support indices.  A schedule of given tables is
+        # sampled per step; a TruncatedSchedule, here over explicit bases
+        # with zero probabilities, keeps the label map
         tables = [ExplicitDistribution(p) for p in (
             [1.0], [0.5, 0.5], [0.25, 0.0, 0.5, 0.25], [0.0, 0.5, 0.0, 0.0, 0.5],
             np.full(10, 0.1), np.full(50, 0.02))]
+        bases = ([1.0], [0.5, 0.5], [0.25, 0.0, 0.5, 0.25], [0.0, 0.5, 0.0, 0.0, 0.5],
+                 [0.3, 0.0, 0.0, 0.2, 0.0, 0.1, 0.0, 0.4], np.full(50, 0.02))
+        truncated = 12
         rng = np.random.default_rng(5)
         for support in ({1: 1.0}, {2: 1.0, 3: 1.0}, {1: 1.0, 3: 1.0, 40: 1.0}, {4: 1.0, 5: 1.0, 7: 1.0},
                         {10: 1.0, 11: 1.0}):
             model = make_diagonal(support)
-            rule = RandomRule(lambda m: tables[m])
-            to_positions = analysis._step_maps(model, rule, len(tables))
-            cums = np.concatenate([t._cum for t in tables])
-            u = np.unique(np.concatenate([
-                cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0), [0.0], rng.random(40)]))
-            u = u[(u >= 0.0) & (u < 1.0)]
-            U = np.tile(u, (len(tables), 1))
-            to_positions(U)
-            for m, table in enumerate(tables):
-                want = model.support_positions(table.sample_from_uniform(u))
-                assert np.array_equal(U.view(np.int64)[m], want), (support, m)
+            runs = [(lambda m: tables[m], tables)]
+            for probs in bases:
+                oracle = TruncatedSchedule(ExplicitDistribution(probs), 1.0)
+                runs.append((TruncatedSchedule(ExplicitDistribution(probs), 1.0),
+                             [oracle(m) for m in range(truncated)]))
+            for schedule, want_tables in runs:
+                to_positions = analysis._step_maps(model, RandomRule(schedule), len(want_tables))
+                cums = np.concatenate([t._cum for t in want_tables])
+                u = np.unique(np.concatenate([
+                    cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0), [0.0], rng.random(40)]))
+                u = u[(u >= 0.0) & (u < 1.0)]
+                U = np.tile(u, (len(want_tables), 1))
+                to_positions(U)
+                for m, table in enumerate(want_tables):
+                    want = model.support_positions(table.sample_from_uniform(u))
+                    assert np.array_equal(U.view(np.int64)[m], want), (support, schedule, m)
 
     def test_truncated_schedule_builds_no_table_over_two_groups(self, monkeypatch):
         # the step maps read the boundaries off the base's grown prefix

@@ -460,6 +460,21 @@ class TestCheckSetupWork:
         assert all(a is not b for a, b in zip(*built))
         assert built[0][1].pool is not built[1][1].pool
 
+    @pytest.mark.parametrize("text", [POISSON_SMALL, ORACLE_EXPECT],
+                             ids=["poisson-greedy", "diagonal-random"])
+    def test_check_iterates_twice(self, tmp_path, monkeypatch, text):
+        """The determinism run, and one checked run that also records the
+        trace the determinism, monotonicity and bound checks read."""
+        cfg = write_config(tmp_path, text + "bounds: true\n")
+        passes = []
+        iterate = solver_module.iterate
+        spy = lambda *a, **k: passes.append(a) or iterate(*a, **k)
+        # run() looks up the solver's iterate, the step checks the CLI's
+        monkeypatch.setattr(solver_module, "iterate", spy)
+        monkeypatch.setattr(cli_module, "iterate", spy)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(passes) == 2
+
 
 POWER_LAW_EXPECT = DIAG_GREEDY.replace(
     "kind: greedy\n  beta: 1.0\n  pool: support_union",
@@ -509,9 +524,31 @@ class TestMetadataPass:
         assert models
         for model in models:
             n = model.problem.n
-            assert not [name for name, value in vars(model.splitting).items()
-                        if np.shape(value) == (n, n)]
+            assert not [a for a in reached_arrays(model.splitting) if a.shape == (n, n)]
+            # the walk reaches into the scan plan's tuples
+            model.splitting._blocks.append((np.zeros((n, n)),))
+            assert [a for a in reached_arrays(model.splitting) if a.shape == (n, n)]
         assert len(built) == builds
+
+
+def reached_arrays(obj, seen=None):
+    """Every ndarray reachable from the attributes of ``obj`` through
+    lists, tuples, dicts and objects of the library."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from reached_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from reached_arrays(item, seen)
+    elif type(obj).__module__.startswith("mschwarz"):
+        for item in vars(obj).values():
+            yield from reached_arrays(item, seen)
 
 
 SETUP_CONSTANTS = ("uniform_bound_lambda", "stability_constants", "representation_block_norms")

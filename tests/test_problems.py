@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -1074,9 +1075,8 @@ class TestGroupedScanPinnedToLoop:
     @pytest.mark.parametrize("relaxation", sorted(RELAXATIONS))
     def test_interior_hat_runs(self, relaxation):
         problem, splitting = poisson_with_interior_hats()
-        model = MatrixSchwarzModel(problem, splitting)
         # the two hat components make one dense factor group
-        assert sorted(len(ks) for ks, _, gather in model._blocks if gather is None) == [2]
+        assert sorted(len(ks) for ks, _, gather in splitting._blocks if gather is None) == [2]
         for grouped, loop in self.runs(problem, splitting, relaxation, 60):
             assert_same_trace(grouped, loop)
 
@@ -1085,7 +1085,7 @@ class TestGroupedScanPinnedToLoop:
         model = MatrixSchwarzModel(problem, splitting)
         loop = LoopScanModel(problem, splitting)
         # form1 blocks, form2 blocks and the dense component
-        assert len(model._blocks) == 3
+        assert len(splitting._blocks) == 3
         indices = splitting.indices()
         assert list(indices) == [1, 2, 3, 4, 5, 6, 7]
         state = model.new_state()
@@ -1100,15 +1100,119 @@ class TestGroupedScanPinnedToLoop:
 
     @pytest.mark.parametrize("entries", [1, 64, 10 ** 9])
     def test_column_blocks_do_not_change_bits(self, entries, monkeypatch):
+        # the splitting plans its column blocks when it is built
+        monkeypatch.setattr(problems_module, "SOLVE_BLOCK_ENTRIES", entries)
         problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-1024"])
         want = run(LoopScanModel(problem, splitting), GreedyRule(1.0), GAWRRelaxation(), 40)
-        # the model plans its column blocks when it is built
-        monkeypatch.setattr(problems_module, "SOLVE_BLOCK_ENTRIES", entries)
         model = MatrixSchwarzModel(problem, splitting)
         # the 21 blocks share one factor group, the coarse component has its own
-        sizes = sorted(len(ks) for ks, _, _ in model._blocks)
+        sizes = sorted(len(ks) for ks, _, _ in splitting._blocks)
         assert sizes == ([1] * 22 if entries < 128 else [1, 21])
         assert_same_trace(run(model, GreedyRule(1.0), GAWRRelaxation(), 40), want)
+
+
+def loop_class_norms(splitting, g):
+    """The local norms ||A_i^{-1} R_i^T g||_{a_i} as the per-component loop
+    the grouped solve replaced computed them: one ``solve_local`` and one
+    ``local_inner`` per component."""
+    norms = []
+    for c in splitting:
+        v = c.solve_local(c.restrict(g))
+        norms.append(np.sqrt(max(c.local_inner(v, v), 0.0)))
+    return np.array(norms)
+
+
+# Run in a child interpreter at a given BLAS thread count.  The class norms
+# are the grouped solve on y = S^{-1} u (the spy reads y); the mixed
+# splitting's b vanishes on its first block, a zero right-hand side.
+CLASS_NORMS = """
+import sys
+import numpy as np
+import mschwarz.problems as P
+sys.path.insert(0, sys.argv[1])
+import test_problems as T
+
+two_level = {"kind": "two_level", "coarse_stride": 32, "block_size": 64, "overlap": 16}
+cases = {name: lambda spec=spec: T.make_poisson_1d(*spec) for name, spec in T.POISSON_SPLITTINGS.items()}
+cases.update({f"two-level-{n}": lambda n=n: T.make_poisson_1d(n, two_level) for n in (255, 1000)})
+cases.update(mixed=T.mixed_splitting, hats=T.poisson_with_interior_hats)
+rng = np.random.default_rng(23)
+grouped = P._local_norms
+for name, make in cases.items():
+    problem, splitting = make()
+    for g in (problem.b, rng.standard_normal(problem.n) * 1e3):
+        want = T.loop_class_norms(splitting, g)
+        assert grouped(splitting, g)[0].tobytes() == want.tobytes(), (name, "scan")
+    for u in (problem.exact_solution, rng.standard_normal(problem.n)):
+        ys = []
+        P._local_norms = lambda splitting, y: ys.append(y) or grouped(splitting, y)
+        got = P.representation_block_norms(problem, splitting, u)
+        P._local_norms = grouped
+        [y] = ys
+        assert got.tobytes() == T.loop_class_norms(splitting, y).tobytes(), (name, "class norms")
+"""
+
+
+class TestClassNormsPinnedToLoop:
+    """The class norms run the greedy scan's grouped local solve on the
+    splitting's one scan plan, with the bits of the per-component loop."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_grouped_norms_equal_the_loop_at_each_thread_count(self, threads):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), OPENBLAS_NUM_THREADS=threads,
+                   PYTHONDONTWRITEBYTECODE="1")
+        result = subprocess.run([sys.executable, "-c", CLASS_NORMS, str(tests)], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr + blas_note()
+
+    def test_models_on_one_splitting_use_its_one_plan(self, monkeypatch):
+        problem, splitting = make_poisson_1d(*POISSON_SPLITTINGS["two-level-128"])
+        plan = splitting._blocks, splitting._where
+        models = [MatrixSchwarzModel(problem, splitting) for _ in range(2)]
+        assert (splitting._blocks, splitting._where) == plan
+        assert splitting._blocks is plan[0] and splitting._where is plan[1]
+        assert not [m for m in models if {"_blocks", "_where"} & vars(m).keys()]
+        scanned = []
+        grouped = problems_module._local_norms
+        monkeypatch.setattr(problems_module, "_local_norms",
+                            lambda s, g: scanned.append(s) or grouped(s, g))
+        norms = [m.pool_local_norms(m.new_state())[0].tobytes() for m in models]
+        assert norms[0] == norms[1]
+        assert len(scanned) == 2 and all(s is splitting for s in scanned)
+        # a factor group's members share the first member's form and factor
+        for _, comps, _ in splitting._blocks:
+            assert all(c.A_local is comps[0].A_local and c._chol is comps[0]._chol for c in comps)
+
+
+class UnreadableTile:
+    """A band entry that fails when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("read a tile that does not cover the rows")
+
+
+class TestBandBlockByIndex:
+    """``_band_block`` finds the tiles that cover its rows by index and reads
+    no other."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 129, 192, 193])
+    def test_windows_equal_the_dense_slice(self, n):
+        rng = np.random.default_rng(n)
+        # n = 129 and 193 (64 k + 1) end on a tile of 65 rows
+        for A in (poisson_matrix(n), random_spd(rng, n)):
+            problem = Problem(A, np.ones(n))
+            L = cholesky(A, lower=True)
+            edges = sorted({e for k in range(0, n + 64, 64) for e in (k - 1, k, k + 1)
+                            if 0 <= e <= n} | {n - 1})
+            cols = (slice(0, n), slice(n // 3, n // 3 + max(1, n // 4)))
+            for lo, hi in itertools.combinations(edges, 2):
+                r = slice(lo, hi)
+                for band, dense in ((problem._band, A), (problem._L_band, L)):
+                    guarded = [tile if tile[0].start < hi and lo < tile[0].stop else UnreadableTile()
+                               for tile in band]
+                    for c in cols:
+                        assert_same_bits(problems_module._band_block(guarded, r, c), dense[r, c])
 
 
 class TestBatchedLocalKernels:
